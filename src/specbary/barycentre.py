@@ -5,12 +5,13 @@ two permutation-invariant summaries: the componentwise mean of the ascending
 normalized-Laplacian spectra, and the sample mean adjacency matrix. The mean
 spectrum fixes the eigenvalues; a Soules basis fitted to the (aligned) mean
 adjacency fixes the eigenvectors; block-averaged degrees undo the degree
-normalization.
+normalization. Only the M smallest mean eigenvalues and the first M basis
+vectors enter the result, so only a head of each spectrum is computed.
 
 Stages of compute_barycentre:
-  1. sample mean adjacency and mean Laplacian spectrum,
+  1. sample mean adjacency and the head of the mean Laplacian spectrum,
   2. alignment: spectral embedding, k-means, canonical block ordering,
-  3. greedy Soules basis on the aligned mean adjacency, completed to n,
+  3. greedy Soules basis on the aligned mean adjacency, first M columns,
   4. eigenvalue regularization (bulk entries pinned to 1),
   5. truncated Laplacian and degree-rescaled adjacency reconstruction,
   6. un-permutation back to the input node order.
@@ -20,6 +21,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +31,17 @@ from . import alignment, eigen, graph_core, soules
 log = logging.getLogger(__name__)
 
 REGULARIZE_TOL = 1e-9
+_AUTO_M_HEAD = 16  # spectrum head length tried by Lanczos when M is estimated
 
 
 @dataclass(frozen=True)
 class MeanSpectrum:
     """Sample mean eigenvalues, the community count, and the regularized
-    spectrum (first M entries kept, the bulk replaced by 1)."""
+    spectrum (first M entries kept, the bulk replaced by 1).
+
+    sample_mean holds the smallest eigenvalues that were computed, at least M
+    of them and at most n; regularized always has n entries.
+    """
 
     sample_mean: np.ndarray
     M: int
@@ -95,17 +102,21 @@ def sample_mean_eigenvalues(spectra: list[np.ndarray]) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def regularize_eigenvalues(mean: np.ndarray, M: int) -> MeanSpectrum:
+def regularize_eigenvalues(mean: np.ndarray, M: int, n: int | None = None) -> MeanSpectrum:
     """Keep the M smallest mean eigenvalues, replace the bulk with 1.
 
-    Logs a warning (and proceeds) when the kept part exceeds 1, which makes
-    the regularized spectrum non-ascending; reconstruction becomes unstable
-    in that regime.
+    mean is the ascending head of a mean spectrum of n eigenvalues (n
+    defaults to the head's length); it needs at least M entries. Logs a
+    warning (and proceeds) when the kept part exceeds 1, which makes the
+    regularized spectrum non-ascending; reconstruction becomes unstable in
+    that regime.
     """
     mean = np.asarray(mean, dtype=float)
-    n = len(mean)
-    if not 1 <= M <= n:
-        raise ValueError(f"M={M} outside 1..{n}")
+    n = len(mean) if n is None else n
+    if len(mean) > n:
+        raise ValueError(f"spectrum head of {len(mean)} values is longer than n={n}")
+    if not 1 <= M <= len(mean):
+        raise ValueError(f"M={M} outside 1..{len(mean)}")
     if np.any(np.diff(mean) < -REGULARIZE_TOL):
         raise ValueError("mean spectrum is not ascending")
     regularized = np.ones(n)
@@ -121,11 +132,11 @@ def regularize_eigenvalues(mean: np.ndarray, M: int) -> MeanSpectrum:
 def truncated_laplacian(spectrum: MeanSpectrum, basis: soules.SoulesBasis) -> np.ndarray:
     """I minus the rank-M correction sum_{k<=M} (1 - lambda_k) psi_k psi_k^T.
 
-    Only the first M basis columns are touched; the bulk contributes nothing
-    because its regularized eigenvalues are exactly 1.
+    Only the first M basis columns are read, so the basis needs K >= M; the
+    bulk contributes nothing because its regularized eigenvalues are exactly 1.
     """
-    if not basis.is_complete:
-        raise ValueError(f"basis has {basis.K} of {basis.n} columns; completion required")
+    if basis.K < spectrum.M:
+        raise ValueError(f"basis has {basis.K} columns, fewer than M={spectrum.M}")
     lam = spectrum.regularized
     if lam.shape != (basis.n,):
         raise ValueError(f"spectrum length {lam.shape} does not match n={basis.n}")
@@ -200,6 +211,45 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(diff * diff) / diff.size
 
 
+def _laplacian_head(graph: np.ndarray, k: int) -> np.ndarray:
+    # the smallest normalized-Laplacian eigenvalues are one minus the largest
+    # of the normalized adjacency; at least k of them, ascending
+    return 1.0 - eigen.top_eigenvalues(graph_core.normalized_adjacency(graph), k)
+
+
+def mean_spectrum_head(graphs: list[np.ndarray], M: int | None) -> np.ndarray:
+    """The smallest eigenvalues of the mean normalized-Laplacian spectrum.
+
+    With M given, the head has min(M + 1, n) values. With M None it is long
+    enough for alignment.estimate_M: 16 values when every graph's gap scan,
+    and then the mean's, ends inside them, else n // 2 + 1, which always
+    suffices. There is no growth in between: a scan that passes the first 16
+    values runs into the bulk, whose share of all n values the dense solver
+    computes faster than Lanczos (at n = 2048, Lanczos for k = 128 bulk
+    values took 1.4 times a full dense solve).
+    """
+    n = graphs[0].shape[0]
+    if M is not None:
+        k = min(M + 1, n)
+        return sample_mean_eigenvalues([_laplacian_head(g, k)[:k] for g in graphs])
+    k = min(_AUTO_M_HEAD, n)
+    heads = []
+    for g in graphs:
+        heads.append(_laplacian_head(g, k))
+        if not alignment.gap_scan_fits(heads[-1][:k], n):
+            break
+    else:
+        mean = sample_mean_eigenvalues([h[:k] for h in heads])
+        if alignment.gap_scan_fits(mean, n):
+            return mean
+    # dense from here on; a dense head above already holds all n values
+    k = n // 2 + 1
+    return sample_mean_eigenvalues([
+        (h if len(h) == n else _laplacian_head(g, k))[:k]
+        for g, h in zip_longest(graphs, heads, fillvalue=np.empty(0))
+    ])
+
+
 def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int = 0) -> BarycentreResult:
     """Run the whole pipeline on a list of same-size adjacency matrices.
 
@@ -213,10 +263,12 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     """
     graphs = [graph_core.check_adjacency(g) for g in graphs]
     mean_adj = sample_mean_adjacency(graphs)
-    spectra = [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs]
-    mean_vals = sample_mean_eigenvalues(spectra)
+    n = mean_adj.shape[0]
+    if M is not None and not 1 <= M <= n:
+        raise ValueError(f"M={M} outside 1..{n}")
+    mean_vals = mean_spectrum_head(graphs, M)
     if M is None:
-        M = alignment.estimate_M(mean_vals)
+        M = alignment.estimate_M(mean_vals, n)
         log.info("estimated M=%d from the mean spectrum", M)
 
     a_hat = graph_core.normalized_adjacency(mean_adj)
@@ -225,8 +277,8 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     perm = alignment.canonical_permutation(assignment)
     mean_perm = graph_core.permute(mean_adj, perm)
 
-    basis = soules.complete_basis(soules.best_soules_basis(mean_perm, depth=M))
-    spectrum = regularize_eigenvalues(mean_vals, M)
+    basis = soules.best_soules_basis(mean_perm, depth=M)
+    spectrum = regularize_eigenvalues(mean_vals, M, n)
     lap_hat = truncated_laplacian(spectrum, basis)
     blocks = basis.tree.leaves(depth=M)
     block_deg = average_node_degrees(mean_perm, blocks)

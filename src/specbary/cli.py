@@ -70,17 +70,23 @@ def _load_graph_dir(in_dir: Path):
 
 
 def cmd_sample(args) -> None:
-    """Sample T graphs from an SBM spec, each under its own random relabelling."""
+    """Sample T graphs from an SBM spec, all under one random relabelling.
+
+    Sample t is drawn from the stream keyed (seed, t) and the relabelling
+    from (seed, 0, 1); every sample gets a copy of the permutation file.
+    """
     if args.T < 1:
         raise UsageError(f"--T must be >= 1, got {args.T}")
     spec = sbm.load_spec(args.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # (seed, 1) would be the stream of sample 1 itself, and (seed,) that of
+    # sample 0: SeedSequence pads short keys with zeros
+    perm = _perm_stream(args.seed, 0, 1).permutation(spec.n)
     graph_files, perm_files = [], []
     for t in range(args.T):
         a = sbm.sample(spec, (args.seed, t))
-        perm = _perm_stream(args.seed, t, 1).permutation(spec.n)
         graph_core.save_matrix(graph_core.permute(a, perm), out / f"sample_{t:03d}.csv")
         _save_permutation(perm, out / f"permutation_{t:03d}.csv")
         graph_files.append(f"sample_{t:03d}.csv")

@@ -3,6 +3,11 @@
 Wraps LAPACK (via numpy) rather than reimplementing dense solvers; the added
 value is the fixed eigenvector orientation, which makes every downstream
 result reproducible bit for bit for identical inputs.
+
+top_eigenvalues and top_eigenpairs return only the largest few eigenpairs.
+On large connected inputs they run Lanczos (scipy's ARPACK) from a fixed
+Philox start vector; everywhere else, and whenever Lanczos does not
+converge, they fall back to the dense solvers.
 """
 
 from dataclasses import dataclass
@@ -11,11 +16,17 @@ import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 SIGN_EPS = 1e-12
+# Lanczos beat the dense solvers from about n = 300 on a 2-CPU machine with
+# OpenBLAS; it is used from 512 nodes on, and only while k < n / 4.
+_PARTIAL_MIN_N = 512
+_PARTIAL_MAX_SHARE = 4
+_LANCZOS_KEY = (0x5EC7, 1)  # Philox key of the Lanczos start vector
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Eigenvalues in ascending order and matching eigenvector columns."""
+    """Eigenvalues and matching eigenvector columns: ascending from sym_eig,
+    largest first from top_eigenpairs."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -59,3 +70,73 @@ def sym_eig(s: np.ndarray) -> SpectralSummary:
 def sym_eig_values(s: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues only; cheaper when vectors are not needed."""
     return np.linalg.eigvalsh(_check_symmetric(s))
+
+
+def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k largest eigenpairs of s by Lanczos, largest first, or None when
+    the dense path must be used instead.
+
+    Lanczos runs only when n >= 512, k < n / 4 and the nonzero pattern of s
+    is connected. A disconnected pattern (isolated nodes included) gives the
+    top eigenvalue of a normalized adjacency one copy per component, which
+    one Krylov sequence may miss.
+    """
+    n = s.shape[0]
+    if n < _PARTIAL_MIN_N or _PARTIAL_MAX_SHARE * k >= n:
+        return None
+    # imported here so that small inputs never pay for loading scipy
+    from scipy import sparse
+    from scipy.sparse import csgraph
+    from scipy.sparse import linalg as splinalg
+
+    a = sparse.csr_matrix(s)
+    if csgraph.connected_components(a, directed=False, return_labels=False) > 1:
+        return None
+    # one fixed stream for the start vector and for any restart vector ARPACK
+    # asks for on breakdown, so equal inputs give equal bits
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_LANCZOS_KEY)))
+    try:
+        values, vectors = splinalg.eigsh(a, k=k, which="LA", tol=0,
+                                         v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+    except splinalg.ArpackNoConvergence:
+        return None
+    order = np.argsort(-values, kind="stable")
+    return values[order], vectors[:, order]
+
+
+def _check_k(s: np.ndarray, k: int) -> np.ndarray:
+    s = _check_symmetric(s)
+    if not 1 <= k <= s.shape[0]:
+        raise ValueError(f"k={k} outside 1..{s.shape[0]}")
+    return s
+
+
+def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
+    """The largest eigenvalues of a symmetric matrix, largest first.
+
+    Lanczos returns exactly k of them; the dense fallback returns all n,
+    since it computes them anyway, so callers slice [:k]. The two paths agree
+    to about 1e-14 on normalized adjacencies.
+    """
+    s = _check_k(s, k)
+    top = _lanczos_top(s, k)
+    if top is None:
+        return sym_eig_values(s)[::-1]
+    return top[0]
+
+
+def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
+    """The k largest eigenpairs of a symmetric matrix, largest first, with
+    the sign convention of sym_eig.
+
+    Within an eigenvalue of multiplicity above one the columns may differ
+    between the Lanczos and dense paths; the subspace they span does not.
+    """
+    s = _check_k(s, k)
+    top = _lanczos_top(s, k)
+    if top is None:
+        full = sym_eig(s)
+        return SpectralSummary(values=full.values[::-1][:k].copy(),
+                               vectors=full.vectors[:, ::-1][:, :k].copy())
+    values, vectors = top
+    return SpectralSummary(values=values, vectors=_fix_signs(vectors))

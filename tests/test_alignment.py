@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import PARTIAL_PATH_CASES, partial_path_case
 
 from specbary import alignment as al
 from specbary import graph_core as gc
@@ -31,6 +32,16 @@ def test_embed_single_column_is_perron_vector():
 def test_embed_accepts_degenerate_identity():
     emb = al.spectral_embed(np.eye(5), 2)
     assert emb.shape == (5, 2)
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_PATH_CASES))
+def test_embed_subspace_matches_dense_path(case, eigsh_calls):
+    a_hat, M, lanczos = partial_path_case(case)
+    emb = al.spectral_embed(a_hat, M)
+    assert eigsh_calls == ([M] if lanczos else [])
+    dense = np.linalg.eigh(a_hat)[1][:, ::-1][:, :M]
+    assert np.abs(emb.T @ emb - np.eye(M)).max() < 1e-10
+    assert np.abs(emb @ emb.T - dense @ dense.T).max() < 1e-10
 
 
 def test_cluster_separated_clouds():
@@ -137,6 +148,19 @@ def test_estimate_m_ignores_gaps_past_the_bulk_edge():
     # a community signature
     values = np.concatenate([np.full(6, 0.95), [1.9, 2.0]])
     assert al.estimate_M(values) == 1
+
+
+def test_estimate_m_reads_a_spectrum_head():
+    values = np.concatenate([[0.0], np.full(3, 0.3), [0.8, 0.85, 0.95], np.ones(33)])
+    # the scan stops at index 6, the first value >= 0.9, well before n // 2 = 20
+    assert not al.gap_scan_fits(values[:6], 40)
+    assert al.gap_scan_fits(values[:7], 40)
+    assert al.estimate_M(values[:7], 40) == al.estimate_M(values) == 4
+    with pytest.raises(ValueError):
+        al.estimate_M(values[:6], 40)
+    # below the bulk edge throughout: the scan reads up to index n // 2
+    assert not al.gap_scan_fits(np.zeros(20), 40)
+    assert al.gap_scan_fits(np.zeros(21), 40)
 
 
 def test_save_assignment(tmp_path):

@@ -1,15 +1,20 @@
 """Mean spectra, regularization, truncated Laplacians, degree estimates,
 reconstruction, and the end-to-end pipeline."""
 
+import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import permuted_run_mse
 
+from specbary import alignment, eigen, graph_core, sbm, soules
 from specbary import barycentre as bc
-from specbary import eigen, graph_core, sbm, soules
 
 
 def test_sample_mean_of_copies():
@@ -113,11 +118,15 @@ def test_truncated_laplacian_annihilates_ones_when_lambda1_zero():
     assert np.linalg.norm(lap @ np.ones(10)) <= 1e-9 * np.sqrt(10)
 
 
-def test_truncated_laplacian_requires_complete_basis():
+def test_truncated_laplacian_rejects_basis_shorter_than_M():
     basis = soules.best_soules_basis(np.eye(6), depth=2)
-    spectrum = bc.MeanSpectrum(sample_mean=np.ones(6), M=2, regularized=np.ones(6))
+    spectrum = bc.MeanSpectrum(sample_mean=np.ones(6), M=3, regularized=np.ones(6))
     with pytest.raises(ValueError):
         bc.truncated_laplacian(spectrum, basis)
+    # M columns suffice: the partial basis gives the same matrix as a complete one
+    spectrum = bc.MeanSpectrum(sample_mean=np.ones(3), M=2, regularized=np.array([0.0, 0.5, 1, 1, 1, 1]))
+    full = bc.truncated_laplacian(spectrum, soules.complete_basis(basis))
+    assert np.array_equal(bc.truncated_laplacian(spectrum, basis), full)
 
 
 def test_estimate_block_degrees_constant_block():
@@ -277,3 +286,57 @@ def test_write_result_exports_all_files(tmp_path):
     perm_lines = (tmp_path / "permutation.csv").read_text().strip().splitlines()
     assert perm_lines[0] == "node_id,position"
     assert len(perm_lines) == 17
+
+
+def _run_python(code: str) -> str:
+    src = Path(bc.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=300)
+    return done.stdout.strip()
+
+
+_RUN_2048 = """
+import hashlib, math
+from specbary import barycentre, sbm
+logn = math.log(2048)
+spec = sbm.balanced(2048, 4, 3 * logn**2 / 2048, 2 * logn / 2048)
+graphs = [sbm.sample(spec, (89, t)) for t in range(2)]
+result = barycentre.compute_barycentre(graphs, M=4, seed=3)
+"""
+
+
+def test_pipeline_repeats_bit_for_bit_across_processes():
+    # the Lanczos path runs here (n = 2048, k = 5); its start vector and
+    # restart vectors come from fixed Philox streams
+    scope = {}
+    exec(_RUN_2048, scope)
+    digest = hashlib.sha256(scope["result"].mu_hat.tobytes()).hexdigest()
+    assert _run_python(_RUN_2048 + "print(hashlib.sha256(result.mu_hat.tobytes()).hexdigest())") == digest
+
+
+def test_small_graphs_never_load_scipy():
+    code = """
+import sys
+from specbary import barycentre, sbm
+graphs = [sbm.sample(sbm.balanced(232, 4, 0.3, 0.05), (5, t)) for t in range(3)]
+barycentre.compute_barycentre(graphs, M=None, seed=0)
+barycentre.compute_barycentre(graphs, M=4, seed=0)
+print("scipy" in sys.modules)
+"""
+    assert _run_python(code) == "False"
+
+
+def test_mean_spectrum_head_matches_full_spectrum():
+    logn = np.log(1024)
+    sparse = sbm.balanced(1024, 4, 3 * logn**2 / 1024, 2 * logn / 1024)  # bulk edge below 0.9
+    dense = sbm.balanced(1024, 4, 0.8, 0.05)  # bulk edge above 0.9
+    for spec, auto_length in ((sparse, 513), (dense, 16)):
+        graphs = [sbm.sample(spec, (23, t)) for t in range(2)]
+        full = bc.sample_mean_eigenvalues(
+            [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs])
+        fixed = bc.mean_spectrum_head(graphs, 4)
+        assert len(fixed) == 5 and np.abs(fixed - full[:5]).max() < 1e-10
+        auto = bc.mean_spectrum_head(graphs, None)
+        assert len(auto) == auto_length and np.abs(auto - full[:auto_length]).max() < 1e-10
+        assert alignment.estimate_M(auto, 1024) == alignment.estimate_M(full) == 4

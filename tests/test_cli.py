@@ -9,6 +9,9 @@ import pytest
 from specbary import alignment, barycentre, cli, graph_core, sbm
 
 
+MSE_LIMIT = 0.02  # a shared labelling gives about 0.004 here, mixed ones about 0.2
+
+
 def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
@@ -64,9 +67,31 @@ def test_barycentre_roundtrip_reports_mse(tmp_path, spec_file):
     assert manifest["M"] == 2 and manifest["T"] == 1
 
 
+def test_sample_round_trip_of_readme_reports_small_mse(tmp_path, spec_file):
+    src, out = tmp_path / "src", tmp_path / "out"
+    assert run("sample", "--spec", spec_file, "--T", 4, "--seed", 0, "--out", src) == 0
+    perms = [(src / f"permutation_{t:03d}.csv").read_bytes() for t in range(4)]
+    assert perms[1:] == perms[:1] * 3
+    assert run("barycentre", "--in", src, "--M", 2, "--seed", 0, "--out", out) == 0
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert 0.0 <= diagnostics["mse"] < MSE_LIMIT
+
+
 def test_barycentre_skips_mse_when_relabellings_differ(tmp_path, spec_file, caplog):
     src = tmp_path / "src"
-    assert run("sample", "--spec", spec_file, "--T", 3, "--seed", 1, "--out", src) == 0
+    src.mkdir()
+    spec = sbm.load_spec(spec_file)
+    shuffles = [np.arange(spec.n), np.arange(spec.n)[::-1]]
+    for t, perm in enumerate(shuffles):
+        a = sbm.sample(spec, (1, t))
+        graph_core.save_matrix(graph_core.permute(a, perm), src / f"sample_{t}.csv")
+        cli._save_permutation(perm, src / f"permutation_{t}.csv")
+    graph_core.save_matrix(sbm.population_mean(spec), src / "population.csv")
+    (src / "manifest.json").write_text(json.dumps({
+        "graphs": ["sample_0.csv", "sample_1.csv"],
+        "permutations": ["permutation_0.csv", "permutation_1.csv"],
+        "population": "population.csv",
+    }))
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING, logger="specbary"):
         assert run("barycentre", "--in", src, "--M", 2, "--out", out) == 0

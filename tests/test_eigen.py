@@ -1,7 +1,9 @@
-"""Symmetric eigendecomposition wrapper: ordering, signs, reconstruction."""
+"""Symmetric eigendecomposition wrapper: ordering, signs, reconstruction,
+and the Lanczos path for the largest eigenvalues against the dense one."""
 
 import numpy as np
 import pytest
+from helpers import PARTIAL_PATH_CASES, partial_path_case
 
 from specbary import eigen
 
@@ -55,3 +57,42 @@ def test_decomposition_properties():
         for k in range(n):
             lead = v[np.abs(v[:, k]) > 1e-12, k][0]
             assert lead > 0
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_PATH_CASES))
+def test_top_eigenvalues_match_dense_path(case, eigsh_calls):
+    a_hat, M, lanczos = partial_path_case(case)
+    k = M + 1
+    got = eigen.top_eigenvalues(a_hat, k)[:k]
+    assert eigsh_calls == ([k] if lanczos else [])
+    assert np.abs(got - np.linalg.eigvalsh(a_hat)[::-1][:k]).max() < 1e-10
+
+
+def test_top_eigen_fall_back_to_dense_without_convergence(monkeypatch):
+    from scipy.sparse import linalg as splinalg
+
+    def no_convergence(*args, **kwargs):
+        raise splinalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    a_hat, M, _ = partial_path_case("sbm_1024")
+    monkeypatch.setattr(splinalg, "eigsh", no_convergence)
+    assert np.array_equal(eigen.top_eigenvalues(a_hat, M), eigen.sym_eig_values(a_hat)[::-1])
+    full = eigen.sym_eig(a_hat)
+    got = eigen.top_eigenpairs(a_hat, M)
+    assert np.array_equal(got.values, full.values[::-1][:M])
+    assert np.array_equal(got.vectors, full.vectors[:, ::-1][:, :M])
+
+
+def test_top_eigenpairs_small_input_is_dense_reversed():
+    rng = np.random.default_rng(9)
+    s = rng.standard_normal((7, 7))
+    s = (s + s.T) / 2
+    full = eigen.sym_eig(s)
+    got = eigen.top_eigenpairs(s, 3)
+    assert np.array_equal(got.values, full.values[::-1][:3])
+    assert np.array_equal(got.vectors, full.vectors[:, ::-1][:, :3])
+    assert np.array_equal(eigen.top_eigenvalues(s, 3), eigen.sym_eig_values(s)[::-1])
+    with pytest.raises(ValueError):
+        eigen.top_eigenvalues(s, 0)
+    with pytest.raises(ValueError):
+        eigen.top_eigenpairs(s, 8)
