@@ -153,27 +153,16 @@ def canonical_permutation(assignment: ClusterAssignment) -> np.ndarray:
     return perm
 
 
-def gap_scan_fits(head: np.ndarray, n: int) -> bool:
-    """Whether estimate_M on an ascending spectrum of n values reads only its
-    first len(head) values: the scan ends at value n // 2, or earlier at the
-    first value at or above the bulk edge 1 - 0.1."""
-    return len(head) > n // 2 or (len(head) > 0 and head[-1] >= 1.0 - _BULK_DELTA)
-
-
-def estimate_M(values: np.ndarray, n: int | None = None) -> int:
+def estimate_M(values: np.ndarray) -> int:
     """Community count from an ascending spectrum, by the largest gap below
     the bulk.
 
     Scans k = 1..n/2 while the k-th eigenvalue stays below 1 - 0.1 and takes
     the k with the largest gap values[k] - values[k-1] (0-based); returns 1
-    when no gap exceeds 0.05. values may be the head of a spectrum of n
-    values (n defaults to its length); ValueError when the scan would read
-    past the head (see gap_scan_fits).
+    when no gap exceeds 0.05.
     """
     values = np.asarray(values, dtype=float)
-    n = len(values) if n is None else n
-    if not gap_scan_fits(values, n):
-        raise ValueError(f"a head of {len(values)} values is too short for the gap scan over n={n}")
+    n = len(values)
     if n < 2:
         return 1
     best_k, best_gap = 1, 0.0

@@ -6,10 +6,12 @@ normalized-Laplacian spectra, and the sample mean adjacency matrix. The mean
 spectrum fixes the eigenvalues; a Soules basis fitted to the (aligned) mean
 adjacency fixes the eigenvectors; block-averaged degrees undo the degree
 normalization. Only the M smallest mean eigenvalues and the first M basis
-vectors enter the result, so only a head of each spectrum is computed.
+vectors enter the result, so for a given M only a head of each spectrum is
+computed.
 
 Stages of compute_barycentre:
-  1. sample mean adjacency and the head of the mean Laplacian spectrum,
+  1. sample mean adjacency and mean Laplacian spectrum (its head of M + 1
+     values when M is given),
   2. alignment: spectral embedding, k-means, canonical block ordering,
   3. greedy Soules basis on the aligned mean adjacency, first M columns,
   4. eigenvalue regularization (bulk entries pinned to 1),
@@ -21,7 +23,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from . import alignment, eigen, graph_core, soules
 log = logging.getLogger(__name__)
 
 REGULARIZE_TOL = 1e-9
-_AUTO_M_HEAD = 16  # spectrum head length tried by Lanczos when M is estimated
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,9 @@ class MeanSpectrum:
     """Sample mean eigenvalues, the community count, and the regularized
     spectrum (first M entries kept, the bulk replaced by 1).
 
-    sample_mean holds the smallest eigenvalues that were computed, at least M
-    of them and at most n; regularized always has n entries.
+    sample_mean holds the smallest eigenvalues that were computed: M + 1 of
+    them (at most n) for a given M, all n when M was estimated; regularized
+    always has n entries.
     """
 
     sample_mean: np.ndarray
@@ -211,45 +212,6 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(diff * diff) / diff.size
 
 
-def _laplacian_head(graph: np.ndarray, k: int) -> np.ndarray:
-    # the smallest normalized-Laplacian eigenvalues are one minus the largest
-    # of the normalized adjacency; at least k of them, ascending
-    return 1.0 - eigen.top_eigenvalues(graph_core.normalized_adjacency(graph), k)
-
-
-def mean_spectrum_head(graphs: list[np.ndarray], M: int | None) -> np.ndarray:
-    """The smallest eigenvalues of the mean normalized-Laplacian spectrum.
-
-    With M given, the head has min(M + 1, n) values. With M None it is long
-    enough for alignment.estimate_M: 16 values when every graph's gap scan,
-    and then the mean's, ends inside them, else n // 2 + 1, which always
-    suffices. There is no growth in between: a scan that passes the first 16
-    values runs into the bulk, whose share of all n values the dense solver
-    computes faster than Lanczos (at n = 2048, Lanczos for k = 128 bulk
-    values took 1.4 times a full dense solve).
-    """
-    n = graphs[0].shape[0]
-    if M is not None:
-        k = min(M + 1, n)
-        return sample_mean_eigenvalues([_laplacian_head(g, k)[:k] for g in graphs])
-    k = min(_AUTO_M_HEAD, n)
-    heads = []
-    for g in graphs:
-        heads.append(_laplacian_head(g, k))
-        if not alignment.gap_scan_fits(heads[-1][:k], n):
-            break
-    else:
-        mean = sample_mean_eigenvalues([h[:k] for h in heads])
-        if alignment.gap_scan_fits(mean, n):
-            return mean
-    # dense from here on; a dense head above already holds all n values
-    k = n // 2 + 1
-    return sample_mean_eigenvalues([
-        (h if len(h) == n else _laplacian_head(g, k))[:k]
-        for g, h in zip_longest(graphs, heads, fillvalue=np.empty(0))
-    ])
-
-
 def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int = 0) -> BarycentreResult:
     """Run the whole pipeline on a list of same-size adjacency matrices.
 
@@ -264,12 +226,19 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     graphs = [graph_core.check_adjacency(g) for g in graphs]
     mean_adj = sample_mean_adjacency(graphs)
     n = mean_adj.shape[0]
-    if M is not None and not 1 <= M <= n:
-        raise ValueError(f"M={M} outside 1..{n}")
-    mean_vals = mean_spectrum_head(graphs, M)
     if M is None:
-        M = alignment.estimate_M(mean_vals, n)
+        spectra = [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs]
+        mean_vals = sample_mean_eigenvalues(spectra)
+        M = alignment.estimate_M(mean_vals)
         log.info("estimated M=%d from the mean spectrum", M)
+    elif not 1 <= M <= n:
+        raise ValueError(f"M={M} outside 1..{n}")
+    else:
+        # the smallest normalized-Laplacian eigenvalues are one minus the
+        # largest of the normalized adjacency
+        k = min(M + 1, n)
+        mean_vals = sample_mean_eigenvalues(
+            [1.0 - eigen.top_eigenvalues(graph_core.normalized_adjacency(g), k) for g in graphs])
 
     a_hat = graph_core.normalized_adjacency(mean_adj)
     embedding = alignment.spectral_embed(a_hat, M)

@@ -17,9 +17,14 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12
 SIGN_EPS = 1e-12
 # Lanczos beat the dense solvers from about n = 300 on a 2-CPU machine with
-# OpenBLAS; it is used from 512 nodes on, and only while k < n / 4.
+# OpenBLAS; it is used from 512 nodes on. Its cost grows with k when the
+# wanted eigenvalues sit in the spectral bulk (many communities, sparse
+# graphs). On balanced SBMs in the paper's scaling, n = 1024..2560, Lanczos
+# for the k largest eigenvalues took at most 0.63 of the time of a full
+# eigvalsh for k / n up to 0.032, 0.79-0.85 at 0.04-0.05 and 1.0-1.3 at 0.063;
+# so it is used only while k <= n / 32.
 _PARTIAL_MIN_N = 512
-_PARTIAL_MAX_SHARE = 4
+_PARTIAL_MAX_SHARE = 32
 _LANCZOS_KEY = (0x5EC7, 1)  # Philox key of the Lanczos start vector
 
 
@@ -76,13 +81,13 @@ def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The k largest eigenpairs of s by Lanczos, largest first, or None when
     the dense path must be used instead.
 
-    Lanczos runs only when n >= 512, k < n / 4 and the nonzero pattern of s
+    Lanczos runs only when n >= 512, k <= n / 32 and the nonzero pattern of s
     is connected. A disconnected pattern (isolated nodes included) gives the
     top eigenvalue of a normalized adjacency one copy per component, which
     one Krylov sequence may miss.
     """
     n = s.shape[0]
-    if n < _PARTIAL_MIN_N or _PARTIAL_MAX_SHARE * k >= n:
+    if n < _PARTIAL_MIN_N or _PARTIAL_MAX_SHARE * k > n:
         return None
     # imported here so that small inputs never pay for loading scipy
     from scipy import sparse
@@ -112,16 +117,15 @@ def _check_k(s: np.ndarray, k: int) -> np.ndarray:
 
 
 def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
-    """The largest eigenvalues of a symmetric matrix, largest first.
+    """The k largest eigenvalues of a symmetric matrix, largest first.
 
-    Lanczos returns exactly k of them; the dense fallback returns all n,
-    since it computes them anyway, so callers slice [:k]. The two paths agree
-    to about 1e-14 on normalized adjacencies.
+    The Lanczos and dense paths agree to about 1e-14 on normalized
+    adjacencies.
     """
     s = _check_k(s, k)
     top = _lanczos_top(s, k)
     if top is None:
-        return sym_eig_values(s)[::-1]
+        return np.linalg.eigvalsh(s)[::-1][:k].copy()
     return top[0]
 
 
@@ -135,8 +139,8 @@ def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
     s = _check_k(s, k)
     top = _lanczos_top(s, k)
     if top is None:
-        full = sym_eig(s)
-        return SpectralSummary(values=full.values[::-1][:k].copy(),
-                               vectors=full.vectors[:, ::-1][:, :k].copy())
+        values, vectors = np.linalg.eigh(s)
+        return SpectralSummary(values=values[::-1][:k].copy(),
+                               vectors=_fix_signs(vectors[:, ::-1][:, :k]))
     values, vectors = top
     return SpectralSummary(values=values, vectors=_fix_signs(vectors))

@@ -150,19 +150,6 @@ def test_estimate_m_ignores_gaps_past_the_bulk_edge():
     assert al.estimate_M(values) == 1
 
 
-def test_estimate_m_reads_a_spectrum_head():
-    values = np.concatenate([[0.0], np.full(3, 0.3), [0.8, 0.85, 0.95], np.ones(33)])
-    # the scan stops at index 6, the first value >= 0.9, well before n // 2 = 20
-    assert not al.gap_scan_fits(values[:6], 40)
-    assert al.gap_scan_fits(values[:7], 40)
-    assert al.estimate_M(values[:7], 40) == al.estimate_M(values) == 4
-    with pytest.raises(ValueError):
-        al.estimate_M(values[:6], 40)
-    # below the bulk edge throughout: the scan reads up to index n // 2
-    assert not al.gap_scan_fits(np.zeros(20), 40)
-    assert al.gap_scan_fits(np.zeros(21), 40)
-
-
 def test_save_assignment(tmp_path):
     assignment = al.ClusterAssignment(labels=np.array([2, 1, 2]), volumes=np.array([1.0, 2.0]))
     path = tmp_path / "clusters.csv"

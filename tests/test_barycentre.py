@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from helpers import permuted_run_mse
 
-from specbary import alignment, eigen, graph_core, sbm, soules
+from specbary import eigen, graph_core, sbm, soules
 from specbary import barycentre as bc
 
 
@@ -327,16 +327,15 @@ print("scipy" in sys.modules)
     assert _run_python(code) == "False"
 
 
-def test_mean_spectrum_head_matches_full_spectrum():
+def test_spectrum_head_matches_full_spectrum():
     logn = np.log(1024)
-    sparse = sbm.balanced(1024, 4, 3 * logn**2 / 1024, 2 * logn / 1024)  # bulk edge below 0.9
-    dense = sbm.balanced(1024, 4, 0.8, 0.05)  # bulk edge above 0.9
-    for spec, auto_length in ((sparse, 513), (dense, 16)):
-        graphs = [sbm.sample(spec, (23, t)) for t in range(2)]
-        full = bc.sample_mean_eigenvalues(
-            [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs])
-        fixed = bc.mean_spectrum_head(graphs, 4)
-        assert len(fixed) == 5 and np.abs(fixed - full[:5]).max() < 1e-10
-        auto = bc.mean_spectrum_head(graphs, None)
-        assert len(auto) == auto_length and np.abs(auto - full[:auto_length]).max() < 1e-10
-        assert alignment.estimate_M(auto, 1024) == alignment.estimate_M(full) == 4
+    spec = sbm.balanced(1024, 4, 3 * logn**2 / 1024, 2 * logn / 1024)
+    graphs = [sbm.sample(spec, (23, t)) for t in range(2)]
+    full = bc.sample_mean_eigenvalues(
+        [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs])
+    # a given M reads the M + 1 smallest values (by Lanczos here, n = 1024)
+    head = bc.compute_barycentre(graphs, M=4, seed=0).spectrum.sample_mean
+    assert len(head) == 5 and np.abs(head - full[:5]).max() < 1e-10
+    # an estimated M reads the whole spectrum
+    auto = bc.compute_barycentre(graphs, M=None, seed=0).spectrum
+    assert auto.M == 4 and np.array_equal(auto.sample_mean, full)
