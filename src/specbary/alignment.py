@@ -7,13 +7,11 @@ clustered, and then reordered so clusters become contiguous intervals sorted
 by descending volume.
 """
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import eigen
+from . import eigen, graph_core
 
 KMEANS_RESTARTS = 20
 KMEANS_MAX_ITER = 300
@@ -116,7 +114,7 @@ def cluster_nodes(
         raise ValueError(f"M={M} outside 1..{n}")
     points = _normalize_rows(points)
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = graph_core.philox(seed)
     best = None
     for _ in range(KMEANS_RESTARTS):
         result = _kmeans_once(points, M, rng)
@@ -173,12 +171,3 @@ def estimate_M(values: np.ndarray) -> int:
         if gap > best_gap:
             best_gap, best_k = gap, k
     return best_k if best_gap > _MIN_GAP else 1
-
-
-def save_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
-    """CSV rows (node_id, cluster_id), node ids being 0-based row indices."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "cluster_id"])
-        for i, c in enumerate(assignment.labels):
-            writer.writerow([i, int(c)])

@@ -223,11 +223,13 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     Returns:
       BarycentreResult with mu_hat in the input node order.
     """
+    # Each input graph is validated here, once. Every later matrix is derived
+    # from checked graphs, so the eigen and soules bodies below run unchecked.
     graphs = [graph_core.check_adjacency(g) for g in graphs]
     mean_adj = sample_mean_adjacency(graphs)
     n = mean_adj.shape[0]
     if M is None:
-        spectra = [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs]
+        spectra = [eigen._sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs]
         mean_vals = sample_mean_eigenvalues(spectra)
         M = alignment.estimate_M(mean_vals)
         log.info("estimated M=%d from the mean spectrum", M)
@@ -238,15 +240,15 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
         # largest of the normalized adjacency
         k = min(M + 1, n)
         mean_vals = sample_mean_eigenvalues(
-            [1.0 - eigen.top_eigenvalues(graph_core.normalized_adjacency(g), k) for g in graphs])
+            [1.0 - eigen._top_eigenvalues(graph_core.normalized_adjacency(g), k) for g in graphs])
 
-    a_hat = graph_core.normalized_adjacency(mean_adj)
-    embedding = alignment.spectral_embed(a_hat, M)
+    # alignment.spectral_embed, without re-checking the derived normalized mean
+    embedding = eigen._top_eigenpairs(graph_core.normalized_adjacency(mean_adj), M).vectors
     assignment = alignment.cluster_nodes(embedding, M, seed, degrees=graph_core.degrees(mean_adj))
     perm = alignment.canonical_permutation(assignment)
     mean_perm = graph_core.permute(mean_adj, perm)
 
-    basis = soules.best_soules_basis(mean_perm, depth=M)
+    basis = soules._best_soules_basis(mean_perm, depth=M)
     spectrum = regularize_eigenvalues(mean_vals, M, n)
     lap_hat = truncated_laplacian(spectrum, basis)
     blocks = basis.tree.leaves(depth=M)
@@ -281,10 +283,7 @@ def write_result(result: BarycentreResult, out_dir: str | Path, extra_diagnostic
         "blocks": [[a, b] for a, b in result.degrees.blocks],
     }
     (out / "degrees.json").write_text(json.dumps(degrees, indent=1))
-    with open(out / "permutation.csv", "w") as fh:
-        fh.write("node_id,position\n")
-        for i, p in enumerate(result.permutation):
-            fh.write(f"{i},{int(p)}\n")
+    graph_core.save_permutation(result.permutation, out / "permutation.csv")
     diagnostics = {
         "n": int(result.mu_hat.shape[0]),
         "M": int(result.spectrum.M),

@@ -30,25 +30,6 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=1))
 
 
-def _perm_stream(*key) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-    return rng
-
-
-def _save_permutation(perm: np.ndarray, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("node_id,position\n")
-        for i, p in enumerate(perm):
-            fh.write(f"{i},{int(p)}\n")
-
-
-def _load_permutation(path: Path) -> np.ndarray:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
-    perm = np.empty(len(rows), dtype=int)
-    perm[rows[:, 0]] = rows[:, 1]
-    return perm
-
-
 def _load_graph_dir(in_dir: Path):
     """Graphs plus optional ground truth from a manifest, or a bare CSV glob."""
     manifest_path = in_dir / "manifest.json"
@@ -60,7 +41,7 @@ def _load_graph_dir(in_dir: Path):
         if manifest.get("population"):
             population = graph_core.load_matrix(in_dir / manifest["population"])
         if manifest.get("permutations"):
-            permutations = [_load_permutation(in_dir / p) for p in manifest["permutations"]]
+            permutations = [graph_core.load_permutation(in_dir / p) for p in manifest["permutations"]]
     else:
         graph_paths = sorted(in_dir.glob("*.csv"))
     if not graph_paths:
@@ -83,12 +64,12 @@ def cmd_sample(args) -> None:
 
     # (seed, 1) would be the stream of sample 1 itself, and (seed,) that of
     # sample 0: SeedSequence pads short keys with zeros
-    perm = _perm_stream(args.seed, 0, 1).permutation(spec.n)
+    perm = graph_core.philox((args.seed, 0, 1)).permutation(spec.n)
     graph_files, perm_files = [], []
     for t in range(args.T):
         a = sbm.sample(spec, (args.seed, t))
         graph_core.save_matrix(graph_core.permute(a, perm), out / f"sample_{t:03d}.csv")
-        _save_permutation(perm, out / f"permutation_{t:03d}.csv")
+        graph_core.save_permutation(perm, out / f"permutation_{t:03d}.csv")
         graph_files.append(f"sample_{t:03d}.csv")
         perm_files.append(f"permutation_{t:03d}.csv")
     graph_core.save_matrix(sbm.population_mean(spec), out / "population.csv")
@@ -152,7 +133,7 @@ def _scaled_spec(base: sbm.SbmSpec, n: int) -> sbm.SbmSpec:
 def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tuple) -> float:
     """Sample one permuted realization, reconstruct, and score against P."""
     a = sbm.sample(spec, sample_key)
-    perm = _perm_stream(*sample_key, 1).permutation(spec.n)
+    perm = graph_core.philox((*sample_key, 1)).permutation(spec.n)
     shuffled = graph_core.permute(a, perm)
     result = barycentre.compute_barycentre([shuffled], M=M, seed=cluster_key)
     mu = graph_core.permute(result.mu_hat, graph_core.invert_permutation(perm))
@@ -252,8 +233,10 @@ plot "spectrum.csv" skip 1 using (($1+$2)/2):3 with boxes title "pooled spectrum
 def cmd_spectrum(args) -> None:
     """Pooled normalized-Laplacian eigenvalue histogram over [0, 2]."""
     graphs, _, _ = _load_graph_dir(Path(args.in_dir))
+    # one check per input graph, as in compute_barycentre
     pooled = np.concatenate([
-        eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs
+        eigen._sym_eig_values(graph_core.normalized_laplacian(graph_core.check_adjacency(g)))
+        for g in graphs
     ])
     counts, edges = np.histogram(np.clip(pooled, 0.0, 2.0), bins=args.bins, range=(0.0, 2.0))
 

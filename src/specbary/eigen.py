@@ -8,13 +8,18 @@ top_eigenvalues and top_eigenpairs return only the largest few eigenpairs.
 On large connected inputs they run Lanczos (scipy's ARPACK) from a fixed
 Philox start vector; everywhere else, and whenever Lanczos does not
 converge, they fall back to the dense solvers.
+
+Each public function checks its argument with graph_core.check_symmetric and
+then runs a private body; compute_barycentre and the spectrum command call
+the bodies directly, on matrices derived from input graphs they have checked.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-SYMMETRY_RTOL = 1e-12
+from . import graph_core
+
 SIGN_EPS = 1e-12
 # Lanczos beat the dense solvers from about n = 300 on a 2-CPU machine with
 # OpenBLAS; it is used from 512 nodes on. Its cost grows with k when the
@@ -37,18 +42,6 @@ class SpectralSummary:
     vectors: np.ndarray
 
 
-def _check_symmetric(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(s).max()))
-    if np.abs(s - s.T).max() > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric")
-    return s
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # Orient each column so its first component above noise level is positive.
     out = vectors.copy()
@@ -64,17 +57,20 @@ def sym_eig(s: np.ndarray) -> SpectralSummary:
     """Full eigendecomposition of a symmetric matrix.
 
     Values ascend; each eigenvector column is oriented so that its first
-    nonzero component is positive. Raises ValueError when the input is not
-    symmetric within 1e-12 relative tolerance.
+    nonzero component is positive. Raises ValueError when the input fails
+    graph_core.check_symmetric.
     """
-    s = _check_symmetric(s)
-    values, vectors = np.linalg.eigh(s)
+    values, vectors = np.linalg.eigh(graph_core.check_symmetric(s))
     return SpectralSummary(values=values, vectors=_fix_signs(vectors))
 
 
 def sym_eig_values(s: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues only; cheaper when vectors are not needed."""
-    return np.linalg.eigvalsh(_check_symmetric(s))
+    return _sym_eig_values(graph_core.check_symmetric(s))
+
+
+def _sym_eig_values(s: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(s)
 
 
 def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -99,7 +95,7 @@ def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     # one fixed stream for the start vector and for any restart vector ARPACK
     # asks for on breakdown, so equal inputs give equal bits
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_LANCZOS_KEY)))
+    rng = graph_core.philox(_LANCZOS_KEY)
     try:
         values, vectors = splinalg.eigsh(a, k=k, which="LA", tol=0,
                                          v0=rng.uniform(-1.0, 1.0, n), rng=rng)
@@ -110,7 +106,7 @@ def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _check_k(s: np.ndarray, k: int) -> np.ndarray:
-    s = _check_symmetric(s)
+    s = graph_core.check_symmetric(s)
     if not 1 <= k <= s.shape[0]:
         raise ValueError(f"k={k} outside 1..{s.shape[0]}")
     return s
@@ -122,7 +118,10 @@ def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
     The Lanczos and dense paths agree to about 1e-14 on normalized
     adjacencies.
     """
-    s = _check_k(s, k)
+    return _top_eigenvalues(_check_k(s, k), k)
+
+
+def _top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
     top = _lanczos_top(s, k)
     if top is None:
         return np.linalg.eigvalsh(s)[::-1][:k].copy()
@@ -136,7 +135,10 @@ def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
     Within an eigenvalue of multiplicity above one the columns may differ
     between the Lanczos and dense paths; the subspace they span does not.
     """
-    s = _check_k(s, k)
+    return _top_eigenpairs(_check_k(s, k), k)
+
+
+def _top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
     top = _lanczos_top(s, k)
     if top is None:
         values, vectors = np.linalg.eigh(s)

@@ -1,31 +1,43 @@
-"""Core graph matrix operations: degrees, normalized adjacency and Laplacian,
-spectral pseudo-distance, permutations, and plain-text matrix I/O.
+"""Core graph matrix operations: input validation, degrees, normalized
+adjacency and Laplacian, spectral pseudo-distance, permutations, seeded
+random streams, and plain-text matrix and permutation I/O.
 
 All matrices are dense numpy arrays of float64, nodes indexed by row 0..n-1.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-SYMMETRY_RTOL = 1e-9
+SYMMETRY_RTOL = 1e-12
+
+
+def check_symmetric(s: np.ndarray) -> np.ndarray:
+    """Validate a symmetric matrix: square, finite, and |s - s^T| at most
+    SYMMETRY_RTOL * max(1, largest |entry|).
+
+    Returns the input as a float64 array. This is the package's one symmetry
+    check; the pipeline runs it once per input graph and never on matrices it
+    derives from checked ones.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("matrix has non-finite entries")
+    scale = max(1.0, float(np.abs(s).max()))
+    if np.abs(s - s.T).max() > SYMMETRY_RTOL * scale:
+        raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
+    return s
 
 
 def check_adjacency(a: np.ndarray) -> np.ndarray:
-    """Validate an adjacency matrix: square, finite, symmetric, nonnegative.
+    """Validate an adjacency matrix: check_symmetric plus nonnegative entries.
 
     Returns the input as a float64 array. Weighted entries and nonzero
-    diagonals are allowed; symmetry is checked relative to the largest entry.
+    diagonals are allowed.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("adjacency matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
-        raise ValueError("adjacency matrix is not symmetric")
+    a = check_symmetric(a)
     if a.min() < 0:
         raise ValueError("adjacency matrix has negative entries")
     return a
@@ -87,6 +99,15 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     return np.argsort(np.asarray(perm))
 
 
+def philox(key) -> np.random.Generator:
+    """Counter-based Philox stream keyed by an int or a tuple of ints.
+
+    Equal keys give equal streams, and keys such as (seed, t) give an
+    independent stream for each t.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
 def save_matrix(a: np.ndarray, path: str | Path) -> None:
     """Write a matrix as plain-text CSV, one row per line."""
     np.savetxt(path, np.asarray(a, dtype=float), delimiter=",", fmt="%.17g")
@@ -98,18 +119,17 @@ def load_matrix(path: str | Path) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def write_matrix_manifest(path: str | Path, matrix_path: str, n: int, kind: str) -> None:
-    """Write the JSON manifest describing a matrix CSV.
-
-    kind is "adjacency" or "laplacian".
-    """
-    if kind not in ("adjacency", "laplacian"):
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    Path(path).write_text(json.dumps({"n": int(n), "path": matrix_path, "kind": kind}, indent=1))
+def save_permutation(perm: np.ndarray, path: str | Path) -> None:
+    """Write a permutation as a node_id,position CSV table."""
+    with open(path, "w") as fh:
+        fh.write("node_id,position\n")
+        for i, p in enumerate(perm):
+            fh.write(f"{i},{int(p)}\n")
 
 
-def read_matrix_manifest(path: str | Path) -> dict:
-    manifest = json.loads(Path(path).read_text())
-    if not {"n", "path", "kind"} <= manifest.keys():
-        raise ValueError(f"matrix manifest {path} is missing required keys")
-    return manifest
+def load_permutation(path: str | Path) -> np.ndarray:
+    """Read a permutation written by save_permutation."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
+    perm = np.empty(len(rows), dtype=int)
+    perm[rows[:, 0]] = rows[:, 1]
+    return perm

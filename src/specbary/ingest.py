@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import graph_core
+
 # school-day windows (seconds from midnight): 8:30-12:00 and 2:00-4:30 PM.
 # 360 s windows split the morning into 35 snapshots; 347 s windows split the
 # afternoon into 26, matching intervals of roughly six minutes.
@@ -128,7 +130,7 @@ def synthetic_school_day(seed: int = 0) -> str:
     shuffled so classes are not contiguous in sorted-id order. Returns the
     file content as text in the same format parse_contacts reads.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = graph_core.philox(seed)
     n = sum(_CLASS_SIZES)
     labels = np.repeat(np.arange(len(_CLASS_SIZES)), _CLASS_SIZES)
     ids = rng.permutation(np.arange(1000, 1000 + n))

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import graph_core
+
 
 @dataclass(frozen=True)
 class SbmSpec:
@@ -127,17 +129,12 @@ def limit_eigenvalues(spec: SbmSpec) -> np.ndarray:
     return out
 
 
-def _generator(seed) -> np.random.Generator:
-    # Counter-based stream; tuple seeds give independent per-graph streams.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def sample(spec: SbmSpec, seed) -> np.ndarray:
     """One adjacency matrix: upper-triangle Bernoulli draws from P, symmetrized,
     zero diagonal."""
     n = spec.n
     P = population_mean(spec)
-    rng = _generator(seed)
+    rng = graph_core.philox(seed)
     u = rng.random((n, n))
     upper = np.triu(u < P, k=1)
     return (upper | upper.T).astype(float)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-_SYMMETRY_RTOL = 1e-9
+from . import graph_core
 
 
 @dataclass(frozen=True)
@@ -206,16 +206,6 @@ def inner_product_score(s: np.ndarray, split: SoulesSplit) -> float:
     return val * val
 
 
-def _check_square_symmetric(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    scale = max(1.0, float(np.abs(s).max()))
-    if np.abs(s - s.T).max() > _SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric")
-    return s
-
-
 def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     """Greedy tree search for the basis best aligned with a symmetric matrix.
 
@@ -235,7 +225,11 @@ def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     Returns:
       A SoulesBasis with depth columns and depth-1 recorded splits.
     """
-    s = _check_square_symmetric(s)
+    return _best_soules_basis(graph_core.check_symmetric(s), depth)
+
+
+def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
+    # the search itself, on a matrix that graph_core.check_symmetric passed
     n = s.shape[0]
     if not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")

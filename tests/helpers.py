@@ -36,8 +36,7 @@ def permuted_run_mse(spec: sbm.SbmSpec, key: tuple) -> float:
     the clustering seed is a third stream so runs are fully reproducible.
     """
     a = sbm.sample(spec, key)
-    perm_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((*key, 1))))
-    perm = perm_rng.permutation(spec.n)
+    perm = graph_core.philox((*key, 1)).permutation(spec.n)
     shuffled = graph_core.permute(a, perm)
     result = barycentre.compute_barycentre([shuffled], M=spec.M, seed=(*key, 2))
     mu = graph_core.permute(result.mu_hat, graph_core.invert_permutation(perm))
@@ -65,7 +64,7 @@ def _cycle(n: int) -> np.ndarray:
 
 
 def _weighted(a: np.ndarray, key) -> np.ndarray:
-    w = np.random.Generator(np.random.Philox(np.random.SeedSequence(key))).uniform(0.5, 2.0, a.shape)
+    w = graph_core.philox(key).uniform(0.5, 2.0, a.shape)
     w = np.triu(w) + np.triu(w, 1).T
     return a * w
 

@@ -148,12 +148,3 @@ def test_estimate_m_ignores_gaps_past_the_bulk_edge():
     # a community signature
     values = np.concatenate([np.full(6, 0.95), [1.9, 2.0]])
     assert al.estimate_M(values) == 1
-
-
-def test_save_assignment(tmp_path):
-    assignment = al.ClusterAssignment(labels=np.array([2, 1, 2]), volumes=np.array([1.0, 2.0]))
-    path = tmp_path / "clusters.csv"
-    al.save_assignment(assignment, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "node_id,cluster_id"
-    assert lines[1:] == ["0,2", "1,1", "2,2"]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import permuted_run_mse
+from helpers import four_block_spec, permuted_run_mse
 
 from specbary import eigen, graph_core, sbm, soules
 from specbary import barycentre as bc
@@ -258,6 +258,31 @@ def test_pipeline_single_permuted_sample_reconstructs_population():
 def test_pipeline_rejects_empty_input():
     with pytest.raises(ValueError):
         bc.compute_barycentre([], M=2)
+
+
+@pytest.mark.parametrize("M", [4, None])
+def test_pipeline_checks_each_input_graph_once(monkeypatch, M):
+    checked = []
+    real = graph_core.check_symmetric
+
+    def spy(s):
+        checked.append(s)
+        return real(s)
+
+    monkeypatch.setattr(graph_core, "check_symmetric", spy)
+    # n = 512 runs the Lanczos path for M = 4 and the dense one for M = None
+    graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(3)]
+    bc.compute_barycentre(graphs, M=M, seed=0)
+    assert len(checked) == len(graphs)
+    assert all(c is g for c, g in zip(checked, graphs))
+
+
+def test_pipeline_rejects_slightly_asymmetric_graph_at_entry():
+    a = sbm.sample(sbm.balanced(64, 2, 0.5, 0.1), (3, 0))
+    a[0, 1] += 1e-10
+    with pytest.raises(ValueError, match="not symmetric") as failure:
+        bc.compute_barycentre([a], M=2)
+    assert "check_adjacency" in [entry.name for entry in failure.traceback]
 
 
 def test_write_result_exports_all_files(tmp_path):

@@ -85,7 +85,7 @@ def test_barycentre_skips_mse_when_relabellings_differ(tmp_path, spec_file, capl
     for t, perm in enumerate(shuffles):
         a = sbm.sample(spec, (1, t))
         graph_core.save_matrix(graph_core.permute(a, perm), src / f"sample_{t}.csv")
-        cli._save_permutation(perm, src / f"permutation_{t}.csv")
+        graph_core.save_permutation(perm, src / f"permutation_{t}.csv")
     graph_core.save_matrix(sbm.population_mean(spec), src / "population.csv")
     (src / "manifest.json").write_text(json.dumps({
         "graphs": ["sample_0.csv", "sample_1.csv"],
@@ -179,6 +179,15 @@ def test_spectrum_of_empty_graphs_concentrates_at_one(tmp_path):
     assert len(rows) == 4
     counts = {float(left): int(count) for left, _, count in rows}
     assert counts[1.0] == 12 and sum(counts.values()) == 12
+
+
+def test_spectrum_rejects_negative_entries_like_barycentre(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    graph_core.save_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), src / "g0.csv")
+    assert run("spectrum", "--in", src, "--out", tmp_path / "hist") == 3
+    assert run("barycentre", "--in", src, "--M", 1, "--out", tmp_path / "bary") == 3
+
 
 
 def test_ingest_wide_window_single_snapshot(tmp_path):

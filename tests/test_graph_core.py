@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specbary import alignment, eigen, soules
 from specbary import graph_core as gc
 
 
@@ -27,6 +28,34 @@ def test_check_adjacency_rejects_bad_input():
         gc.check_adjacency(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
         gc.check_adjacency(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+# every public function that takes a symmetric matrix from a caller
+CHECKED_ENTRY_POINTS = {
+    "check_adjacency": gc.check_adjacency,
+    "sym_eig": eigen.sym_eig,
+    "sym_eig_values": eigen.sym_eig_values,
+    "top_eigenvalues": lambda s: eigen.top_eigenvalues(s, 2),
+    "top_eigenpairs": lambda s: eigen.top_eigenpairs(s, 2),
+    "spectral_embed": lambda s: alignment.spectral_embed(s, 2),
+    "best_soules_basis": lambda s: soules.best_soules_basis(s, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_ENTRY_POINTS))
+def test_entry_points_share_one_symmetry_tolerance(name):
+    check = CHECKED_ENTRY_POINTS[name]
+    # weights up to 4, so the tolerance is taken relative to the largest entry
+    a = np.random.default_rng(19).uniform(0.0, 4.0, (6, 6))
+    a = np.triu(a) + np.triu(a, 1).T
+    scale = np.abs(a).max()
+    near = a.copy()
+    near[0, 1] += 1e-13 * scale
+    check(near)
+    off = a.copy()
+    off[0, 1] += 1e-10 * scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        check(off)
 
 
 def test_normalized_adjacency_single_edge():
@@ -150,15 +179,3 @@ def test_matrix_io_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     gc.save_matrix(a, path)
     assert np.array_equal(gc.load_matrix(path), a)
-
-
-def test_matrix_manifest_round_trip(tmp_path):
-    path = tmp_path / "manifest.json"
-    gc.write_matrix_manifest(path, "m.csv", 5, "adjacency")
-    record = gc.read_matrix_manifest(path)
-    assert record == {"n": 5, "path": "m.csv", "kind": "adjacency"}
-
-
-def test_matrix_manifest_rejects_unknown_kind(tmp_path):
-    with pytest.raises(ValueError):
-        gc.write_matrix_manifest(tmp_path / "manifest.json", "m.csv", 5, "tensor")
