@@ -28,6 +28,11 @@ def test_diagonal_matrix_gives_permuted_canonical_basis():
     assert np.array_equal(summary.vectors, expected)
 
 
+def test_rejects_non_symmetric():
+    with pytest.raises(ValueError):
+        eigen.sym_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
 def test_values_agree_with_full_decomposition():
     # the values-only path may use a different LAPACK driver, so compare
     # to the last few bits rather than exactly
