@@ -7,11 +7,14 @@ clustered, and then reordered so clusters become contiguous intervals sorted
 by descending volume.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import eigen, graph_core
+
+log = logging.getLogger(__name__)
 
 KMEANS_RESTARTS = 20
 KMEANS_MAX_ITER = 300
@@ -55,6 +58,46 @@ def _normalize_rows(points: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rows are unit-norm or zero and centres are means of rows, so |x - c|^2 <= 4,
+# and both |x - c|^2 summed over d terms and |c|^2 - 2 x.c from a matrix
+# product (plus |x|^2) lie within about 4 d eps of the exact distance. A centre
+# that beats every other by more than 16 d eps under the product beats them
+# under the sum too. 1e-9 covers d up to 2.8e5, and d = M <= n, where a dense
+# n x n graph would take 630 GB. Rows at or under the margin are recomputed
+# with the sum.
+_TIE_MARGIN = 1e-9
+
+
+def _broadcast_argmin(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centre by |x - c|^2 summed over an
+    n x k x d broadcast; argmin takes the smallest index on ties."""
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
+
+
+def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The labels of _broadcast_argmin, from one n x k matrix product.
+
+    Only rows whose two nearest centres lie within _TIE_MARGIN of each other
+    go through _broadcast_argmin.
+    """
+    # |x - c|^2 less the per-row constant |x|^2, which moves no argmin or gap
+    shifted = (centers**2).sum(axis=1) - 2.0 * (points @ centers.T)
+    labels = np.argmin(shifted, axis=1)
+    if centers.shape[0] > 1:
+        two = np.partition(shifted, 1, axis=1)
+        near = np.flatnonzero(two[:, 1] - two[:, 0] <= _TIE_MARGIN)
+        labels[near] = _broadcast_argmin(points[near], centers)
+    return labels
+
+
+def _centroids(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each cluster's rows, summed in row order like
+    points[labels == c].mean(axis=0); every cluster must be non-empty."""
+    rows = points[np.argsort(labels, kind="stable")]
+    return np.array([block.mean(axis=0) for block in np.split(rows, np.cumsum(counts)[:-1])])
+
+
 def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -67,17 +110,18 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
 
     labels = np.full(n, -1)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
+        new_labels = _assign(points, centers)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
             return None  # restart is invalid
         if (new_labels == labels).all():
             break
-        labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-    inertia = float(d2[np.arange(n), labels].sum())
+        labels, assigned = new_labels, centers
+        centers = _centroids(points, labels, counts)
+    else:
+        # out of iterations: the labels came from the centres before the update
+        centers = assigned
+    inertia = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
     return labels, inertia
 
 
@@ -92,7 +136,8 @@ def cluster_nodes(
     Rows are normalized to unit length first (near-zero rows stay at the
     origin). The best of KMEANS_RESTARTS seeded restarts by inertia wins;
     restarts that lose a cluster are discarded, and ClusteringError is raised
-    if every restart does.
+    if every restart does. The counts of kept and lost restarts and the best
+    inertia are logged at INFO.
 
     Args:
       embedding: (n, d) matrix of node coordinates.
@@ -115,15 +160,20 @@ def cluster_nodes(
     points = _normalize_rows(points)
 
     rng = graph_core.philox(seed)
-    best = None
+    best, lost = None, 0
     for _ in range(KMEANS_RESTARTS):
         result = _kmeans_once(points, M, rng)
         if result is None:
+            lost += 1
             continue
         if best is None or result[1] < best[1]:
             best = result
     if best is None:
         raise ClusteringError(f"k-means lost a cluster in all {KMEANS_RESTARTS} restarts")
+    log.info(
+        "k-means M=%d: %d of %d restarts kept, %d lost a cluster, best inertia %.6g",
+        M, KMEANS_RESTARTS - lost, KMEANS_RESTARTS, lost, best[1],
+    )
 
     labels = best[0] + 1
     weights = np.ones(n) if degrees is None else np.asarray(degrees, dtype=float)

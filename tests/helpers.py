@@ -1,9 +1,10 @@
-"""Shared test utilities: random Soules trees, pipeline run helpers, and the
-inputs on which the Lanczos and dense eigensolver paths are compared."""
+"""Shared test utilities: random Soules trees, pipeline run helpers, the
+inputs on which the Lanczos and dense eigensolver paths are compared, and the
+broadcast k-means restart that alignment._kmeans_once must reproduce."""
 
 import numpy as np
 
-from specbary import barycentre, graph_core, sbm
+from specbary import alignment, barycentre, graph_core, sbm
 from specbary.soules import SoulesSplit, SoulesTree
 
 
@@ -94,3 +95,31 @@ def partial_path_case(name: str) -> tuple[np.ndarray, int, bool]:
     """The normalized adjacency of a named case, its M, and whether Lanczos applies."""
     build, M, lanczos = PARTIAL_PATH_CASES[name]
     return graph_core.normalized_adjacency(build()), M, lanczos
+
+
+def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
+    """One k-means restart with distances from an n x k x d broadcast: the
+    reference whose labels and inertia alignment._kmeans_once gives bit for
+    bit. Reads alignment.KMEANS_MAX_ITER at call time."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    dist2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        centers[c] = points[int(np.argmax(dist2))]
+        dist2 = np.minimum(dist2, ((points - centers[c]) ** 2).sum(axis=1))
+
+    labels = np.full(n, -1)
+    for _ in range(alignment.KMEANS_MAX_ITER):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if (counts == 0).any():
+            return None
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    inertia = float(d2[np.arange(n), labels].sum())
+    return labels, inertia

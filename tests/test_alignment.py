@@ -1,8 +1,12 @@
 """Spectral embedding, clustering, canonical node order, community count."""
 
+import logging
+
 import numpy as np
 import pytest
-from helpers import PARTIAL_PATH_CASES, partial_path_case
+from helpers import PARTIAL_PATH_CASES, partial_path_case, reference_kmeans_once
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbary import alignment as al
 from specbary import graph_core as gc
@@ -101,6 +105,94 @@ def test_cluster_volumes_use_degrees_when_given():
     got = al.cluster_nodes(points, 2, seed=0, degrees=degs)
     by_label = {int(lab): float(got.volumes[lab - 1]) for lab in set(got.labels)}
     assert sorted(by_label.values()) == [3.0, 30.0]
+
+
+def _sbm_points(n: int = 512, M: int = 16) -> np.ndarray:
+    logn = np.log(n)
+    a = sbm.sample(sbm.balanced(n, M, 3 * logn**2 / n, 2 * logn / n), (71, 0))
+    return al._normalize_rows(al.spectral_embed(gc.normalized_adjacency(a), M))
+
+
+def _lattice_points(normalize: bool) -> np.ndarray:
+    # the 7 x 7 integer grid twice over plus the origin five times: exact
+    # ties between centres are common
+    axis = np.arange(-3.0, 4.0)
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    points = np.vstack([grid, grid, np.zeros((5, 2))])
+    return al._normalize_rows(points) if normalize else points
+
+
+def _assert_restarts_match_reference(points: np.ndarray, k: int, key) -> None:
+    fast_rng, ref_rng = gc.philox(key), gc.philox(key)
+    for _ in range(al.KMEANS_RESTARTS):
+        got = al._kmeans_once(points, k, fast_rng)
+        want = reference_kmeans_once(points, k, ref_rng)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("max_iter", [al.KMEANS_MAX_ITER, 2])
+def test_kmeans_matches_broadcast_reference_on_sbm_embedding(monkeypatch, max_iter):
+    monkeypatch.setattr(al, "KMEANS_MAX_ITER", max_iter)
+    _assert_restarts_match_reference(_sbm_points(), 16, 7)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("max_iter", [al.KMEANS_MAX_ITER, 2])
+def test_kmeans_matches_broadcast_reference_on_lattice(monkeypatch, max_iter, normalize):
+    monkeypatch.setattr(al, "KMEANS_MAX_ITER", max_iter)
+    fallback_rows = []
+    real = al._broadcast_argmin
+
+    def spy(points, centers):
+        fallback_rows.append(len(points))
+        return real(points, centers)
+
+    monkeypatch.setattr(al, "_broadcast_argmin", spy)
+    points = _lattice_points(normalize)
+    for k in range(2, 6):
+        _assert_restarts_match_reference(points, k, (3, k))
+    assert max(fallback_rows) > 0  # the tie-break ran, not only the product
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 24),
+    dim=st.integers(1, 4),
+    k=st.integers(1, 5),
+    key=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_kmeans_matches_broadcast_reference_on_one_decimal_inputs(rows, dim, k, key, data):
+    # coordinates on a 0.1 grid make equidistant centres and tied rows common
+    tenths = data.draw(st.lists(st.integers(-10, 10), min_size=rows * dim, max_size=rows * dim))
+    points = np.array(tenths, dtype=float).reshape(rows, dim) / 10
+    _assert_restarts_match_reference(points, min(k, rows), key)
+
+
+def test_cluster_logs_restarts_kept_lost_and_best_inertia(monkeypatch, caplog):
+    # two distinct rows, three copies each, split exactly by every restart;
+    # every fourth restart is made to lose a cluster
+    points = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0]]), 3, axis=0)
+    calls = []
+    real = al._kmeans_once
+
+    def every_fourth_lost(points, k, rng):
+        calls.append(k)
+        result = real(points, k, rng)
+        return None if len(calls) % 4 == 0 else result
+
+    monkeypatch.setattr(al, "_kmeans_once", every_fourth_lost)
+    with caplog.at_level(logging.INFO, logger="specbary.alignment"):
+        al.cluster_nodes(points, 2, seed=0)
+    lost = al.KMEANS_RESTARTS // 4
+    (record,) = [r for r in caplog.records if r.name == "specbary.alignment"]
+    assert record.getMessage() == (
+        f"k-means M=2: {al.KMEANS_RESTARTS - lost} of {al.KMEANS_RESTARTS} restarts kept, "
+        f"{lost} lost a cluster, best inertia 0"
+    )
 
 
 def test_canonical_permutation_single_cluster_is_identity():

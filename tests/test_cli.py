@@ -100,6 +100,16 @@ def test_barycentre_skips_mse_when_relabellings_differ(tmp_path, spec_file, capl
     assert "mse" not in diagnostics
 
 
+def test_barycentre_rejects_permutation_file_with_repeated_node(tmp_path, spec_file):
+    src = tmp_path / "src"
+    assert run("sample", "--spec", spec_file, "--T", 1, "--seed", 3, "--out", src) == 0
+    perm_file = src / json.loads((src / "manifest.json").read_text())["permutations"][0]
+    lines = perm_file.read_text().splitlines()
+    lines[2] = "0," + lines[2].split(",")[1]  # node id 0 again, node 1 gone
+    perm_file.write_text("\n".join(lines) + "\n")
+    assert run("barycentre", "--in", src, "--M", 2, "--out", tmp_path / "o") == 3
+
+
 def test_barycentre_mixed_sizes_is_data_error(tmp_path):
     src = tmp_path / "src"
     src.mkdir()

@@ -30,6 +30,38 @@ def test_check_adjacency_rejects_bad_input():
         gc.check_adjacency(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
+def _symmetric(n: int, low: float, high: float, key: int) -> np.ndarray:
+    a = np.random.default_rng(key).uniform(low, high, (n, n))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+def test_check_symmetric_rejects_asymmetry_in_last_strip():
+    a = _symmetric(600, 0.0, 1.0, 23)
+    gc.check_symmetric(a)
+    # only the last strip of rows holds node 590, the pair's smaller index
+    a[599, 590] += 1e-9
+    with pytest.raises(ValueError, match="not symmetric"):
+        gc.check_symmetric(a)
+
+
+def test_check_symmetric_rejects_one_off_diagonal_nan():
+    a = _symmetric(600, 0.0, 1.0, 29)
+    a[5, 400] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        gc.check_symmetric(a)
+
+
+def test_check_symmetric_scales_tolerance_by_most_negative_entry():
+    a = _symmetric(6, -4.0, 0.0, 31)
+    near = a.copy()
+    near[0, 1] += 2e-12  # within 1e-12 * 4, outside 1e-12 * 1
+    gc.check_symmetric(near)
+    off = a.copy()
+    off[0, 1] += 4e-10
+    with pytest.raises(ValueError, match="not symmetric"):
+        gc.check_symmetric(off)
+
+
 # every public function that takes a symmetric matrix from a caller
 CHECKED_ENTRY_POINTS = {
     "check_adjacency": gc.check_adjacency,
@@ -179,3 +211,23 @@ def test_matrix_io_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     gc.save_matrix(a, path)
     assert np.array_equal(gc.load_matrix(path), a)
+
+
+def test_permutation_io_round_trip(tmp_path):
+    perm = np.random.default_rng(13).permutation(9)
+    path = tmp_path / "permutation.csv"
+    gc.save_permutation(perm, path)
+    assert np.array_equal(gc.load_permutation(path), perm)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 1), (0, 0), (2, 2), (3, 3)],  # node id 0 twice, node 1 missing
+    [(0, 1), (1, 1), (2, 2), (3, 3)],  # position 1 twice, position 0 missing
+    [(0, 1), (1, 4), (2, 2), (3, 3)],  # position 4 outside 0..3
+    [(0, 1), (1, 0), (2, 2), (-1, 3)],  # node id -1 outside 0..3
+])
+def test_load_permutation_rejects_non_permutation(tmp_path, rows):
+    path = tmp_path / "permutation.csv"
+    path.write_text("node_id,position\n" + "".join(f"{i},{p}\n" for i, p in rows))
+    with pytest.raises(ValueError, match="permutation.csv"):
+        gc.load_permutation(path)
