@@ -252,8 +252,8 @@ def cmd_spectrum(args) -> None:
 
 def cmd_ingest(args) -> None:
     """Parse a contact file and write windowed snapshot graphs."""
-    events = ingest.load_contacts(args.contacts)
-    series = ingest.window_graphs(events, args.start, args.end, args.width)
+    contacts = ingest.load_contacts(args.contacts)
+    series = ingest.window_graphs(contacts, args.start, args.end, args.width)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,6 +1,7 @@
 """Core graph matrix operations: input validation, degrees, normalized
 adjacency and Laplacian, spectral pseudo-distance, permutations, seeded
-random streams, and plain-text matrix and permutation I/O.
+random streams, and plain-text matrix and permutation I/O. 0/1 matrices are
+written as a byte table, every other matrix through np.savetxt.
 
 All matrices are dense numpy arrays of float64, nodes indexed by row 0..n-1.
 """
@@ -117,8 +118,24 @@ def philox(key) -> np.random.Generator:
 
 
 def save_matrix(a: np.ndarray, path: str | Path) -> None:
-    """Write a matrix as plain-text CSV, one row per line."""
-    np.savetxt(path, np.asarray(a, dtype=float), delimiter=",", fmt="%.17g")
+    """Write a matrix as plain-text CSV, one row per line.
+
+    Values are written as np.savetxt(fmt="%.17g") writes them. A matrix whose
+    entries are all 0.0 or 1.0 (no -0.0), such as an unweighted graph, is
+    written as a byte table of digits, commas and newlines, which gives the
+    same bytes without formatting each entry.
+    """
+    a = np.asarray(a, dtype=float)
+    ones = a == 1.0
+    # np.savetxt also gzips a path ending in .gz, which load_matrix reads back
+    if (a.ndim != 2 or not a.size or str(path).endswith(".gz") or np.signbit(a).any()
+            or not (ones | (a == 0.0)).all()):
+        np.savetxt(path, a, delimiter=",", fmt="%.17g")
+        return
+    table = np.full((a.shape[0], 2 * a.shape[1]), ord(","), dtype=np.uint8)
+    table[:, 0::2] = ones + ord("0")
+    table[:, -1] = ord("\n")
+    Path(path).write_bytes(table.tobytes())
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

@@ -4,10 +4,17 @@ synthetic school-day surrogate.
 Input lines follow the RFID face-to-face format: "t i j [class_i class_j]",
 whitespace separated, '#' starting a comment line. Timestamps are seconds;
 contacts are recorded on a 20 s tick.
+
+parse_contacts reads the lines into one columnar ContactTable (int64 arrays
+t, i, j plus the two class columns), and window_graphs turns the table into
+a (windows, n, n) array of 0/1 snapshots with array operations. Every
+snapshot has only 0/1 entries, so graph_core.save_matrix writes it as a byte
+table rather than through np.savetxt.
 """
 
 import gzip
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,27 +44,33 @@ class ParseError(ValueError):
     """Malformed contact line; the message carries the line number."""
 
 
-@dataclass(frozen=True)
-class ContactEvent:
-    t: int
-    i: int
-    j: int
-    class_i: str | None = None
-    class_j: str | None = None
+@dataclass(frozen=True, eq=False)
+class ContactTable:
+    """Contact events as columns, one row per contact line in input order.
 
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ValueError(f"self-contact at t={self.t} for node {self.i}")
-        if self.t < 0:
-            raise ValueError(f"negative timestamp {self.t}")
+    t, i and j are int64 arrays; class_i and class_j hold the class names of
+    5-field lines and None for 3-field lines.
+    """
+
+    t: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    class_i: list[str | None]
+    class_j: list[str | None]
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
 class SnapshotSeries:
-    """Fixed node set, one unweighted graph per time window."""
+    """Fixed node set, one unweighted graph per time window.
+
+    graphs has shape (windows, n, n); graphs[k] is the graph of window k.
+    """
 
     node_ids: tuple[int, ...]
-    graphs: list[np.ndarray]
+    graphs: np.ndarray
     window_bounds: tuple[tuple[int, int], ...]
 
     @property
@@ -65,29 +78,51 @@ class SnapshotSeries:
         return {v: k for k, v in enumerate(self.node_ids)}
 
 
-def parse_contacts(stream) -> list[ContactEvent]:
-    """Parse an iterable of text lines into contact events, in input order."""
-    events = []
+def parse_contacts(stream) -> ContactTable:
+    """Parse an iterable of text lines into a contact table, in input order.
+
+    Each field goes through int(); a line is blank or a comment when its
+    first whitespace-separated field is missing or starts with '#'. The first
+    bad line in file order raises ParseError: a field count other than 3 or
+    5, a non-integer t/i/j, a self-contact, a negative timestamp, or a value
+    outside the int64 range.
+    """
+    # array("q") stores each value as a C int64 as it is appended, so an
+    # out-of-range value fails on its own line and the columns need no copy
+    t, i, j = array("q"), array("q"), array("q")
+    class_i, class_j = [], []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) not in (3, 5):
+        if len(fields) == 5:
+            t_text, i_text, j_text, ci, cj = fields
+        elif len(fields) == 3:
+            t_text, i_text, j_text = fields
+            ci = cj = None
+        else:
             raise ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(fields)}")
         try:
-            t, i, j = int(fields[0]), int(fields[1]), int(fields[2])
+            tv, iv, jv = int(t_text), int(i_text), int(j_text)
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer t/i/j in {line!r}") from None
-        ci, cj = (fields[3], fields[4]) if len(fields) == 5 else (None, None)
+            raise ParseError(f"line {lineno}: non-integer t/i/j in {raw.strip()!r}") from None
+        if iv == jv:
+            raise ParseError(f"line {lineno}: self-contact at t={tv} for node {iv}")
+        if tv < 0:
+            raise ParseError(f"line {lineno}: negative timestamp {tv}")
         try:
-            events.append(ContactEvent(t=t, i=i, j=j, class_i=ci, class_j=cj))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return events
+            t.append(tv)
+            i.append(iv)
+            j.append(jv)
+        except OverflowError:
+            raise ParseError(f"line {lineno}: t/i/j outside int64 in {raw.strip()!r}") from None
+        class_i.append(ci)
+        class_j.append(cj)
+    t, i, j = (np.frombuffer(c, dtype=np.int64) for c in (t, i, j))
+    return ContactTable(t=t, i=i, j=j, class_i=class_i, class_j=class_j)
 
 
-def load_contacts(path: str | Path) -> list[ContactEvent]:
+def load_contacts(path: str | Path) -> ContactTable:
     """Read a contact file; .gz suffix means gzip-compressed text."""
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -95,31 +130,35 @@ def load_contacts(path: str | Path) -> list[ContactEvent]:
         return parse_contacts(fh)
 
 
-def window_graphs(events: list[ContactEvent], start: int, end: int, width: int) -> SnapshotSeries:
-    """Aggregate events in [start, end) into ceil((end-start)/width) unweighted
+def window_graphs(contacts: ContactTable, start: int, end: int, width: int) -> SnapshotSeries:
+    """Aggregate contacts in [start, end) into ceil((end-start)/width) unweighted
     graphs over the union of node ids seen in the range.
 
     Windows are half-open; the final window may be shorter. Repeated contacts
     within a window collapse to a single edge, and nodes silent in a window
     stay as isolated nodes so spectra remain comparable across the series.
+    Raises ValueError when [start, end) holds no contact.
     """
     if width <= 0:
         raise ValueError(f"window width must be positive, got {width}")
     if not start < end:
         raise ValueError(f"empty time range [{start}, {end})")
-    in_range = [e for e in events if start <= e.t < end]
-    node_ids = tuple(sorted({e.i for e in in_range} | {e.j for e in in_range}))
-    index = {v: k for k, v in enumerate(node_ids)}
+    # offsets t - start below end - start then cannot wrap around in int64
+    if end - start > np.iinfo(np.int64).max:
+        raise ValueError(f"time range [{start}, {end}) is longer than int64 allows")
+    in_range = (contacts.t >= start) & (contacts.t < end)
+    if not in_range.any():
+        raise ValueError(f"no contacts in the time range [{start}, {end})")
+    window = (contacts.t[in_range] - start) // width
+    ends = np.concatenate([contacts.i[in_range], contacts.j[in_range]])
+    node_ids, index = np.unique(ends, return_inverse=True)
     n = len(node_ids)
     count = math.ceil((end - start) / width)
-    graphs = [np.zeros((n, n)) for _ in range(count)]
-    for e in in_range:
-        w = (e.t - start) // width
-        a, b = index[e.i], index[e.j]
-        graphs[w][a, b] = 1.0
-        graphs[w][b, a] = 1.0
+    graphs = np.zeros((count, n, n))
+    # each contact sets both (a, b) and (b, a) of its window
+    graphs[np.tile(window, 2), index, np.roll(index, len(window))] = 1.0
     bounds = tuple((start + k * width, min(start + (k + 1) * width, end)) for k in range(count))
-    return SnapshotSeries(node_ids=node_ids, graphs=graphs, window_bounds=bounds)
+    return SnapshotSeries(node_ids=tuple(node_ids.tolist()), graphs=graphs, window_bounds=bounds)
 
 
 def synthetic_school_day(seed: int = 0) -> str:

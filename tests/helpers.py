@@ -1,10 +1,11 @@
 """Shared test utilities: random Soules trees, pipeline run helpers, the
-inputs on which the Lanczos and dense eigensolver paths are compared, and the
-broadcast k-means restart that alignment._kmeans_once must reproduce."""
+inputs on which the Lanczos and dense eigensolver paths are compared, the
+broadcast k-means restart that alignment._kmeans_once must reproduce, and the
+per-line contact parser that ingest.parse_contacts must reproduce."""
 
 import numpy as np
 
-from specbary import alignment, barycentre, graph_core, sbm
+from specbary import alignment, barycentre, graph_core, ingest, sbm
 from specbary.soules import SoulesSplit, SoulesTree
 
 
@@ -123,3 +124,45 @@ def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
             centers[c] = points[labels == c].mean(axis=0)
     inertia = float(d2[np.arange(n), labels].sum())
     return labels, inertia
+
+
+def reference_parse_contacts(stream) -> list[tuple]:
+    """The per-line contact parser ingest.parse_contacts replaced, with the
+    checks of the event record it built inlined: (t, i, j, class_i, class_j)
+    rows in input order, or the same ParseError for the first bad line."""
+    rows = []
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (3, 5):
+            raise ingest.ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(fields)}")
+        try:
+            t, i, j = int(fields[0]), int(fields[1]), int(fields[2])
+        except ValueError:
+            raise ingest.ParseError(f"line {lineno}: non-integer t/i/j in {line!r}") from None
+        ci, cj = (fields[3], fields[4]) if len(fields) == 5 else (None, None)
+        if i == j:
+            raise ingest.ParseError(f"line {lineno}: self-contact at t={t} for node {i}")
+        if t < 0:
+            raise ingest.ParseError(f"line {lineno}: negative timestamp {t}")
+        rows.append((t, i, j, ci, cj))
+    return rows
+
+
+def reference_window_graphs(rows: list[tuple], start: int, end: int,
+                            width: int) -> list[np.ndarray]:
+    """The per-event windowing loop ingest.window_graphs replaced, on
+    (t, i, j, ...) rows: one n x n graph per window over the sorted node ids
+    seen in [start, end)."""
+    in_range = [r for r in rows if start <= r[0] < end]
+    node_ids = sorted({r[1] for r in in_range} | {r[2] for r in in_range})
+    index = {v: k for k, v in enumerate(node_ids)}
+    n = len(node_ids)
+    graphs = [np.zeros((n, n)) for _ in range(-(-(end - start) // width))]
+    for t, i, j, *_ in in_range:
+        w = (t - start) // width
+        graphs[w][index[i], index[j]] = 1.0
+        graphs[w][index[j], index[i]] = 1.0
+    return graphs

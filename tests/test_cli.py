@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from specbary import alignment, barycentre, cli, graph_core, sbm
+from specbary import alignment, barycentre, cli, graph_core, ingest, sbm
 
 
 MSE_LIMIT = 0.02  # a shared labelling gives about 0.004 here, mixed ones about 0.2
@@ -218,6 +218,17 @@ def test_ingest_parse_error_is_data_error(tmp_path):
     contacts.write_text("one two three\n")
     assert run("ingest", "--contacts", contacts, "--start", 0, "--end", 100,
                "--width", 60, "--out", tmp_path / "o") == 3
+
+
+def test_ingest_range_without_contacts_is_data_error(tmp_path, caplog):
+    contacts = tmp_path / "contacts.txt"
+    contacts.write_text(ingest.synthetic_school_day(seed=0))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="specbary"):
+        assert run("ingest", "--contacts", contacts, "--start", 0, "--end", 1000,
+                   "--width", 100, "--out", out) == 3
+    assert "[0, 1000)" in caplog.text
+    assert not out.exists()
 
 
 def test_unknown_command_and_missing_command(capsys):

@@ -1,9 +1,12 @@
 """Adjacency checks, normalization, spectral distance, permutations, and IO."""
 
+import gzip
+import io
+
 import numpy as np
 import pytest
 
-from specbary import alignment, eigen, soules
+from specbary import alignment, eigen, ingest, soules
 from specbary import graph_core as gc
 
 
@@ -211,6 +214,60 @@ def test_matrix_io_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     gc.save_matrix(a, path)
     assert np.array_equal(gc.load_matrix(path), a)
+
+
+_ZERO_ONE = (np.random.default_rng(17).random((3, 5)) < 0.5).astype(float)
+
+
+def _with_entry(value: float) -> np.ndarray:
+    a = np.eye(3)
+    a[0, 2] = value
+    return a
+
+
+@pytest.mark.parametrize("a,byte_table", [
+    (np.zeros((1, 1)), True),
+    (np.eye(3), True),
+    (_ZERO_ONE.T, True),
+    (_ZERO_ONE[::-1], True),
+    (_with_entry(-0.0), False),
+    (_with_entry(2.0), False),
+    (np.array([[0.0, 0.5], [0.5, 1.0 / 3.0]]), False),
+], ids=["zeros_1x1", "eye_3", "transposed", "reversed_rows", "negative_zero", "two",
+        "non_integer"])
+def test_save_matrix_writes_savetxt_bytes(tmp_path, monkeypatch, a, byte_table):
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, a, delimiter=",", fmt="%.17g")
+    formatted = []
+    real_savetxt = np.savetxt
+    monkeypatch.setattr(np, "savetxt",
+                        lambda *args, **kw: formatted.append(real_savetxt(*args, **kw)))
+    path = tmp_path / "m.csv"
+    gc.save_matrix(a, path)
+    assert path.read_bytes() == expected.read_bytes()
+    assert bool(formatted) != byte_table
+    loaded = gc.load_matrix(path)
+    assert np.array_equal(loaded, a) and np.array_equal(np.signbit(loaded), np.signbit(a))
+
+
+def test_save_matrix_gzips_a_gz_path(tmp_path):
+    path = tmp_path / "m.csv.gz"
+    gc.save_matrix(np.eye(3), path)
+    assert gzip.decompress(path.read_bytes()) == b"1,0,0\n0,1,0\n0,0,1\n"
+    assert np.array_equal(gc.load_matrix(path), np.eye(3))
+
+
+def test_save_matrix_writes_savetxt_bytes_for_contact_snapshots(tmp_path):
+    table = ingest.parse_contacts(io.StringIO(ingest.synthetic_school_day(seed=0)))
+    series = ingest.window_graphs(table, ingest.MORNING_START, ingest.MORNING_END,
+                                  ingest.MORNING_WIDTH)
+    assert len(series.graphs) == 35
+    for k, g in enumerate(series.graphs):
+        path, expected = tmp_path / f"snapshot_{k}.csv", tmp_path / f"savetxt_{k}.csv"
+        gc.save_matrix(g, path)
+        np.savetxt(expected, g, delimiter=",", fmt="%.17g")
+        assert path.read_bytes() == expected.read_bytes()
+        assert np.array_equal(gc.load_matrix(path), g)
 
 
 def test_permutation_io_round_trip(tmp_path):
