@@ -6,9 +6,9 @@ whitespace separated, '#' starting a comment line. Timestamps are seconds;
 contacts are recorded on a 20 s tick.
 
 parse_contacts reads the lines into one columnar ContactTable (int64 arrays
-t, i, j plus the two class columns), and window_graphs turns the table into
-a (windows, n, n) array of 0/1 snapshots with array operations. Every
-snapshot has only 0/1 entries, so graph_core.save_matrix writes it as a byte
+t, i, j plus the two class columns), and window_graphs fills one
+(windows, n, n) array of 0/1 snapshots with array operations and returns its
+n x n slices as a list. Every snapshot has only 0/1 entries, so graph_core.save_matrix writes it as a byte
 table rather than through np.savetxt.
 """
 
@@ -66,11 +66,12 @@ class ContactTable:
 class SnapshotSeries:
     """Fixed node set, one unweighted graph per time window.
 
-    graphs has shape (windows, n, n); graphs[k] is the graph of window k.
+    graphs[k] is the n x n graph of window k; the list items are views of one
+    (windows, n, n) array.
     """
 
     node_ids: tuple[int, ...]
-    graphs: np.ndarray
+    graphs: list[np.ndarray]
     window_bounds: tuple[tuple[int, int], ...]
 
     @property
@@ -149,7 +150,9 @@ def window_graphs(contacts: ContactTable, start: int, end: int, width: int) -> S
     in_range = (contacts.t >= start) & (contacts.t < end)
     if not in_range.any():
         raise ValueError(f"no contacts in the time range [{start}, {end})")
-    window = (contacts.t[in_range] - start) // width
+    # every offset is below end - start, so a wider divisor changes no window
+    # index, and the divisor stays inside int64 however large width is
+    window = (contacts.t[in_range] - start) // min(width, end - start)
     ends = np.concatenate([contacts.i[in_range], contacts.j[in_range]])
     node_ids, index = np.unique(ends, return_inverse=True)
     n = len(node_ids)
@@ -158,7 +161,9 @@ def window_graphs(contacts: ContactTable, start: int, end: int, width: int) -> S
     # each contact sets both (a, b) and (b, a) of its window
     graphs[np.tile(window, 2), index, np.roll(index, len(window))] = 1.0
     bounds = tuple((start + k * width, min(start + (k + 1) * width, end)) for k in range(count))
-    return SnapshotSeries(node_ids=tuple(node_ids.tolist()), graphs=graphs, window_bounds=bounds)
+    return SnapshotSeries(
+        node_ids=tuple(node_ids.tolist()), graphs=list(graphs), window_bounds=bounds
+    )
 
 
 def synthetic_school_day(seed: int = 0) -> str:

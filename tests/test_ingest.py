@@ -9,7 +9,7 @@ from helpers import reference_parse_contacts, reference_window_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specbary import ingest
+from specbary import barycentre, ingest
 
 
 def _table(text: str) -> ingest.ContactTable:
@@ -160,6 +160,10 @@ def test_window_wider_than_range_gives_single_snapshot():
     series = ingest.window_graphs(_table("5 1 2\n"), 0, 100, 500)
     assert len(series.graphs) == 1
     assert series.window_bounds == ((0, 100),)
+    # a width past int64 is no divisor numpy can take; the window is the same
+    series = ingest.window_graphs(_table("10 1 2\n99 2 3\n"), 0, 100, 2**63)
+    assert series.window_bounds == ((0, 100),)
+    assert np.array_equal(series.graphs[0], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 def test_window_node_set_fixed_across_series():
@@ -197,13 +201,21 @@ def test_window_matches_reference_loop(start, end, width):
 
 
 def test_window_argument_validation():
-    with pytest.raises(ValueError):
-        ingest.window_graphs(_table(""), 0, 100, 0)
-    with pytest.raises(ValueError):
-        ingest.window_graphs(_table(""), 100, 100, 60)
+    # each table holds a contact inside the range, so only the checked argument fails
+    with pytest.raises(ValueError, match="window width must be positive, got 0"):
+        ingest.window_graphs(_table("10 1 2\n"), 0, 100, 0)
+    with pytest.raises(ValueError, match=r"empty time range \[100, 100\)"):
+        ingest.window_graphs(_table("100 1 2\n"), 100, 100, 60)
     # t - start would wrap around in int64 and put the contact in window 1, not 2
     with pytest.raises(ValueError, match="longer than int64"):
         ingest.window_graphs(_table(f"{2**62 + 1} 1 2\n"), -(2**62) - 10, 2**62 + 10, 2**62)
+
+
+def test_snapshot_graphs_feed_sample_mean_adjacency():
+    series = ingest.window_graphs(_table("0 1 2\n15 2 3\n"), 0, 20, 10)
+    assert isinstance(series.graphs, list)
+    mean = barycentre.sample_mean_adjacency(series.graphs)
+    assert np.array_equal(mean, [[0, 0.5, 0], [0.5, 0, 0.5], [0, 0.5, 0]])
 
 
 def test_window_range_without_contacts_raises():
