@@ -155,26 +155,36 @@ plot "medians.csv" skip 1 using 1:2 with linespoints title "median MSE"
 """
 
 
+def _run_sweep(out: Path, x_name: str, points: list[tuple[int, sbm.SbmSpec, tuple]], seeds: int,
+               gnuplot: bool) -> dict[int, float]:
+    """Score seeds single-sample reconstructions at each (x, spec, key) point.
+
+    Run s at a point samples from the stream keyed (*key, s) and clusters with
+    (*key, s, 2). Writes sweep.csv, medians.csv and, with gnuplot, plot.gp;
+    returns the median MSE keyed by x.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    medians = {}
+    for x, spec, key in points:
+        errors = [_one_mse_run(spec, spec.M, (*key, s), (*key, s, 2)) for s in range(seeds)]
+        rows += [(x, s, value) for s, value in enumerate(errors)]
+        medians[x] = float(np.median(errors))
+        log.info("%s=%d median mse %.6e", x_name, x, medians[x])
+
+    _write_rows(out / "sweep.csv", [x_name, "seed", "mse"], rows)
+    _write_rows(out / "medians.csv", [x_name, "median_mse"], sorted(medians.items()))
+    if gnuplot:
+        (out / "plot.gp").write_text(_SWEEP_PLOT.format(xlabel=x_name))
+    return medians
+
+
 def cmd_size_sweep(args) -> None:
     """MSE of single-sample reconstructions as the graph grows; log-log slope."""
     base = sbm.load_spec(args.spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    medians = {}
-    for n in args.n_list:
-        spec = _scaled_spec(base, n)
-        errors = []
-        for s in range(args.seeds):
-            value = _one_mse_run(spec, spec.M, (args.seed, n, s), (args.seed, n, s, 2))
-            errors.append(value)
-            rows.append((n, s, value))
-        medians[n] = float(np.median(errors))
-        log.info("n=%d median mse %.6e", n, medians[n])
-
-    _write_rows(out / "sweep.csv", ["n", "seed", "mse"], rows)
-    _write_rows(out / "medians.csv", ["n", "median_mse"], sorted(medians.items()))
+    points = [(n, _scaled_spec(base, n), (args.seed, n)) for n in args.n_list]
+    medians = _run_sweep(out, "n", points, args.seeds, args.gnuplot)
 
     slope = None
     if len(medians) >= 2:
@@ -183,8 +193,6 @@ def cmd_size_sweep(args) -> None:
         slope = float(np.polyfit(xs, ys, 1)[0])
         log.info("fitted log-log slope: %.3f", slope)
 
-    if args.gnuplot:
-        (out / "plot.gp").write_text(_SWEEP_PLOT.format(xlabel="n"))
     _write_manifest(out, {
         "command": "size-sweep",
         "base_spec": {"block_sizes": list(base.block_sizes), "p": list(base.p), "q": base.q},
@@ -198,24 +206,8 @@ def cmd_block_sweep(args) -> None:
     p = min(1.0, 3 * math.log(n) ** 2 / n)
     q = min(p, 2 * math.log(n) / n)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    medians = {}
-    for M in args.m_list:
-        spec = sbm.balanced(n, M, p, q)
-        errors = []
-        for s in range(args.seeds):
-            value = _one_mse_run(spec, M, (args.seed, n, M, s), (args.seed, n, M, s, 2))
-            errors.append(value)
-            rows.append((M, s, value))
-        medians[M] = float(np.median(errors))
-        log.info("M=%d median mse %.6e", M, medians[M])
-
-    _write_rows(out / "sweep.csv", ["M", "seed", "mse"], rows)
-    _write_rows(out / "medians.csv", ["M", "median_mse"], sorted(medians.items()))
-    if args.gnuplot:
-        (out / "plot.gp").write_text(_SWEEP_PLOT.format(xlabel="M"))
+    points = [(M, sbm.balanced(n, M, p, q), (args.seed, n, M)) for M in args.m_list]
+    _run_sweep(out, "M", points, args.seeds, args.gnuplot)
     _write_manifest(out, {
         "command": "block-sweep", "n": n, "p": p, "q": q,
         "m_list": list(args.m_list), "seeds": args.seeds, "seed": args.seed,
