@@ -15,8 +15,10 @@ Stages of compute_barycentre:
   2. alignment: spectral embedding, k-means, canonical block ordering,
   3. greedy Soules basis on the aligned mean adjacency, first M columns,
   4. eigenvalue regularization (bulk entries pinned to 1),
-  5. truncated Laplacian and degree-rescaled adjacency reconstruction,
-  6. un-permutation back to the input node order.
+  5. truncated Laplacian and degree-rescaled adjacency as M x M matrices
+     over the depth-M leaf blocks,
+  6. expansion of both block matrices to n x n in the input node order, one
+     gather each.
 """
 
 import json
@@ -131,20 +133,22 @@ def regularize_eigenvalues(mean: np.ndarray, M: int, n: int | None = None) -> Me
 
 
 def truncated_laplacian(spectrum: MeanSpectrum, basis: soules.SoulesBasis) -> np.ndarray:
-    """I minus the rank-M correction sum_{k<=M} (1 - lambda_k) psi_k psi_k^T.
+    """The M x M matrix B over the depth-M leaves with L_hat = I + Z B Z^T,
+    where Z is the n x M leaf indicator and L_hat is I minus the rank-M
+    correction sum_{k<=M} (1 - lambda_k) psi_k psi_k^T.
 
-    Only the first M basis columns are read, so the basis needs K >= M; the
-    bulk contributes nothing because its regularized eigenvalues are exactly 1.
+    The first M basis vectors are constant on each depth-M leaf, so one row
+    per leaf holds all of them. Only those columns are read, so the basis
+    needs K >= M; the bulk contributes nothing because its regularized
+    eigenvalues are exactly 1.
     """
     if basis.K < spectrum.M:
         raise ValueError(f"basis has {basis.K} columns, fewer than M={spectrum.M}")
     lam = spectrum.regularized
     if lam.shape != (basis.n,):
         raise ValueError(f"spectrum length {lam.shape} does not match n={basis.n}")
-    V = basis.vectors[:, : spectrum.M]
-    lap = -(V * (1.0 - lam[: spectrum.M])) @ V.T
-    lap[np.diag_indices_from(lap)] += 1.0
-    return lap
+    W = basis.vectors[[a - 1 for a, _ in basis.tree.leaves(depth=spectrum.M)], : spectrum.M]
+    return -(W * (1.0 - lam[: spectrum.M])) @ W.T
 
 
 def _check_partition(blocks, n: int) -> tuple[tuple[int, int], ...]:
@@ -181,20 +185,17 @@ def average_node_degrees(mean_adj: np.ndarray, blocks) -> BlockDegrees:
     return BlockDegrees(values=values, blocks=blocks)
 
 
-def reconstruct_barycentre(lap: np.ndarray, degrees: BlockDegrees) -> np.ndarray:
-    """Degree-rescaled adjacency: Dhat^{1/2} (I - lap) Dhat^{1/2}, with node
-    degrees constant on each block."""
-    lap = np.asarray(lap, dtype=float)
-    n = lap.shape[0]
-    _check_partition(degrees.blocks, n)
+def reconstruct_barycentre(lap_blocks: np.ndarray, degrees: BlockDegrees) -> np.ndarray:
+    """Degree-rescaled adjacency Dhat^{1/2} (I - L_hat) Dhat^{1/2} on the
+    leaf blocks: -sqrt(d_j d_k) B_jk for the block matrix B of
+    truncated_laplacian and the block degrees d."""
+    lap_blocks = np.asarray(lap_blocks, dtype=float)
+    m = len(degrees.blocks)
+    if lap_blocks.shape != (m, m):
+        raise ValueError(f"block matrix of shape {lap_blocks.shape} does not match {m} degree blocks")
     if np.any(degrees.values < 0):
         raise ValueError("block degrees must be nonnegative")
-    node_deg = np.empty(n)
-    for (a, b), d in zip(degrees.blocks, degrees.values):
-        node_deg[a - 1 : b] = d
-    eye_minus = -lap.copy()
-    eye_minus[np.diag_indices_from(eye_minus)] += 1.0
-    return np.sqrt(np.outer(node_deg, node_deg)) * eye_minus
+    return -np.sqrt(np.outer(degrees.values, degrees.values)) * lap_blocks
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -250,15 +251,19 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
 
     basis = soules._best_soules_basis(mean_perm, depth=M)
     spectrum = regularize_eigenvalues(mean_vals, M, n)
-    lap_hat = truncated_laplacian(spectrum, basis)
+    lap_blocks = truncated_laplacian(spectrum, basis)
     blocks = basis.tree.leaves(depth=M)
     block_deg = average_node_degrees(mean_perm, blocks)
-    mu_perm = reconstruct_barycentre(lap_hat, block_deg)
+    mu_blocks = reconstruct_barycentre(lap_blocks, block_deg)
 
-    inv = graph_core.invert_permutation(perm)
+    # input node i sits at aligned row perm[i], inside the first leaf ending
+    # at or after it; one gather per output expands the block matrices
+    leaf = np.searchsorted([b for _, b in blocks], perm + 1)
+    lap_hat = lap_blocks[np.ix_(leaf, leaf)]
+    lap_hat[np.diag_indices(n)] += 1.0
     return BarycentreResult(
-        mu_hat=graph_core.permute(mu_perm, inv),
-        laplacian_hat=graph_core.permute(lap_hat, inv),
+        mu_hat=mu_blocks[np.ix_(leaf, leaf)],
+        laplacian_hat=lap_hat,
         spectrum=spectrum,
         degrees=block_deg,
         permutation=perm,

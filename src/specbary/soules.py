@@ -12,9 +12,7 @@ nonnegative, which is what makes the basis usable for synthesizing symmetric
 nonnegative matrices with a prescribed spectrum.
 """
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -304,14 +302,3 @@ def complete_basis(basis: SoulesBasis) -> SoulesBasis:
         leaves.sort()
     return materialize(SoulesTree(n=basis.n, splits=tuple(splits)))
 
-
-def save_tree(tree: SoulesTree, path: str | Path) -> None:
-    """Write the splits as a JSON list of {i0, i1, istar, level} records."""
-    rows = [{"i0": s.i0, "i1": s.i1, "istar": s.istar, "level": s.level} for s in tree.splits]
-    Path(path).write_text(json.dumps(rows, indent=1))
-
-
-def load_tree(path: str | Path, n: int) -> SoulesTree:
-    rows = json.loads(Path(path).read_text())
-    splits = tuple(SoulesSplit(i0=r["i0"], i1=r["i1"], istar=r["istar"], level=r["level"]) for r in rows)
-    return SoulesTree(n=n, splits=splits)

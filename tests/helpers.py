@@ -1,11 +1,13 @@
 """Shared test utilities: random Soules trees, pipeline run helpers, the
-inputs on which the Lanczos and dense eigensolver paths are compared, the
-broadcast k-means restart that alignment._kmeans_once must reproduce, and the
-per-line contact parser that ingest.parse_contacts must reproduce."""
+n x n truncated Laplacian and reconstruction that the block-form pipeline
+must reproduce, the inputs on which the Lanczos and dense eigensolver paths
+are compared, the broadcast k-means restart that alignment._kmeans_once must
+reproduce, and the per-line contact parser that ingest.parse_contacts must
+reproduce."""
 
 import numpy as np
 
-from specbary import alignment, barycentre, graph_core, ingest, sbm
+from specbary import alignment, barycentre, graph_core, ingest, sbm, soules
 from specbary.soules import SoulesSplit, SoulesTree
 
 
@@ -45,6 +47,52 @@ def permuted_run_mse(spec: sbm.SbmSpec, key: tuple) -> float:
     return barycentre.mse(sbm.population_mean(spec), mu)
 
 
+def expand_blocks(blocks_matrix: np.ndarray, blocks) -> np.ndarray:
+    """Z B Z^T for the n x M indicator Z of the 1-based inclusive leaf blocks.
+
+    Each entry is one B entry times 1 plus zeros, so the expansion is exact.
+    """
+    Z = np.zeros((blocks[-1][1], len(blocks)))
+    for k, (a, b) in enumerate(blocks):
+        Z[a - 1 : b, k] = 1.0
+    return Z @ blocks_matrix @ Z.T
+
+
+def reference_truncated_laplacian(spectrum: barycentre.MeanSpectrum,
+                                  basis: soules.SoulesBasis) -> np.ndarray:
+    """The n x n truncated Laplacian, I minus the rank-M correction
+    sum_{k<=M} (1 - lambda_k) psi_k psi_k^T, from the first M basis columns."""
+    V = basis.vectors[:, : spectrum.M]
+    lap = -(V * (1.0 - spectrum.regularized[: spectrum.M])) @ V.T
+    lap[np.diag_indices_from(lap)] += 1.0
+    return lap
+
+
+def reference_reconstruct_barycentre(lap: np.ndarray, degrees: barycentre.BlockDegrees) -> np.ndarray:
+    """The n x n degree-rescaled adjacency Dhat^{1/2} (I - lap) Dhat^{1/2},
+    with node degrees constant on each block."""
+    node_deg = np.empty(lap.shape[0])
+    for (a, b), d in zip(degrees.blocks, degrees.values):
+        node_deg[a - 1 : b] = d
+    eye_minus = -lap.copy()
+    eye_minus[np.diag_indices_from(eye_minus)] += 1.0
+    return np.sqrt(np.outer(node_deg, node_deg)) * eye_minus
+
+
+def reference_barycentre(graphs: list[np.ndarray],
+                         result: barycentre.BarycentreResult) -> tuple[np.ndarray, np.ndarray]:
+    """mu_hat and laplacian_hat from the n x n reference bodies, built on the
+    alignment, spectrum and degrees of a pipeline result and un-permuted to
+    the input node order."""
+    mean_perm = graph_core.permute(barycentre.sample_mean_adjacency(graphs), result.permutation)
+    basis = soules.best_soules_basis(mean_perm, depth=result.spectrum.M)
+    assert tuple(basis.tree.leaves(depth=result.spectrum.M)) == result.degrees.blocks
+    lap = reference_truncated_laplacian(result.spectrum, basis)
+    mu = reference_reconstruct_barycentre(lap, result.degrees)
+    inv = graph_core.invert_permutation(result.permutation)
+    return graph_core.permute(mu, inv), graph_core.permute(lap, inv)
+
+
 def four_block_spec(c: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)) -> sbm.SbmSpec:
     """The four-community reference model: n=512, uneven blocks, sparse scaling."""
     n = 512
@@ -53,9 +101,10 @@ def four_block_spec(c: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)) -> sbm.SbmSpec:
     return sbm.SbmSpec(block_sizes=(63, 147, 105, 197), p=p, q=2 * logn / n)
 
 
-def _paper_scaled(n: int, M: int) -> sbm.SbmSpec:
+def paper_scaled(n: int, M: int) -> sbm.SbmSpec:
+    """Balanced model with p = 3(log n)^2/n (at most 1) and q = 2 log n/n."""
     logn = np.log(n)
-    return sbm.balanced(n, M, 3 * logn**2 / n, 2 * logn / n)
+    return sbm.balanced(n, M, min(1.0, 3 * logn**2 / n), 2 * logn / n)
 
 
 def _cycle(n: int) -> np.ndarray:
@@ -79,16 +128,16 @@ def _isolate(a: np.ndarray, every: int) -> np.ndarray:
 
 # name -> (adjacency builder, M, whether the Lanczos path applies to it)
 PARTIAL_PATH_CASES = {
-    "sbm_1024": (lambda: sbm.sample(_paper_scaled(1024, 4), (61, 0)), 4, True),
-    "sbm_2048": (lambda: sbm.sample(_paper_scaled(2048, 4), (61, 1)), 4, True),
+    "sbm_1024": (lambda: sbm.sample(paper_scaled(1024, 4), (61, 0)), 4, True),
+    "sbm_2048": (lambda: sbm.sample(paper_scaled(2048, 4), (61, 1)), 4, True),
     "four_block": (lambda: sbm.sample(four_block_spec(), (61, 2)), 4, True),
     # eigenvalue (p - q) / (p + 3q) of multiplicity M - 1 = 3, exactly
     "balanced_population": (lambda: sbm.population_mean(sbm.balanced(1024, 4, 0.5, 0.1)), 4, True),
     # every eigenvalue but the top one doubled; M = 5 ends after a full pair
     "cycle": (lambda: _cycle(512), 5, True),
-    "disconnected": (lambda: np.kron(np.eye(2), sbm.sample(_paper_scaled(512, 2), (61, 3))), 4, False),
-    "isolated_nodes": (lambda: _isolate(sbm.sample(_paper_scaled(1024, 4), (61, 4)), 100), 4, False),
-    "weighted": (lambda: _weighted(sbm.sample(_paper_scaled(1024, 4), (61, 5)), (61, 6)), 4, True),
+    "disconnected": (lambda: np.kron(np.eye(2), sbm.sample(paper_scaled(512, 2), (61, 3))), 4, False),
+    "isolated_nodes": (lambda: _isolate(sbm.sample(paper_scaled(1024, 4), (61, 4)), 100), 4, False),
+    "weighted": (lambda: _weighted(sbm.sample(paper_scaled(1024, 4), (61, 5)), (61, 6)), 4, True),
 }
 
 

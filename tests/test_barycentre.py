@@ -2,6 +2,7 @@
 reconstruction, and the end-to-end pipeline."""
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import four_block_spec, permuted_run_mse
+from helpers import (expand_blocks, four_block_spec, paper_scaled, permuted_run_mse,
+                     reference_barycentre)
 
-from specbary import eigen, graph_core, sbm, soules
+from specbary import eigen, graph_core, ingest, sbm, soules
 from specbary import barycentre as bc
 
 
@@ -91,10 +93,17 @@ def test_regularize_warns_when_head_crosses_bulk(caplog):
     assert any("non-ascending" in record.getMessage() for record in caplog.records)
 
 
+def _laplacian(spectrum: bc.MeanSpectrum, basis: soules.SoulesBasis) -> np.ndarray:
+    # L_hat = I + Z B Z^T from the block matrix B of truncated_laplacian
+    blocks = basis.tree.leaves(depth=spectrum.M)
+    return np.eye(basis.n) + expand_blocks(bc.truncated_laplacian(spectrum, basis), blocks)
+
+
 def test_truncated_laplacian_all_ones_spectrum():
     basis = soules.complete_basis(soules.best_soules_basis(np.eye(6), depth=1))
     spectrum = bc.MeanSpectrum(sample_mean=np.ones(6), M=1, regularized=np.ones(6))
-    assert np.abs(bc.truncated_laplacian(spectrum, basis) - np.eye(6)).max() < 1e-12
+    assert bc.truncated_laplacian(spectrum, basis).shape == (1, 1)
+    assert np.abs(_laplacian(spectrum, basis) - np.eye(6)).max() < 1e-12
 
 
 def test_truncated_laplacian_reproduces_expected_laplacian():
@@ -102,7 +111,7 @@ def test_truncated_laplacian_reproduces_expected_laplacian():
     P = sbm.population_mean(spec)
     basis = soules.complete_basis(soules.best_soules_basis(P, depth=4))
     spectrum = bc.regularize_eigenvalues(sbm.limit_eigenvalues(spec), 4)
-    lap = bc.truncated_laplacian(spectrum, basis)
+    lap = _laplacian(spectrum, basis)
     assert np.abs(lap - sbm.expected_laplacian(spec)).max() < 1e-9
 
 
@@ -114,7 +123,7 @@ def test_truncated_laplacian_annihilates_ones_when_lambda1_zero():
     mean = np.sort(rng.uniform(0.0, 1.0, 10))
     mean[0] = 0.0
     spectrum = bc.regularize_eigenvalues(mean, 3)
-    lap = bc.truncated_laplacian(spectrum, basis)
+    lap = _laplacian(spectrum, basis)
     assert np.linalg.norm(lap @ np.ones(10)) <= 1e-9 * np.sqrt(10)
 
 
@@ -170,23 +179,35 @@ def test_average_node_degrees_match_population():
 
 
 def test_reconstruct_identity_laplacian_gives_zero():
+    # L_hat = I is the zero block matrix
     degrees = bc.BlockDegrees(values=np.array([2.0]), blocks=((1, 4),))
-    assert np.array_equal(bc.reconstruct_barycentre(np.eye(4), degrees), np.zeros((4, 4)))
+    mu_blocks = bc.reconstruct_barycentre(np.zeros((1, 1)), degrees)
+    assert np.array_equal(expand_blocks(mu_blocks, degrees.blocks), np.zeros((4, 4)))
 
 
 def test_reconstruct_population_round_trip():
     spec = sbm.balanced(24, 3, 0.75, 0.15)
     P = sbm.population_mean(spec)
-    lap = sbm.expected_laplacian(spec)
     blocks = ((1, 8), (9, 16), (17, 24))
+    # L - I read at one node per block
+    first = [a - 1 for a, _ in blocks]
+    lap_blocks = (sbm.expected_laplacian(spec) - np.eye(24))[np.ix_(first, first)]
     degrees = bc.average_node_degrees(P, blocks)
-    assert np.abs(bc.reconstruct_barycentre(lap, degrees) - P).max() < 1e-8
+    mu_blocks = bc.reconstruct_barycentre(lap_blocks, degrees)
+    assert np.abs(expand_blocks(mu_blocks, blocks) - P).max() < 1e-8
 
 
 def test_reconstruct_rejects_negative_degree():
     degrees = bc.BlockDegrees(values=np.array([-1.0]), blocks=((1, 3),))
-    with pytest.raises(ValueError):
-        bc.reconstruct_barycentre(np.eye(3), degrees)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bc.reconstruct_barycentre(np.zeros((1, 1)), degrees)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,), (1, 1)])
+def test_reconstruct_rejects_block_matrix_not_matching_degree_blocks(shape):
+    degrees = bc.BlockDegrees(values=np.array([1.0, 2.0]), blocks=((1, 3), (4, 6)))
+    with pytest.raises(ValueError, match="does not match 2 degree blocks"):
+        bc.reconstruct_barycentre(np.zeros(shape), degrees)
 
 
 def test_mse_basics():
@@ -364,3 +385,60 @@ def test_spectrum_head_matches_full_spectrum():
     # an estimated M reads the whole spectrum
     auto = bc.compute_barycentre(graphs, M=None, seed=0).spectrum
     assert auto.M == 4 and np.array_equal(auto.sample_mean, full)
+
+
+def _contact_morning() -> list[np.ndarray]:
+    table = ingest.parse_contacts(io.StringIO(ingest.synthetic_school_day(seed=0)))
+    return ingest.window_graphs(table, ingest.MORNING_START, ingest.MORNING_END,
+                                ingest.MORNING_WIDTH).graphs
+
+
+# name -> (graphs builder, M); None estimates M
+BLOCK_FORM_CASES = {
+    "n2048_M4_T8": (lambda: [sbm.sample(paper_scaled(2048, 4), (97, t)) for t in range(8)], 4),
+    "n2048_M32": (lambda: [sbm.sample(paper_scaled(2048, 32), (97, 8))], 32),
+    "four_block": (lambda: [sbm.sample(four_block_spec(), (97, 9 + t)) for t in range(3)], 4),
+    "contact_day_auto_M": (_contact_morning, None),
+    "M_equals_n": (lambda: [sbm.sample(paper_scaled(32, 32), (97, 12 + t)) for t in range(2)], 32),
+    "empty": (lambda: [np.zeros((60, 60))] * 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_FORM_CASES)
+def test_pipeline_matches_dense_reconstruction(case):
+    build, M = BLOCK_FORM_CASES[case]
+    graphs = build()
+    result = bc.compute_barycentre(graphs, M=M, seed=0)
+    mu, lap = reference_barycentre(graphs, result)
+    assert np.abs(result.mu_hat - mu).max() <= 1e-13
+    assert np.abs(result.laplacian_hat - lap).max() <= 1e-13
+
+
+def test_mu_hat_is_exactly_constant_on_leaf_blocks():
+    graphs = [sbm.sample(paper_scaled(230, 10), (101, t)) for t in range(2)]
+    result = bc.compute_barycentre(graphs, M=10, seed=0)
+    ends = [b for _, b in result.degrees.blocks]
+    leaf = np.searchsorted(ends, result.permutation + 1)
+    for j in range(len(ends)):
+        for k in range(len(ends)):
+            block = result.mu_hat[np.ix_(leaf == j, leaf == k)]
+            assert (block == block.flat[0]).all(), (j, k)
+
+
+@pytest.mark.parametrize("M", [4, None])
+def test_pipeline_permutes_one_matrix(monkeypatch, M):
+    permuted = []
+    real = graph_core.permute
+
+    def spy(a, perm):
+        permuted.append(a.shape)
+        return real(a, perm)
+
+    def inverted(perm):
+        raise AssertionError("invert_permutation called")
+
+    monkeypatch.setattr(graph_core, "permute", spy)
+    monkeypatch.setattr(graph_core, "invert_permutation", inverted)
+    graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(2)]
+    bc.compute_barycentre(graphs, M=M, seed=0)
+    assert permuted == [(512, 512)]

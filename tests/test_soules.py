@@ -257,11 +257,3 @@ def test_complete_basis_extends_and_preserves_prefix():
     assert full.tree.splits[: len(partial.tree.splits)] == partial.tree.splits
     assert np.abs(full.vectors.T @ full.vectors - np.eye(8)).max() < 1e-12
     assert so.complete_basis(full) is full
-
-
-def test_tree_io_round_trip(tmp_path):
-    rng = np.random.default_rng(15)
-    tree = random_complete_tree(rng, 10)
-    path = tmp_path / "tree.json"
-    so.save_tree(tree, path)
-    assert so.load_tree(path, 10) == tree
