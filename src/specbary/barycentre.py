@@ -23,7 +23,6 @@ Stages of compute_barycentre:
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +33,9 @@ from . import alignment, eigen, graph_core, soules
 log = logging.getLogger(__name__)
 
 REGULARIZE_TOL = 1e-9
+
+# elements per strip of mse (512 KB of float64 per strip array)
+_MSE_STRIP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,16 +203,43 @@ def reconstruct_barycentre(lap_blocks: np.ndarray, degrees: BlockDegrees) -> np.
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared entrywise difference, 1/n^2 sum |a_ij - b_ij|^2.
 
-    Summed with math.fsum, which is correctly rounded whatever the entry
-    order, so the value is exactly invariant under simultaneous permutation
-    of both arguments.
+    The sum of squares is exact and rounded once, so the value has the bits
+    of math.fsum over the squares and is exactly invariant under simultaneous
+    permutation of both arguments. The inputs are read in strips; no
+    full-size difference array is made.
+
+    Each square is sig * 2^(e - 1075) for the integer significand sig and
+    exponent field e of its bit pattern (e = 1 for subnormals). Per strip,
+    np.bincount adds the significands per exponent in two halves of at most
+    27 bits, so every float64 partial sum is an exact integer; the bins are
+    joined in one Python integer. As with fsum, the result is nan if any
+    square is nan, else inf if any is inf, and an exact sum past the float
+    range raises OverflowError.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = (a - b).ravel()
-    return math.fsum(diff * diff) / diff.size
+    rows = max(1, _MSE_STRIP // max(1, a[0].size)) if len(a) else 1
+    total = 0  # the exact sum of squares in units of 2^-1075
+    special = 0.0  # the sum of the nan and inf squares
+    for i in range(0, len(a), rows):
+        sq = (a[i : i + rows] - b[i : i + rows]).reshape(-1)
+        np.multiply(sq, sq, out=sq)
+        bits = sq.view(np.uint64)
+        exp = (bits >> np.uint64(52)).astype(np.intp)
+        if exp.max() >= 2047:
+            special += float(sq[exp >= 2047].sum())
+        if special:
+            continue
+        sig = (bits & np.uint64(2**52 - 1)) | ((exp > 0).astype(np.uint64) << np.uint64(52))
+        np.maximum(exp, 1, out=exp)
+        hi = np.bincount(exp, weights=sig >> np.uint64(26), minlength=2047)
+        lo = np.bincount(exp, weights=sig & np.uint64(2**26 - 1), minlength=2047)
+        for e in np.flatnonzero(hi + lo):
+            total += ((int(hi[e]) << 26) + int(lo[e])) << int(e)
+    # int / int rounds correctly and raises OverflowError past the float range
+    return (special if special else total / (1 << 1075)) / a.size
 
 
 def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int = 0) -> BarycentreResult:

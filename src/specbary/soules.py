@@ -19,6 +19,12 @@ import numpy as np
 from . import graph_core
 
 
+# elements per strip of the noise floor's absolute sum (512 KB of float64)
+_ABS_STRIP = 1 << 16
+# rows per strip of a leaf's lower-triangle row sums
+_ROW_STRIP = 64
+
+
 @dataclass(frozen=True)
 class SoulesSplit:
     """One interval split: [i0, i1] divides into [i0, istar] and [istar+1, i1].
@@ -204,6 +210,50 @@ def inner_product_score(s: np.ndarray, split: SoulesSplit) -> float:
     return val * val
 
 
+def _abs_sum(flat: np.ndarray) -> float:
+    """np.abs(flat).sum() of a 1-D array without a full-size temporary.
+
+    numpy sums a contiguous array pairwise: it halves the range at a multiple
+    of 8 until at most 128 values remain. Splitting the same way down to
+    strips keeps that tree, so the result has the same bits.
+    """
+    if flat.size <= _ABS_STRIP:
+        return float(np.abs(flat).sum())
+    half = flat.size // 2
+    half -= half % 8
+    return _abs_sum(flat[:half]) + _abs_sum(flat[half:])
+
+
+def _leaf_best(s: np.ndarray, a: int, b: int, noise_floor: float) -> tuple[float, int]:
+    """The best (score, istar) over the cuts istar = a..b-1 of leaf [a, b].
+
+    Block sums come from the leaf's own rows, read in place: s0b(t) is the
+    cumulative row sum over the leaf's columns, and by symmetry
+    s00(t) = s00(t-1) + 2 sum_{a<=j<t} s[t, j] + s[t, t].
+    """
+    block = s[a - 1 : b, a - 1 : b]
+    L = b - a + 1
+    lower = np.empty(L)
+    for r in range(0, L, _ROW_STRIP):
+        rows = block[r : r + _ROW_STRIP]
+        # the columns left of the strip, then the strict lower triangle inside it
+        lower[r : r + _ROW_STRIP] = (rows[:, :r].sum(axis=1)
+                                     + np.tril(rows[:, r : r + _ROW_STRIP], -1).sum(axis=1))
+    s00 = np.cumsum(2.0 * lower + np.diagonal(block))[:-1]
+    s0b = np.cumsum(block.sum(axis=1))
+    stot = s0b[-1]
+    s0b = s0b[:-1]
+    r0 = np.arange(1.0, L)
+    r1 = L - r0
+    s01 = s0b - s00
+    s11 = stot - s00 - 2.0 * s01
+    val = (r1 / (L * r0)) * s00 + (r0 / (L * r1)) * s11 - (2.0 / L) * s01
+    scores = val * val
+    scores[scores <= noise_floor] = 0.0
+    k = int(np.argmax(scores))
+    return float(scores[k]), a + k
+
+
 def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     """Greedy tree search for the basis best aligned with a symmetric matrix.
 
@@ -213,8 +263,9 @@ def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     Ties go to the smallest i0, then the smallest istar. The search stops once
     depth vectors exist (the constant vector counts as the first).
 
-    Scores are read from a summed-area table of s, so each candidate costs
-    O(1) after the O(n^2) table build.
+    A leaf's block sums are prefix sums over its own rows, read from s in
+    place, so scoring a leaf of length L costs O(L^2) and needs no n x n
+    scratch. Each leaf is scored once, when its parent splits.
 
     Args:
       s: square symmetric matrix, typically a sample mean adjacency.
@@ -232,32 +283,15 @@ def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     if not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
 
-    # sat[i, j] = sum of s[:i, :j]; 1-based block sums become 4-point lookups
-    sat = np.zeros((n + 1, n + 1))
-    np.cumsum(np.cumsum(s, axis=0), axis=1, out=sat[1:, 1:])
-
-    # scores below the rounding noise of the table are treated as exact zeros,
-    # otherwise accumulated-sum jitter would decide ties on structureless input
-    mass = max(1.0, float(np.abs(s).sum()))
+    # scores at the rounding noise of the block sums count as exact zeros,
+    # otherwise summation-order jitter would decide ties on structureless input
+    mass = max(1.0, _abs_sum(s.ravel(order="K")))
     noise_floor = (64.0 * np.finfo(float).eps * mass) ** 2
 
-    def leaf_scores(a: int, b: int) -> np.ndarray:
-        # scores for istar = a..b-1, vectorized over the whole leaf
-        t = np.arange(a, b)
-        L = b - a + 1
-        r0 = t - a + 1.0
-        r1 = b - t + 0.0
-        s00 = sat[t, t] - sat[a - 1, t] - sat[t, a - 1] + sat[a - 1, a - 1]
-        s0b = sat[t, b] - sat[a - 1, b] - sat[t, a - 1] + sat[a - 1, a - 1]
-        stot = sat[b, b] - sat[a - 1, b] - sat[b, a - 1] + sat[a - 1, a - 1]
-        s01 = s0b - s00
-        s11 = stot - s00 - 2.0 * s01
-        val = (r1 / (L * r0)) * s00 + (r0 / (L * r1)) * s11 - (2.0 / L) * s01
-        scores = val * val
-        scores[scores <= noise_floor] = 0.0
-        return scores
-
+    # each leaf is scored once, when it appears; a level rescores only the two
+    # leaves its split creates
     leaves = [(1, n)]
+    scored = {(1, n): _leaf_best(s, 1, n, noise_floor)} if n > 1 else {}
     splits: list[SoulesSplit] = []
     for level in range(1, depth):
         best_score = -1.0
@@ -265,18 +299,21 @@ def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
         for a, b in leaves:
             if b == a:
                 continue
-            scores = leaf_scores(a, b)
-            k = int(np.argmax(scores))
+            score, istar = scored[(a, b)]
             # strict comparison keeps the earliest (i0, istar) on ties
-            if scores[k] > best_score:
-                best_score = float(scores[k])
-                best = (a, b, a + k)
+            if score > best_score:
+                best_score = score
+                best = (a, b, istar)
         if best is None:
             raise ValueError(f"no splittable leaf left at depth {level + 1}")
         a, b, istar = best
         splits.append(SoulesSplit(i0=a, i1=b, istar=istar, level=level))
         ix = leaves.index((a, b))
         leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
+        del scored[(a, b)]
+        for c, d in leaves[ix : ix + 2]:
+            if d > c:
+                scored[(c, d)] = _leaf_best(s, c, d, noise_floor)
 
     return materialize(SoulesTree(n=n, splits=tuple(splits)))
 

@@ -1,6 +1,12 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and the hypothesis profile shared by the test modules."""
 
 import pytest
+from hypothesis import settings
+
+# every property test replays the same examples and has no time limit; a test
+# sets only its own max_examples
+settings.register_profile("specbary", derandomize=True, deadline=None)
+settings.load_profile("specbary")
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
 """Shared test utilities: random Soules trees, pipeline run helpers, the
 n x n truncated Laplacian and reconstruction that the block-form pipeline
-must reproduce, the inputs on which the Lanczos and dense eigensolver paths
-are compared, the broadcast k-means restart that alignment._kmeans_once must
-reproduce, and the per-line contact parser that ingest.parse_contacts must
-reproduce."""
+must reproduce, the summed-area-table split search and the fsum mean squared
+difference that soules._best_soules_basis and barycentre.mse must reproduce,
+the inputs on which the Lanczos and dense eigensolver paths are compared, the
+broadcast k-means restart that alignment._kmeans_once must reproduce, and the
+per-line contact parser that ingest.parse_contacts must reproduce."""
+
+import math
 
 import numpy as np
 
-from specbary import alignment, barycentre, graph_core, ingest, sbm, soules
+from specbary import alignment, barycentre, cli, graph_core, ingest, sbm, soules
 from specbary.soules import SoulesSplit, SoulesTree
 
 
@@ -34,17 +37,10 @@ def random_complete_tree(rng: np.random.Generator, n: int) -> SoulesTree:
 
 
 def permuted_run_mse(spec: sbm.SbmSpec, key: tuple) -> float:
-    """One survey run: sample, relabel randomly, reconstruct, score against P.
-
-    The sample and the permutation get independent streams derived from key;
-    the clustering seed is a third stream so runs are fully reproducible.
-    """
-    a = sbm.sample(spec, key)
-    perm = graph_core.philox((*key, 1)).permutation(spec.n)
-    shuffled = graph_core.permute(a, perm)
-    result = barycentre.compute_barycentre([shuffled], M=spec.M, seed=(*key, 2))
-    mu = graph_core.permute(result.mu_hat, graph_core.invert_permutation(perm))
-    return barycentre.mse(sbm.population_mean(spec), mu)
+    """One survey run as block-sweep scores it: sample from key, relabel
+    from (*key, 1), reconstruct with clustering seed (*key, 2), score
+    against P."""
+    return cli._one_mse_run(spec, spec.M, key, (*key, 2))
 
 
 def expand_blocks(blocks_matrix: np.ndarray, blocks) -> np.ndarray:
@@ -91,6 +87,74 @@ def reference_barycentre(graphs: list[np.ndarray],
     mu = reference_reconstruct_barycentre(lap, result.degrees)
     inv = graph_core.invert_permutation(result.permutation)
     return graph_core.permute(mu, inv), graph_core.permute(lap, inv)
+
+
+def reference_best_soules_basis(s: np.ndarray, depth: int) -> soules.SoulesBasis:
+    """The summed-area-table split search soules._best_soules_basis replaced,
+    on a matrix that graph_core.check_symmetric passed: the reference whose
+    splits the table-free search gives."""
+    n = s.shape[0]
+    if not 1 <= depth <= n:
+        raise ValueError(f"depth {depth} outside 1..{n}")
+
+    # sat[i, j] = sum of s[:i, :j]; 1-based block sums become 4-point lookups
+    sat = np.zeros((n + 1, n + 1))
+    np.cumsum(np.cumsum(s, axis=0), axis=1, out=sat[1:, 1:])
+
+    # scores below the rounding noise of the table are treated as exact zeros,
+    # otherwise accumulated-sum jitter would decide ties on structureless input
+    mass = max(1.0, float(np.abs(s).sum()))
+    noise_floor = (64.0 * np.finfo(float).eps * mass) ** 2
+
+    def leaf_scores(a: int, b: int) -> np.ndarray:
+        # scores for istar = a..b-1, vectorized over the whole leaf
+        t = np.arange(a, b)
+        L = b - a + 1
+        r0 = t - a + 1.0
+        r1 = b - t + 0.0
+        s00 = sat[t, t] - sat[a - 1, t] - sat[t, a - 1] + sat[a - 1, a - 1]
+        s0b = sat[t, b] - sat[a - 1, b] - sat[t, a - 1] + sat[a - 1, a - 1]
+        stot = sat[b, b] - sat[a - 1, b] - sat[b, a - 1] + sat[a - 1, a - 1]
+        s01 = s0b - s00
+        s11 = stot - s00 - 2.0 * s01
+        val = (r1 / (L * r0)) * s00 + (r0 / (L * r1)) * s11 - (2.0 / L) * s01
+        scores = val * val
+        scores[scores <= noise_floor] = 0.0
+        return scores
+
+    leaves = [(1, n)]
+    splits: list[SoulesSplit] = []
+    for level in range(1, depth):
+        best_score = -1.0
+        best = None
+        for a, b in leaves:
+            if b == a:
+                continue
+            scores = leaf_scores(a, b)
+            k = int(np.argmax(scores))
+            # strict comparison keeps the earliest (i0, istar) on ties
+            if scores[k] > best_score:
+                best_score = float(scores[k])
+                best = (a, b, a + k)
+        if best is None:
+            raise ValueError(f"no splittable leaf left at depth {level + 1}")
+        a, b, istar = best
+        splits.append(SoulesSplit(i0=a, i1=b, istar=istar, level=level))
+        ix = leaves.index((a, b))
+        leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
+
+    return soules.materialize(SoulesTree(n=n, splits=tuple(splits)))
+
+
+def reference_mse(a: np.ndarray, b: np.ndarray) -> float:
+    """The n^2-temporary mean squared difference barycentre.mse replaced,
+    summed with math.fsum: the reference whose bits barycentre.mse gives."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    diff = (a - b).ravel()
+    return math.fsum(diff * diff) / diff.size
 
 
 def four_block_spec(c: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)) -> sbm.SbmSpec:

@@ -157,7 +157,7 @@ def test_kmeans_matches_broadcast_reference_on_lattice(monkeypatch, max_iter, no
     assert max(fallback_rows) > 0  # the tie-break ran, not only the product
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     rows=st.integers(1, 24),
     dim=st.integers(1, 4),

@@ -8,12 +8,16 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from helpers import (expand_blocks, four_block_spec, paper_scaled, permuted_run_mse,
-                     reference_barycentre)
+                     reference_barycentre, reference_mse)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbary import eigen, graph_core, ingest, sbm, soules
 from specbary import barycentre as bc
@@ -223,6 +227,78 @@ def test_mse_permutation_invariant():
     a, b = rng.random((6, 6)), rng.random((6, 6))
     perm = rng.permutation(6)
     assert bc.mse(a, b) == bc.mse(graph_core.permute(a, perm), graph_core.permute(b, perm))
+
+
+def _same_bits(x: float, y: float) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes() or (np.isnan(x) and np.isnan(y))
+
+
+# zeros of both signs, subnormals, the edges of the normal range and mixed
+# 1e+-150 magnitudes, whose squares span most of the float range; entries
+# near 1e-160 have subnormal squares
+_MSE_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-320, 2.2250738585072014e-308, 1.0, -1.0]),
+    st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10),
+              st.sampled_from([-160, -155, -150, -75, 0, 75, 150])),
+)
+
+
+@settings(max_examples=500)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6), strip=st.integers(1, 12))
+def test_mse_matches_fsum_reference_bit_for_bit(data, rows, cols, strip):
+    # a few distinct values, reused, so repeated squares share exponent bins
+    pool = data.draw(st.lists(_MSE_ENTRY, min_size=1, max_size=6), label="pool")
+    pick = st.lists(st.integers(0, len(pool) - 1), min_size=rows * cols, max_size=rows * cols)
+    a = np.array(pool)[data.draw(pick, label="a")].reshape(rows, cols)
+    b = np.array(pool)[data.draw(pick, label="b")].reshape(rows, cols)
+    for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf]), max_size=2), label="plant"):
+        a.flat[data.draw(st.integers(0, a.size - 1))] = value
+    # small strips put row boundaries inside these small inputs
+    with mock.patch.object(bc, "_MSE_STRIP", strip):
+        assert _same_bits(bc.mse(a, b), reference_mse(a, b))
+
+
+def test_mse_matches_fsum_reference_across_strips():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((700, 300)) * 10.0 ** rng.choice([-150, -3, 0, 150], (700, 300))
+    b = (rng.random((700, 300)) < 0.1).astype(float)
+    assert _same_bits(bc.mse(a, b), reference_mse(a, b))
+    assert _same_bits(bc.mse(a.ravel(), b.ravel()), reference_mse(a, b))
+    tiny = rng.standard_normal((700, 300)) * 1e-160  # subnormal squares
+    assert _same_bits(bc.mse(tiny, 0 * tiny), reference_mse(tiny, 0 * tiny))
+
+
+def test_mse_non_finite_and_overflowing_sums_follow_fsum():
+    # each row of these is a strip of its own
+    zeros = np.zeros((3, 200_000))
+    nan_late, nan_early, inf_only = zeros.copy(), zeros.copy(), zeros.copy()
+    nan_late[0, 5], nan_late[2, -1] = np.inf, np.nan
+    nan_early[0, 5], nan_early[2, -1] = np.nan, np.inf
+    inf_only[1, 7] = -np.inf
+    for a, expected in ((nan_late, np.nan), (nan_early, np.nan), (inf_only, np.inf)):
+        assert _same_bits(bc.mse(a, zeros), expected)
+        assert _same_bits(reference_mse(a, zeros), expected)
+    # each square is finite, their sum is past the float range
+    big = np.full((2, 2), 1.3e154)
+    with pytest.raises(OverflowError):
+        reference_mse(big, np.zeros((2, 2)))
+    with pytest.raises(OverflowError):
+        bc.mse(big, np.zeros((2, 2)))
+
+
+def test_mse_needs_no_n_by_n_scratch():
+    n = 2048
+    population = sbm.population_mean(paper_scaled(n, 32))
+    sample = sbm.sample(paper_scaled(n, 32), (73, 0))
+    tracemalloc.start()
+    try:
+        value = bc.mse(population, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
+    assert value == reference_mse(population, sample)
 
 
 def test_pipeline_fixed_point_on_population_copies():

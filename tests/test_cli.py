@@ -178,6 +178,35 @@ def test_block_sweep_tolerates_single_node_blocks(tmp_path, caplog):
     assert medians[1].startswith("32,")
 
 
+def test_block_sweep_scores_dense_unshuffled_reconstructions_through_mse(tmp_path, monkeypatch):
+    # the blocks benchmark reads each reconstruction from barycentre.mse's
+    # second argument, so block-sweep must call it through the module attribute
+    calls = []
+    real = barycentre.mse
+
+    def spy(a, b):
+        value = real(a, b)
+        calls.append((np.array(a), np.array(b), value))
+        return value
+
+    monkeypatch.setattr(barycentre, "mse", spy)
+    out = tmp_path / "sweep"
+    assert run("block-sweep", "--n", 256, "--m-list", "2,8", "--seeds", 1, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(calls) == 2  # one per (M, seed)
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    for M, row, (population, mu, value) in zip((2, 8), rows, calls):
+        spec = sbm.balanced(256, M, manifest["p"], manifest["q"])
+        key = (manifest["seed"], 256, M, 0)
+        perm = graph_core.philox((*key, 1)).permutation(256)
+        shuffled = graph_core.permute(sbm.sample(spec, key), perm)
+        result = barycentre.compute_barycentre([shuffled], M=M, seed=(*key, 2))
+        # node i of the sample sits at row perm[i] of the shuffled input
+        assert np.array_equal(mu, result.mu_hat[np.ix_(perm, perm)])
+        assert np.array_equal(population, sbm.population_mean(spec))
+        assert row == f"{M},0,{value}"
+
+
 def test_spectrum_of_empty_graphs_concentrates_at_one(tmp_path):
     src = tmp_path / "src"
     src.mkdir()

@@ -109,7 +109,7 @@ _BAD = {
 }
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(data=st.data(), good=st.lists(_GOOD, max_size=30))
 def test_parse_matches_reference_loop(data, good):
     lines = list(good)

@@ -1,10 +1,17 @@
 """Soules vectors, trees, projectors, synthesis, and the greedy basis search."""
 
+import io
+import tracemalloc
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
-from helpers import random_complete_tree, random_tree
+from helpers import paper_scaled, random_complete_tree, random_tree, reference_best_soules_basis
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specbary import sbm
+from specbary import barycentre, graph_core, ingest, sbm
 from specbary import soules as so
 
 
@@ -247,6 +254,148 @@ def test_best_basis_input_validation():
         so.best_soules_basis(np.array([[0.0, 1.0], [0.5, 0.0]]), depth=2)
     with pytest.raises(ValueError):
         so.best_soules_basis(np.eye(4), depth=5)
+
+
+def _splits(s: np.ndarray, depth: int) -> tuple:
+    return so._best_soules_basis(s, depth).tree.splits
+
+
+def _reference_splits(s: np.ndarray, depth: int) -> tuple:
+    return reference_best_soules_basis(s, depth).tree.splits
+
+
+def _exact_value(s: np.ndarray, split: so.SoulesSplit) -> Fraction:
+    """The split projector's inner product with s (the square root of its
+    score, up to sign) in exact rational arithmetic on the entries of s."""
+    def total(rows, cols):
+        return sum(map(Fraction, s[rows, cols].ravel().tolist()), Fraction(0))
+
+    lo = slice(split.i0 - 1, split.istar)
+    hi = slice(split.istar, split.i1)
+    L = split.i1 - split.i0 + 1
+    r0 = split.istar - split.i0 + 1
+    r1 = split.i1 - split.istar
+    return (Fraction(r1, L * r0) * total(lo, lo) + Fraction(r0, L * r1) * total(hi, hi)
+            - Fraction(2, L) * total(lo, hi))
+
+
+# 263 x 271 and 700 x 301 halve at a length that is not a multiple of 8
+@pytest.mark.parametrize("shape", [(7, 7), (300, 300), (263, 271), (700, 301), (1024, 1029)])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_abs_sum_gives_the_noise_floor_bits_of_numpy(shape, layout):
+    rng = np.random.default_rng(shape[1])
+    s = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    s = {"C": s, "F": np.asfortranarray(s), "strided": s[::2, ::3]}[layout]
+    assert so._abs_sum(s.ravel(order="K")) == float(np.abs(s).sum())
+
+
+@st.composite
+def _eighths_matrix(draw):
+    """Small symmetric matrices on a 1/8 grid: free entries, or planted ties
+    (constant blocks, duplicated rows, the zero matrix, structureless c J + (d - c) I)."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["free", "constant_blocks", "duplicated_rows", "zero",
+                                 "structureless"]))
+    entry = st.integers(-16, 16)
+    if kind == "zero":
+        s = np.zeros((n, n))
+    elif kind == "structureless":
+        # c off the diagonal and d on it: every cut of every leaf ties at (d - c)^2
+        s = np.full((n, n), draw(entry) / 8.0)
+        np.fill_diagonal(s, draw(entry) / 8.0)
+    else:
+        k = draw(st.integers(1, n)) if kind != "free" else n
+        base = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k)), float).reshape(k, k) / 8
+        base = np.triu(base) + np.triu(base, 1).T
+        if kind == "constant_blocks":
+            index = np.sort(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        elif kind == "duplicated_rows":
+            index = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        else:
+            index = np.arange(n)
+        s = base[np.ix_(index, index)]
+    return s, draw(st.integers(1, n))
+
+
+@settings(max_examples=400)
+@given(case=_eighths_matrix())
+def test_split_search_matches_table_reference_on_eighths(case):
+    # entries on a 1/8 grid make every block sum exact in both searches, so
+    # scores agree bit for bit and planted ties are broken the same way
+    s, depth = case
+    assert _splits(s, depth) == _reference_splits(s, depth)
+
+
+def test_split_search_matches_table_reference_on_criterion_04_inputs():
+    # the first split of every two-block configuration criterion 04 checks.
+    # Its entries are not dyadic, so the two searches round differently; they
+    # may pick different cuts only where the exact values lie within the
+    # search's noise scale, 64 eps times the absolute mass
+    grid = np.linspace(0.1, 0.9, 5)
+    combos = [(p0, p1, q) for p0, p1, q in product(grid, grid, grid) if p0 + p1 > 2 * q]
+    flipped = 0
+    for length in range(2, 22):
+        for offset in (0, 3):
+            i0, i1 = 1 + offset, length + offset
+            n = i1 + 2
+            for j in range(i0, i1):
+                for p0, p1, q in combos:
+                    s = np.full((n, n), q)
+                    s[i0 - 1 : j, i0 - 1 : j] = p0
+                    s[j:i1, j:i1] = p1
+                    (new,), (ref,) = _splits(s, 2), _reference_splits(s, 2)
+                    if new != ref:
+                        gap = abs(abs(_exact_value(s, new)) - abs(_exact_value(s, ref)))
+                        assert gap <= 64 * np.finfo(float).eps * np.abs(s).sum(), (s, new, ref)
+                        flipped += 1
+    assert flipped < 300  # 225 near-ties flip out of 23,520 inputs
+
+
+def test_split_search_matches_table_reference_on_criterion_05_inputs():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(411)))
+    for _ in range(50):
+        M = int(rng.integers(2, 9))
+        n = int(rng.integers(4 * M, 257))
+        extra = n - 2 * M
+        cuts = np.sort(rng.integers(0, extra + 1, size=M - 1))
+        sizes = tuple(int(2 + e) for e in np.diff(np.concatenate([[0], cuts, [extra]])))
+        p = tuple(rng.uniform(0.3, 0.9, size=M).tolist())
+        while len(set(p)) < M:
+            p = tuple(rng.uniform(0.3, 0.9, size=M).tolist())
+        spec = sbm.SbmSpec(block_sizes=sizes, p=p, q=float(rng.uniform(0.05, 0.25)))
+        population = sbm.population_mean(spec)
+        assert _splits(population, M) == _reference_splits(population, M)
+
+
+@pytest.mark.parametrize("M,T", [(8, 1), (32, 1), (4, 8)])
+def test_split_search_matches_table_reference_on_sbm_2048(M, T):
+    spec = paper_scaled(2048, M)
+    mean = barycentre.sample_mean_adjacency([sbm.sample(spec, (71, t)) for t in range(T)])
+    assert _splits(mean, M) == _reference_splits(mean, M)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("M", [10, None])
+def test_split_search_matches_table_reference_on_school_mornings(seed, M):
+    table = ingest.parse_contacts(io.StringIO(ingest.synthetic_school_day(seed)))
+    graphs = ingest.window_graphs(table, ingest.MORNING_START, ingest.MORNING_END,
+                                  ingest.MORNING_WIDTH).graphs
+    result = barycentre.compute_barycentre(graphs, M=M)
+    mean_perm = graph_core.permute(barycentre.sample_mean_adjacency(graphs), result.permutation)
+    depth = result.spectrum.M
+    assert _splits(mean_perm, depth) == _reference_splits(mean_perm, depth)
+
+
+def test_split_search_needs_no_n_by_n_scratch():
+    n = 2048
+    s = graph_core.check_symmetric(sbm.sample(paper_scaled(n, 32), (72, 0)))
+    tracemalloc.start()
+    try:
+        so._best_soules_basis(s, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
 
 
 def test_complete_basis_extends_and_preserves_prefix():
