@@ -265,7 +265,7 @@ def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
 
     A leaf's block sums are prefix sums over its own rows, read from s in
     place, so scoring a leaf of length L costs O(L^2) and needs no n x n
-    scratch. Each leaf is scored once, when its parent splits.
+    scratch. Each leaf is scored once.
 
     Args:
       s: square symmetric matrix, typically a sample mean adjacency.
@@ -288,10 +288,10 @@ def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     mass = max(1.0, _abs_sum(s.ravel(order="K")))
     noise_floor = (64.0 * np.finfo(float).eps * mass) ** 2
 
-    # each leaf is scored once, when it appears; a level rescores only the two
-    # leaves its split creates
+    # each leaf is scored once, at the first level that considers it; a level
+    # scores only the two leaves the previous split created
     leaves = [(1, n)]
-    scored = {(1, n): _leaf_best(s, 1, n, noise_floor)} if n > 1 else {}
+    scored: dict[tuple[int, int], tuple[float, int]] = {}
     splits: list[SoulesSplit] = []
     for level in range(1, depth):
         best_score = -1.0
@@ -299,6 +299,8 @@ def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
         for a, b in leaves:
             if b == a:
                 continue
+            if (a, b) not in scored:
+                scored[(a, b)] = _leaf_best(s, a, b, noise_floor)
             score, istar = scored[(a, b)]
             # strict comparison keeps the earliest (i0, istar) on ties
             if score > best_score:
@@ -310,10 +312,6 @@ def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
         splits.append(SoulesSplit(i0=a, i1=b, istar=istar, level=level))
         ix = leaves.index((a, b))
         leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
-        del scored[(a, b)]
-        for c, d in leaves[ix : ix + 2]:
-            if d > c:
-                scored[(c, d)] = _leaf_best(s, c, d, noise_floor)
 
     return materialize(SoulesTree(n=n, splits=tuple(splits)))
 
