@@ -4,138 +4,6 @@ The package estimates a representative graph for a collection of graphs
 that share a block layout: average the normalized-Laplacian spectra, fit a
 structured eigenbasis to the mean adjacency matrix, and reassemble an
 adjacency-scale barycentre from the truncated spectrum and block degrees.
+
+The package exports its modules only: ``from specbary import barycentre``.
 """
-
-from .alignment import (
-    ClusterAssignment,
-    ClusteringError,
-    canonical_permutation,
-    cluster_nodes,
-    estimate_M,
-    spectral_embed,
-)
-from .barycentre import (
-    BarycentreResult,
-    BlockDegrees,
-    MeanSpectrum,
-    average_node_degrees,
-    compute_barycentre,
-    estimate_block_degrees,
-    mse,
-    reconstruct_barycentre,
-    regularize_eigenvalues,
-    sample_mean_adjacency,
-    sample_mean_eigenvalues,
-    truncated_laplacian,
-    write_result,
-)
-from .eigen import SpectralSummary, sym_eig, sym_eig_values, top_eigenpairs, top_eigenvalues
-from .graph_core import (
-    check_adjacency,
-    degrees,
-    invert_permutation,
-    load_matrix,
-    normalized_adjacency,
-    normalized_laplacian,
-    permute,
-    save_matrix,
-    spectral_distance,
-)
-from .ingest import (
-    ContactTable,
-    ParseError,
-    SnapshotSeries,
-    load_contacts,
-    parse_contacts,
-    synthetic_school_day,
-    window_graphs,
-)
-from .sbm import (
-    SbmSpec,
-    balanced,
-    expected_degrees,
-    expected_laplacian,
-    limit_eigenvalues,
-    load_spec,
-    population_mean,
-    sample,
-    sample_ensemble,
-    save_spec,
-)
-from .soules import (
-    SoulesBasis,
-    SoulesSplit,
-    SoulesTree,
-    best_soules_basis,
-    build_vector,
-    complete_basis,
-    cumulative_projector,
-    materialize,
-    rank_one_projection,
-    synthesize_symmetric,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BarycentreResult",
-    "BlockDegrees",
-    "ClusterAssignment",
-    "ClusteringError",
-    "ContactTable",
-    "MeanSpectrum",
-    "ParseError",
-    "SbmSpec",
-    "SnapshotSeries",
-    "SoulesBasis",
-    "SoulesSplit",
-    "SoulesTree",
-    "SpectralSummary",
-    "average_node_degrees",
-    "balanced",
-    "best_soules_basis",
-    "build_vector",
-    "canonical_permutation",
-    "check_adjacency",
-    "cluster_nodes",
-    "complete_basis",
-    "compute_barycentre",
-    "cumulative_projector",
-    "degrees",
-    "estimate_M",
-    "estimate_block_degrees",
-    "expected_degrees",
-    "expected_laplacian",
-    "invert_permutation",
-    "limit_eigenvalues",
-    "load_contacts",
-    "load_matrix",
-    "load_spec",
-    "materialize",
-    "mse",
-    "normalized_adjacency",
-    "normalized_laplacian",
-    "parse_contacts",
-    "permute",
-    "population_mean",
-    "rank_one_projection",
-    "reconstruct_barycentre",
-    "regularize_eigenvalues",
-    "sample",
-    "sample_ensemble",
-    "sample_mean_adjacency",
-    "sample_mean_eigenvalues",
-    "save_matrix",
-    "save_spec",
-    "spectral_distance",
-    "spectral_embed",
-    "sym_eig",
-    "sym_eig_values",
-    "synthesize_symmetric",
-    "synthetic_school_day",
-    "top_eigenpairs",
-    "top_eigenvalues",
-    "truncated_laplacian",
-    "window_graphs",
-    "write_result",
-]

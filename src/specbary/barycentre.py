@@ -259,7 +259,7 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     mean_adj = sample_mean_adjacency(graphs)
     n = mean_adj.shape[0]
     if M is None:
-        spectra = [eigen._sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs]
+        spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(g)) for g in graphs]
         mean_vals = sample_mean_eigenvalues(spectra)
         M = alignment.estimate_M(mean_vals)
         log.info("estimated M=%d from the mean spectrum", M)

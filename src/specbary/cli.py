@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import alignment, barycentre, eigen, graph_core, ingest, sbm
+from . import alignment, barycentre, graph_core, ingest, sbm
 
 log = logging.getLogger("specbary")
 
@@ -34,19 +34,24 @@ def _load_graph_dir(in_dir: Path):
     """Graphs plus optional ground truth from a manifest, or a bare CSV glob."""
     manifest_path = in_dir / "manifest.json"
     population = None
-    permutations = None
+    perm_paths = []
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
         graph_paths = [in_dir / p for p in manifest["graphs"]]
         if manifest.get("population"):
             population = graph_core.load_matrix(in_dir / manifest["population"])
-        if manifest.get("permutations"):
-            permutations = [graph_core.load_permutation(in_dir / p) for p in manifest["permutations"]]
+        perm_paths = [in_dir / p for p in manifest.get("permutations") or ()]
     else:
         graph_paths = sorted(in_dir.glob("*.csv"))
     if not graph_paths:
         raise ValueError(f"no graph CSVs found in {in_dir}")
     graphs = [graph_core.load_matrix(p) for p in graph_paths]
+    permutations = [graph_core.load_permutation(p) for p in perm_paths]
+    # cmd_barycentre un-permutes by a gather, which checks no length
+    n = len(graphs[0])
+    for path, perm in zip(perm_paths, permutations):
+        if len(perm) != n:
+            raise ValueError(f"{path}: permutation of {len(perm)} nodes, graphs have {n}")
     return graphs, population, permutations
 
 
@@ -102,7 +107,7 @@ def cmd_barycentre(args) -> None:
         else:
             mu = result.mu_hat
             if permutations:
-                mu = graph_core.permute(mu, graph_core.invert_permutation(permutations[0]))
+                mu = mu[np.ix_(permutations[0], permutations[0])]
             extra["mse"] = barycentre.mse(population, mu)
             log.info("mse against population: %.6e", extra["mse"])
 
@@ -136,7 +141,7 @@ def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tupl
     perm = graph_core.philox((*sample_key, 1)).permutation(spec.n)
     shuffled = graph_core.permute(a, perm)
     result = barycentre.compute_barycentre([shuffled], M=M, seed=cluster_key)
-    mu = graph_core.permute(result.mu_hat, graph_core.invert_permutation(perm))
+    mu = result.mu_hat[np.ix_(perm, perm)]
     return barycentre.mse(sbm.population_mean(spec), mu)
 
 
@@ -227,7 +232,7 @@ def cmd_spectrum(args) -> None:
     graphs, _, _ = _load_graph_dir(Path(args.in_dir))
     # one check per input graph, as in compute_barycentre
     pooled = np.concatenate([
-        eigen._sym_eig_values(graph_core.normalized_laplacian(graph_core.check_adjacency(g)))
+        np.linalg.eigvalsh(graph_core.normalized_laplacian(graph_core.check_adjacency(g)))
         for g in graphs
     ])
     counts, edges = np.histogram(np.clip(pooled, 0.0, 2.0), bins=args.bins, range=(0.0, 2.0))

@@ -9,9 +9,11 @@ On large connected inputs they run Lanczos (scipy's ARPACK) from a fixed
 Philox start vector; everywhere else, and whenever Lanczos does not
 converge, they fall back to the dense solvers.
 
-Each public function checks its argument with graph_core.check_symmetric and
-then runs a private body; compute_barycentre and the spectrum command call
-the bodies directly, on matrices derived from input graphs they have checked.
+Each public function checks its argument with graph_core.check_symmetric.
+compute_barycentre calls the private bodies of top_eigenvalues and
+top_eigenpairs directly, on matrices derived from input graphs it has
+checked; for a full spectrum of such a matrix it and the spectrum command
+call np.linalg.eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -66,11 +68,7 @@ def sym_eig(s: np.ndarray) -> SpectralSummary:
 
 def sym_eig_values(s: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues only; cheaper when vectors are not needed."""
-    return _sym_eig_values(graph_core.check_symmetric(s))
-
-
-def _sym_eig_values(s: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(s)
+    return np.linalg.eigvalsh(graph_core.check_symmetric(s))
 
 
 def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -17,16 +17,16 @@ _SYMMETRY_STRIP = 64
 
 
 def check_symmetric(s: np.ndarray) -> np.ndarray:
-    """Validate a symmetric matrix: square, finite, and |s - s^T| at most
-    SYMMETRY_RTOL * max(1, largest |entry|).
+    """Validate a symmetric matrix: square, non-empty, finite, and |s - s^T|
+    at most SYMMETRY_RTOL * max(1, largest |entry|).
 
     Returns the input as a float64 array. This is the package's one symmetry
     check; the pipeline runs it once per input graph and never on matrices it
     derives from checked ones.
     """
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {s.shape}")
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
+        raise ValueError(f"expected a non-empty square matrix, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
     tol = SYMMETRY_RTOL * max(1.0, float(s.max()), -float(s.min()))
@@ -91,7 +91,8 @@ def spectral_distance(la: np.ndarray, lb: np.ndarray) -> float:
 def permute(a: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Relabel nodes so node i moves to position perm[i].
 
-    result[perm[i], perm[j]] == a[i, j].
+    result[perm[i], perm[j]] == a[i, j], so the gather
+    result[np.ix_(perm, perm)] gives a back.
     """
     a = np.asarray(a)
     perm = np.asarray(perm)
@@ -101,11 +102,6 @@ def permute(a: np.ndarray, perm: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[np.ix_(perm, perm)] = a
     return out
-
-
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    """Inverse permutation: invert_permutation(perm)[perm[i]] == i."""
-    return np.argsort(np.asarray(perm))
 
 
 def philox(key) -> np.random.Generator:

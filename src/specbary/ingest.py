@@ -74,10 +74,6 @@ class SnapshotSeries:
     graphs: list[np.ndarray]
     window_bounds: tuple[tuple[int, int], ...]
 
-    @property
-    def node_index(self) -> dict[int, int]:
-        return {v: k for k, v in enumerate(self.node_ids)}
-
 
 def parse_contacts(stream) -> ContactTable:
     """Parse an iterable of text lines into a contact table, in input order.

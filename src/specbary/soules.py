@@ -45,6 +45,19 @@ class SoulesSplit:
             raise ValueError(f"split level must be >= 1, got {self.level}")
 
 
+def _replay(n: int, splits: tuple[SoulesSplit, ...]) -> set[tuple[int, int]]:
+    """The leaves of [1, n] after the splits in order; raises ValueError when
+    a split does not divide a current leaf."""
+    leaves = {(1, n)}
+    for s in splits:
+        if (s.i0, s.i1) not in leaves:
+            raise ValueError(f"split ({s.i0}, {s.i1}) does not match a current leaf")
+        leaves.remove((s.i0, s.i1))
+        leaves.add((s.i0, s.istar))
+        leaves.add((s.istar + 1, s.i1))
+    return leaves
+
+
 @dataclass(frozen=True)
 class SoulesTree:
     """An ordered sequence of splits of [1, n]."""
@@ -56,14 +69,7 @@ class SoulesTree:
         object.__setattr__(self, "splits", tuple(self.splits))
         if self.n < 1:
             raise ValueError("tree needs n >= 1")
-        # replay the splits to confirm each one divides a current leaf
-        leaves = {(1, self.n)}
-        for s in self.splits:
-            if (s.i0, s.i1) not in leaves:
-                raise ValueError(f"split ({s.i0}, {s.i1}) does not match a current leaf")
-            leaves.remove((s.i0, s.i1))
-            leaves.add((s.i0, s.istar))
-            leaves.add((s.istar + 1, s.i1))
+        _replay(self.n, self.splits)
 
     def leaves(self, depth: int | None = None) -> list[tuple[int, int]]:
         """Interval partition of [1, n] after the first depth-1 splits.
@@ -74,12 +80,7 @@ class SoulesTree:
         k = len(self.splits) if depth is None else depth - 1
         if not 0 <= k <= len(self.splits):
             raise ValueError(f"depth {depth} outside 1..{len(self.splits) + 1}")
-        leaves = {(1, self.n)}
-        for s in self.splits[:k]:
-            leaves.remove((s.i0, s.i1))
-            leaves.add((s.i0, s.istar))
-            leaves.add((s.istar + 1, s.i1))
-        return sorted(leaves)
+        return sorted(_replay(self.n, self.splits[:k]))
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,6 @@ class SoulesBasis:
     @property
     def is_complete(self) -> bool:
         return self.K == self.n
-
-
-def constant_vector(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / np.sqrt(n))
 
 
 def build_vector(n: int, split: SoulesSplit) -> np.ndarray:
@@ -151,7 +148,7 @@ def materialize(tree: SoulesTree, depth: int | None = None) -> SoulesBasis:
     if not 1 <= k <= len(tree.splits) + 1:
         raise ValueError(f"depth {depth} outside 1..{len(tree.splits) + 1}")
     vecs = np.empty((tree.n, k))
-    vecs[:, 0] = constant_vector(tree.n)
+    vecs[:, 0] = 1.0 / np.sqrt(tree.n)
     for j, split in enumerate(tree.splits[: k - 1]):
         vecs[:, j + 1] = build_vector(tree.n, split)
     sub = SoulesTree(n=tree.n, splits=tree.splits[: k - 1])
@@ -334,6 +331,5 @@ def complete_basis(basis: SoulesBasis) -> SoulesBasis:
         level += 1
         ix = leaves.index((a, b))
         leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
-        leaves.sort()
     return materialize(SoulesTree(n=basis.n, splits=tuple(splits)))
 

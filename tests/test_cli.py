@@ -110,6 +110,20 @@ def test_barycentre_rejects_permutation_file_with_repeated_node(tmp_path, spec_f
     assert run("barycentre", "--in", src, "--M", 2, "--out", tmp_path / "o") == 3
 
 
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_barycentre_rejects_permutation_of_another_size(tmp_path, spec_file, caplog, extra):
+    # a valid permutation of n + 1 or n - 1 nodes, for graphs of n = 16
+    src = tmp_path / "src"
+    assert run("sample", "--spec", spec_file, "--T", 2, "--seed", 3, "--out", src) == 0
+    perm = graph_core.philox(9).permutation(16 + extra)
+    for name in json.loads((src / "manifest.json").read_text())["permutations"]:
+        graph_core.save_permutation(perm, src / name)
+    with caplog.at_level(logging.ERROR, logger="specbary"):
+        assert run("barycentre", "--in", src, "--M", 2, "--out", tmp_path / "o") == 3
+    (message,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert "permutation_000.csv" in message and f"permutation of {16 + extra} nodes" in message
+
 def test_barycentre_mixed_sizes_is_data_error(tmp_path):
     src = tmp_path / "src"
     src.mkdir()

@@ -172,7 +172,6 @@ def test_window_node_set_fixed_across_series():
     assert series.node_ids == (2, 4, 9)
     assert all(type(v) is int for v in series.node_ids)
     assert all(g.shape == (3, 3) for g in series.graphs)
-    assert series.node_index == {2: 0, 4: 1, 9: 2}
 
 
 def test_window_matrices_are_simple_graphs():
