@@ -94,7 +94,8 @@ def sample_mean_adjacency(graphs: list[np.ndarray]) -> np.ndarray:
         if g.shape != first.shape:
             raise ValueError(f"graph sizes differ: {g.shape} vs {first.shape}")
         acc += g
-    return acc / len(graphs)
+    acc /= len(graphs)
+    return acc
 
 
 def sample_mean_eigenvalues(spectra: list[np.ndarray]) -> np.ndarray:
@@ -270,11 +271,12 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
         # largest of the normalized adjacency
         k = min(M + 1, n)
         mean_vals = sample_mean_eigenvalues(
-            [1.0 - eigen._top_eigenvalues(graph_core.normalized_adjacency(g), k) for g in graphs])
+            [1.0 - eigen._top_eigenvalues(g, k, graph_core.degrees(g)) for g in graphs])
 
-    # alignment.spectral_embed, without re-checking the derived normalized mean
-    embedding = eigen._top_eigenpairs(graph_core.normalized_adjacency(mean_adj), M).vectors
-    assignment = alignment.cluster_nodes(embedding, M, seed, degrees=graph_core.degrees(mean_adj))
+    # alignment.spectral_embed of the normalized mean, without re-checking it
+    mean_deg = graph_core.degrees(mean_adj)
+    embedding = eigen._top_eigenpairs(mean_adj, M, mean_deg).vectors
+    assignment = alignment.cluster_nodes(embedding, M, seed, degrees=mean_deg)
     perm = alignment.canonical_permutation(assignment)
     mean_perm = graph_core.permute(mean_adj, perm)
 

@@ -9,11 +9,15 @@ On large connected inputs they run Lanczos (scipy's ARPACK) from a fixed
 Philox start vector; everywhere else, and whenever Lanczos does not
 converge, they fall back to the dense solvers.
 
-Each public function checks its argument with graph_core.check_symmetric.
+Each public function checks its argument with graph_core.check_symmetric,
+and Lanczos reads it through scipy's dense to CSR conversion.
 compute_barycentre calls the private bodies of top_eigenvalues and
-top_eigenpairs directly, on matrices derived from input graphs it has
-checked; for a full spectrum of such a matrix it and the spectrum command
-call np.linalg.eigvalsh.
+top_eigenpairs directly, on input graphs it has checked and their mean,
+with their degrees: the bodies then find eigenpairs of the normalized
+adjacency. Lanczos reads it as CSR arrays built from the graph's nonzeros
+(graph_core.normalized_adjacency_csr); the dense normalized matrix is built
+only when the dense solver runs. For a full spectrum of a checked graph
+compute_barycentre and the spectrum command call np.linalg.eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -71,12 +75,16 @@ def sym_eig_values(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(graph_core.check_symmetric(s))
 
 
-def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The k largest eigenpairs of s by Lanczos, largest first, or None when
-    the dense path must be used instead.
+def _lanczos_top(s: np.ndarray, k: int, d: np.ndarray | None):
+    """The k largest eigenpairs by Lanczos, largest first, or None when the
+    dense path must be used instead.
 
-    Lanczos runs only when n >= 512, k <= n / 32 and the nonzero pattern of s
-    is connected. A disconnected pattern (isolated nodes included) gives the
+    With degrees d, s is an adjacency matrix and the eigenpairs are those of
+    its normalized adjacency, read from the CSR arrays of
+    graph_core.normalized_adjacency_csr; without, they are those of s.
+
+    Lanczos runs only when n >= 512, k <= n / 32 and the nonzero pattern is
+    connected. A disconnected pattern (isolated nodes included) gives the
     top eigenvalue of a normalized adjacency one copy per component, which
     one Krylov sequence may miss.
     """
@@ -88,7 +96,8 @@ def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     from scipy.sparse import csgraph
     from scipy.sparse import linalg as splinalg
 
-    a = sparse.csr_matrix(s)
+    a = sparse.csr_matrix(s if d is None else graph_core.normalized_adjacency_csr(s, d),
+                          shape=(n, n))
     if csgraph.connected_components(a, directed=False, return_labels=False) > 1:
         return None
     # one fixed stream for the start vector and for any restart vector ARPACK
@@ -101,6 +110,10 @@ def _lanczos_top(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
+
+
+def _dense(s: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+    return s if d is None else graph_core.normalized_adjacency(s, d)
 
 
 def _check_k(s: np.ndarray, k: int) -> np.ndarray:
@@ -119,10 +132,11 @@ def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
     return _top_eigenvalues(_check_k(s, k), k)
 
 
-def _top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
-    top = _lanczos_top(s, k)
+def _top_eigenvalues(s: np.ndarray, k: int, d: np.ndarray | None = None) -> np.ndarray:
+    # with degrees d, of the normalized adjacency of s (see _lanczos_top)
+    top = _lanczos_top(s, k, d)
     if top is None:
-        return np.linalg.eigvalsh(s)[::-1][:k].copy()
+        return np.linalg.eigvalsh(_dense(s, d))[::-1][:k].copy()
     return top[0]
 
 
@@ -136,10 +150,11 @@ def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
     return _top_eigenpairs(_check_k(s, k), k)
 
 
-def _top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
-    top = _lanczos_top(s, k)
+def _top_eigenpairs(s: np.ndarray, k: int, d: np.ndarray | None = None) -> SpectralSummary:
+    # with degrees d, of the normalized adjacency of s (see _lanczos_top)
+    top = _lanczos_top(s, k, d)
     if top is None:
-        values, vectors = np.linalg.eigh(s)
+        values, vectors = np.linalg.eigh(_dense(s, d))
         return SpectralSummary(values=values[::-1][:k].copy(),
                                vectors=_fix_signs(vectors[:, ::-1][:, :k]))
     values, vectors = top

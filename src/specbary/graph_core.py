@@ -1,9 +1,11 @@
 """Core graph matrix operations: input validation, degrees, normalized
 adjacency and Laplacian, spectral pseudo-distance, permutations, seeded
 random streams, and plain-text matrix and permutation I/O. 0/1 matrices are
-written as a byte table, every other matrix through np.savetxt.
+written and read as a byte table, every other matrix through np.savetxt and
+np.loadtxt.
 
-All matrices are dense numpy arrays of float64, nodes indexed by row 0..n-1.
+All matrices are dense numpy arrays of float64, nodes indexed by row 0..n-1;
+only normalized_adjacency_csr returns the CSR arrays of one.
 """
 
 from pathlib import Path
@@ -11,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 SYMMETRY_RTOL = 1e-12
-# rows per strip of the symmetry comparison; a 64-row strip of a 2048-node
-# graph is 1 MB, so the strip and its transposed partner stay in cache
-_SYMMETRY_STRIP = 64
+# side of the square tiles of the symmetry comparison; a 128 x 128 tile and
+# its transposed partner take 256 KB, so both stay in cache
+_SYMMETRY_TILE = 128
 
 
 def check_symmetric(s: np.ndarray) -> np.ndarray:
@@ -30,13 +32,13 @@ def check_symmetric(s: np.ndarray) -> np.ndarray:
     if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
     tol = SYMMETRY_RTOL * max(1.0, float(s.max()), -float(s.min()))
-    # |s_ij - s_ji| is symmetric in (i, j), so the upper triangle decides;
-    # each strip of rows is compared with the matching strip of columns
-    n = s.shape[0]
-    for i in range(0, n, _SYMMETRY_STRIP):
-        j = i + _SYMMETRY_STRIP
-        if np.abs(s[i:j, i:] - s[i:, i:j].T).max() > tol:
-            raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
+    # |s_ij - s_ji| is symmetric in (i, j), so the tiles on and above the
+    # diagonal decide; tile (I, J) is compared with the transpose of (J, I)
+    n, t = s.shape[0], _SYMMETRY_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            if np.abs(s[i : i + t, j : j + t] - s[j : j + t, i : i + t].T).max() > tol:
+                raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
     return s
 
 
@@ -57,14 +59,48 @@ def degrees(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float).sum(axis=1)
 
 
-def normalized_adjacency(a: np.ndarray) -> np.ndarray:
-    """a_ij / sqrt(d_i d_j), with rows and columns of zero-degree nodes left 0."""
-    a = np.asarray(a, dtype=float)
-    d = degrees(a)
-    inv_sqrt = np.zeros_like(d)
+def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
+    # 1 / sqrt(d_i), and 0 for zero-degree nodes
+    r = np.zeros_like(d)
     pos = d > 0
-    inv_sqrt[pos] = 1.0 / np.sqrt(d[pos])
-    return a * np.outer(inv_sqrt, inv_sqrt)
+    r[pos] = 1.0 / np.sqrt(d[pos])
+    return r
+
+
+def normalized_adjacency(a: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """a_ij / sqrt(d_i d_j), with rows and columns of zero-degree nodes left 0.
+
+    d defaults to degrees(a); pass it when the row sums are already known.
+    """
+    a = np.asarray(a, dtype=float)
+    r = _inverse_sqrt(degrees(a) if d is None else d)
+    return a * np.outer(r, r)
+
+
+def normalized_adjacency_csr(a: np.ndarray, d: np.ndarray):
+    """The normalized adjacency of a, with degrees d, as CSR arrays
+    (data, indices, indptr).
+
+    They are the arrays of scipy's csr_matrix(normalized_adjacency(a, d)),
+    bit for bit, built from the nonzeros of a without an n x n float64
+    temporary: each kept entry is a_ij * (r_i * r_j) with r_i = 1 / sqrt(d_i),
+    the product the dense matrix holds, and entries that round to 0 are dropped as the dense to
+    sparse conversion drops them. Uses numpy only.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    r = _inverse_sqrt(d)
+    # flatnonzero of a bool array is several times faster than nonzero of a
+    # float64 one; divmod splits the flat indices into rows and columns
+    flat = np.flatnonzero(a != 0)
+    rows, cols = np.divmod(flat, n)
+    data = a.take(flat) * (r[rows] * r[cols])
+    kept = data != 0
+    if not kept.all():
+        rows, cols, data = rows[kept], cols[kept], data[kept]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return data, cols, indptr
 
 
 def normalized_laplacian(a: np.ndarray) -> np.ndarray:
@@ -135,9 +171,32 @@ def save_matrix(a: np.ndarray, path: str | Path) -> None:
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
-    """Read a matrix written by save_matrix."""
+    """Read a matrix written by save_matrix.
+
+    A file that is exactly save_matrix's byte table of 0/1 digits is read
+    as bytes; every other file (gzipped, CRLF line ends, no final newline,
+    ragged rows, other tokens) goes through np.loadtxt.
+    """
+    if not str(path).endswith(".gz"):
+        table = _zero_one_table(Path(path).read_bytes())
+        if table is not None:
+            return (table[:, 0::2] == ord("1")).astype(float)
     m = np.loadtxt(path, delimiter=",", ndmin=2)
     return np.asarray(m, dtype=float)
+
+
+def _zero_one_table(raw: bytes) -> np.ndarray | None:
+    # rows of equal width: a 0/1 digit at even offsets, a comma at odd ones,
+    # and a newline last
+    width = raw.find(b"\n") + 1
+    if not width or width % 2 or len(raw) % width:
+        return None
+    table = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    digits = table[:, 0::2]
+    if ((table[:, 1:-1:2] == ord(",")).all() and (table[:, -1] == ord("\n")).all()
+            and ((digits == ord("0")) | (digits == ord("1"))).all()):
+        return table
+    return None
 
 
 def save_permutation(perm: np.ndarray, path: str | Path) -> None:

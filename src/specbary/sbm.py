@@ -13,6 +13,9 @@ import numpy as np
 
 from . import graph_core
 
+# uniforms per row strip of sample (1 MB of float64)
+_SAMPLE_STRIP = 1 << 17
+
 
 @dataclass(frozen=True)
 class SbmSpec:
@@ -131,12 +134,23 @@ def limit_eigenvalues(spec: SbmSpec) -> np.ndarray:
 
 def sample(spec: SbmSpec, seed) -> np.ndarray:
     """One adjacency matrix: upper-triangle Bernoulli draws from P, symmetrized,
-    zero diagonal."""
+    zero diagonal.
+
+    Node pair (i, j) is an edge when the (i, j) uniform of one row-major
+    n x n draw lies below P_ij. The draw is taken in row strips, which
+    consume the stream in the same order, and each strip is compared with its
+    rows of P, so no n x n float64 array is made but the result.
+    """
     n = spec.n
-    P = population_mean(spec)
+    labels = np.repeat(np.arange(spec.M), spec.block_sizes)
+    block_p = np.full((spec.M, spec.M), spec.q)
+    np.fill_diagonal(block_p, spec.p)
     rng = graph_core.philox(seed)
-    u = rng.random((n, n))
-    upper = np.triu(u < P, k=1)
+    rows = max(1, _SAMPLE_STRIP // n)
+    upper = np.empty((n, n), dtype=bool)
+    for i in range(0, n, rows):
+        strip = rng.random((min(rows, n - i), n)) < block_p[np.ix_(labels[i : i + rows], labels)]
+        upper[i : i + rows] = np.triu(strip, k=i + 1)
     return (upper | upper.T).astype(float)
 
 

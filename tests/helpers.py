@@ -3,14 +3,17 @@ n x n truncated Laplacian and reconstruction that the block-form pipeline
 must reproduce, the summed-area-table split search and the fsum mean squared
 difference that soules._best_soules_basis and barycentre.mse must reproduce,
 the inputs on which the Lanczos and dense eigensolver paths are compared, the
-broadcast k-means restart that alignment._kmeans_once must reproduce, and the
-per-line contact parser that ingest.parse_contacts must reproduce."""
+dense-built normalized adjacencies whose spectrum heads and embedding the
+pipeline must reproduce, the whole-matrix symmetry decision and the full-draw
+SBM sampler that graph_core.check_symmetric and sbm.sample must reproduce,
+the broadcast k-means restart that alignment._kmeans_once must reproduce, and
+the per-line contact parser that ingest.parse_contacts must reproduce."""
 
 import math
 
 import numpy as np
 
-from specbary import alignment, barycentre, cli, graph_core, ingest, sbm, soules
+from specbary import alignment, barycentre, cli, eigen, graph_core, ingest, sbm, soules
 from specbary.soules import SoulesSplit, SoulesTree
 
 
@@ -190,6 +193,14 @@ def _isolate(a: np.ndarray, every: int) -> np.ndarray:
     return a * np.outer(keep, keep)
 
 
+def _underflow(a: np.ndarray) -> np.ndarray:
+    # the smallest subnormal weight on one edge: its normalized entry, that
+    # weight times 1 / sqrt(d_i d_j) < 1, rounds to 0
+    i, j = np.argwhere(np.triu(a, 1))[0]
+    a[i, j] = a[j, i] = 5e-324
+    return a
+
+
 # name -> (adjacency builder, M, whether the Lanczos path applies to it)
 PARTIAL_PATH_CASES = {
     "sbm_1024": (lambda: sbm.sample(paper_scaled(1024, 4), (61, 0)), 4, True),
@@ -202,6 +213,8 @@ PARTIAL_PATH_CASES = {
     "disconnected": (lambda: np.kron(np.eye(2), sbm.sample(paper_scaled(512, 2), (61, 3))), 4, False),
     "isolated_nodes": (lambda: _isolate(sbm.sample(paper_scaled(1024, 4), (61, 4)), 100), 4, False),
     "weighted": (lambda: _weighted(sbm.sample(paper_scaled(1024, 4), (61, 5)), (61, 6)), 4, True),
+    "weighted_underflow": (
+        lambda: _underflow(_weighted(sbm.sample(paper_scaled(1024, 4), (61, 7)), (61, 8))), 4, True),
 }
 
 
@@ -209,6 +222,34 @@ def partial_path_case(name: str) -> tuple[np.ndarray, int, bool]:
     """The normalized adjacency of a named case, its M, and whether Lanczos applies."""
     build, M, lanczos = PARTIAL_PATH_CASES[name]
     return graph_core.normalized_adjacency(build()), M, lanczos
+
+
+def reference_pipeline_heads(graphs: list[np.ndarray], M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mean spectrum head and the embedding of compute_barycentre for a
+    given M, from dense normalized adjacencies that Lanczos reads through
+    scipy's dense to CSR conversion: the reference whose bits the pipeline's
+    CSR built from each graph's nonzeros gives."""
+    mean_adj = barycentre.sample_mean_adjacency(graphs)
+    k = min(M + 1, mean_adj.shape[0])
+    head = barycentre.sample_mean_eigenvalues(
+        [1.0 - eigen._top_eigenvalues(graph_core.normalized_adjacency(g), k) for g in graphs])
+    embedding = eigen._top_eigenpairs(graph_core.normalized_adjacency(mean_adj), M).vectors
+    return head, embedding
+
+
+def reference_is_symmetric(s: np.ndarray) -> bool:
+    """The whole-matrix decision graph_core.check_symmetric takes tile by
+    tile, on a finite square matrix."""
+    tol = graph_core.SYMMETRY_RTOL * max(1.0, float(s.max()), -float(s.min()))
+    return not np.abs(s - s.T).max() > tol
+
+
+def reference_sample(spec: sbm.SbmSpec, seed) -> np.ndarray:
+    """The one-draw SBM sampler sbm.sample replaced: n x n uniforms compared
+    with the n x n population mean, the reference whose bits it gives."""
+    u = graph_core.philox(seed).random((spec.n, spec.n))
+    upper = np.triu(u < sbm.population_mean(spec), k=1)
+    return (upper | upper.T).astype(float)
 
 
 def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):

@@ -14,12 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import (expand_blocks, four_block_spec, paper_scaled, permuted_run_mse,
-                     reference_barycentre, reference_mse)
+from helpers import (PARTIAL_PATH_CASES, expand_blocks, four_block_spec, paper_scaled,
+                     permuted_run_mse, reference_barycentre, reference_mse,
+                     reference_pipeline_heads)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specbary import eigen, graph_core, ingest, sbm, soules
+from specbary import alignment, eigen, graph_core, ingest, sbm, soules
 from specbary import barycentre as bc
 
 
@@ -453,6 +454,76 @@ barycentre.compute_barycentre(graphs, M=4, seed=0)
 print("scipy" in sys.modules)
 """
     assert _run_python(code) == "False"
+
+
+# name -> (graphs builder, M); every case but small_dense, disconnected and
+# isolated_nodes runs Lanczos, and those three the dense path
+HEAD_CASES = {
+    "sbm_2048_T2": (lambda: [sbm.sample(paper_scaled(2048, 4), (89, t)) for t in range(2)], 4),
+    "four_block_T3": (lambda: [sbm.sample(four_block_spec(), (31, t)) for t in range(3)], 4),
+    "small_dense": (lambda: [sbm.sample(paper_scaled(256, 4), (31, t)) for t in range(2)], 4),
+    **{name: (lambda build=build: [build()], M) for name, (build, M, _) in PARTIAL_PATH_CASES.items()},
+}
+
+
+def _embedding_spy(monkeypatch) -> list[np.ndarray]:
+    seen = []
+    real = alignment.cluster_nodes
+
+    def spy(embedding, *args, **kwargs):
+        seen.append(embedding)
+        return real(embedding, *args, **kwargs)
+
+    monkeypatch.setattr(alignment, "cluster_nodes", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(HEAD_CASES))
+def test_pipeline_heads_match_dense_built_path_bit_for_bit(monkeypatch, case):
+    build, M = HEAD_CASES[case]
+    graphs = build()
+    head, embedding = reference_pipeline_heads(graphs, M)
+    seen = _embedding_spy(monkeypatch)
+    result = bc.compute_barycentre(graphs, M=M, seed=0)
+    assert np.array_equal(result.spectrum.sample_mean, head)
+    assert len(seen) == 1 and np.array_equal(seen[0], embedding)
+
+
+def test_pipeline_heads_match_dense_built_path_without_convergence(monkeypatch):
+    from scipy.sparse import linalg as splinalg
+
+    def no_convergence(*args, **kwargs):
+        raise splinalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    graphs = [sbm.sample(paper_scaled(1024, 4), (89, t)) for t in range(2)]
+    monkeypatch.setattr(splinalg, "eigsh", no_convergence)
+    head, embedding = reference_pipeline_heads(graphs, 4)
+    seen = _embedding_spy(monkeypatch)
+    assert np.array_equal(bc.compute_barycentre(graphs, M=4, seed=0).spectrum.sample_mean, head)
+    assert np.array_equal(seen[0], embedding)
+
+
+def test_pipeline_lanczos_reads_csr_built_from_nonzeros(monkeypatch, eigsh_calls):
+    from scipy import sparse
+
+    normalized, converted = [], []
+    real_normalized, real_csr = graph_core.normalized_adjacency, sparse.csr_matrix
+
+    def spy_normalized(*args, **kwargs):
+        normalized.append(args)
+        return real_normalized(*args, **kwargs)
+
+    def spy_csr(arg, *args, **kwargs):
+        converted.append(type(arg))
+        return real_csr(arg, *args, **kwargs)
+
+    monkeypatch.setattr(graph_core, "normalized_adjacency", spy_normalized)
+    monkeypatch.setattr(sparse, "csr_matrix", spy_csr)
+    graphs = [sbm.sample(paper_scaled(2048, 4), (89, t)) for t in range(2)]
+    bc.compute_barycentre(graphs, M=4, seed=3)
+    assert eigsh_calls == [5, 5, 4]
+    assert normalized == []
+    assert converted == [tuple] * 3
 
 
 def test_spectrum_head_matches_full_spectrum():

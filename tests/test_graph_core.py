@@ -2,9 +2,13 @@
 
 import gzip
 import io
+import warnings
 
 import numpy as np
 import pytest
+from helpers import PARTIAL_PATH_CASES, reference_is_symmetric
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbary import alignment, eigen, ingest, soules
 from specbary import graph_core as gc
@@ -46,10 +50,57 @@ def _symmetric(n: int, low: float, high: float, key: int) -> np.ndarray:
 def test_check_symmetric_rejects_asymmetry_in_last_strip():
     a = _symmetric(600, 0.0, 1.0, 23)
     gc.check_symmetric(a)
-    # only the last strip of rows holds node 590, the pair's smaller index
+    # only the last, partial diagonal tile (rows and columns 512..599) holds
+    # the pair (590, 599)
     a[599, 590] += 1e-9
+    assert not reference_is_symmetric(a)
     with pytest.raises(ValueError, match="not symmetric"):
         gc.check_symmetric(a)
+
+
+_TILE = gc._SYMMETRY_TILE
+
+
+@st.composite
+def _planted_pair(draw):
+    """n in 1..300 and one entry (i, j): in a diagonal tile, an off-diagonal
+    tile or the last row or column."""
+    place = draw(st.sampled_from(["diagonal_tile", "off_diagonal_tile", "last_row", "last_column"]))
+    n = draw(st.integers(_TILE + 1 if place == "off_diagonal_tile" else 1, 300))
+    index = st.integers(0, n - 1)
+    if place == "diagonal_tile":
+        start = draw(st.integers(0, (n - 1) // _TILE)) * _TILE
+        i, j = (draw(st.integers(start, min(n, start + _TILE) - 1)) for _ in range(2))
+    elif place == "off_diagonal_tile":
+        i = draw(st.integers(0, (n - 1) // _TILE * _TILE - 1))
+        j = draw(st.integers((i // _TILE + 1) * _TILE, n - 1))
+    else:
+        i, j = n - 1, draw(index)
+        if place == "last_column":
+            i, j = j, i
+    return n, i, j
+
+
+@settings(max_examples=300)
+@given(pair=_planted_pair(), scale=st.sampled_from([1.0, 4.0]), above=st.booleans(),
+       flip=st.booleans(), key=st.integers(0, 2**32 - 1))
+def test_check_symmetric_tiles_decide_like_the_whole_matrix(pair, scale, above, flip, key):
+    n, i, j = pair
+    if flip:
+        i, j = j, i
+    # entries on a grid of 1/8 in [-scale, scale]
+    s = np.round(_symmetric(n, -scale, scale, key) * 8) / 8
+    s[i, j] = s[j, i] = 0.0
+    tol = gc.SYMMETRY_RTOL * max(1.0, float(s.max()), -float(s.min()))
+    # |s_ij - s_ji| is exactly tol, or the next float above it
+    s[i, j] = np.nextafter(tol, np.inf) if above else tol
+    symmetric = reference_is_symmetric(s)
+    assert symmetric == (not above or i == j)
+    if symmetric:
+        assert gc.check_symmetric(s) is s
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            gc.check_symmetric(s)
 
 
 def test_check_symmetric_rejects_one_off_diagonal_nan():
@@ -115,6 +166,21 @@ def test_normalized_adjacency_triangle():
     a = np.ones((3, 3)) - np.eye(3)
     ahat = gc.normalized_adjacency(a)
     assert np.allclose(ahat, (np.ones((3, 3)) - np.eye(3)) / 2.0)
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL_PATH_CASES))
+def test_normalized_adjacency_csr_matches_dense_conversion(case):
+    from scipy import sparse
+
+    a = PARTIAL_PATH_CASES[case][0]()
+    expected = sparse.csr_matrix(gc.normalized_adjacency(a))
+    data, indices, indptr = gc.normalized_adjacency_csr(a, gc.degrees(a))
+    assert np.array_equal(data, expected.data)
+    assert np.array_equal(indices, expected.indices)
+    assert np.array_equal(indptr, expected.indptr)
+    if case == "weighted_underflow":
+        # one nonzero of a has a normalized entry that rounds to 0
+        assert np.count_nonzero(a) == len(data) + 2
 
 
 def test_normalized_laplacian_single_edge():
@@ -273,6 +339,85 @@ def test_save_matrix_writes_savetxt_bytes_for_contact_snapshots(tmp_path):
         np.savetxt(expected, g, delimiter=",", fmt="%.17g")
         assert path.read_bytes() == expected.read_bytes()
         assert np.array_equal(gc.load_matrix(path), g)
+
+
+def _outcome(read, path):
+    # the matrix or the ValueError type, and the warning types on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = read(path)
+        except ValueError as exc:
+            out = type(exc)
+    return out, [w.category for w in caught]
+
+
+def _assert_reads_as_loadtxt(path):
+    (got, got_warned), (expected, warned) = _outcome(gc.load_matrix, path), _outcome(
+        lambda p: np.asarray(np.loadtxt(p, delimiter=",", ndmin=2), dtype=float), path)
+    assert got_warned == warned
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert got.flags.writeable and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("raw,byte_table", [
+    (b"1\n", True),
+    (b"0,1\n1,0\n", True),
+    (b"1,1,0\n", True),
+    (b"0\n1\n1\n", True),
+    (b"0,1\r\n1,0\r\n", False),
+    (b"0,1\n1,0", False),
+    (b"0,1\n1\n", False),
+    (b"0,1,\n1,0,\n", False),
+    (b"0,2\n1,0\n", False),
+    (b"0.0,1\n1,0\n", False),
+    (b" 0,1\n1,0\n", False),
+    (b"#c\n0,1\n1,0\n", False),
+    (b"01\n10\n", False),
+    (b"0;1\n1;0\n", False),
+    (b"0,1\n\n", False),
+    (b"", False),
+    (b"\n", False),
+], ids=["one_entry", "two_by_two", "one_row", "one_column", "crlf", "no_final_newline",
+        "ragged", "trailing_comma", "digit_two", "decimal_point", "leading_space", "comment",
+        "no_commas", "semicolons", "blank_last_line", "empty", "newline_only"])
+def test_load_matrix_reads_byte_tables_as_loadtxt_does(tmp_path, raw, byte_table):
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    assert (gc._zero_one_table(raw) is not None) == byte_table
+    _assert_reads_as_loadtxt(path)
+
+
+_MUTATIONS = ("none", "crlf", "drop_final_newline", "drop_byte", "digit_two", "gzip")
+
+
+@settings(max_examples=120)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9), key=st.integers(0, 2**32 - 1),
+       mutation=st.sampled_from(_MUTATIONS), at=st.integers(0, 10**6))
+def test_load_matrix_matches_loadtxt_on_saved_tables(tmp_path_factory, rows, cols, key,
+                                                     mutation, at):
+    a = (np.random.default_rng(key).random((rows, cols)) < 0.5).astype(float)
+    path = tmp_path_factory.mktemp("m") / ("m.csv.gz" if mutation == "gzip" else "m.csv")
+    gc.save_matrix(a, path)
+    raw = path.read_bytes()
+    if mutation == "crlf":
+        raw = raw.replace(b"\n", b"\r\n")
+    elif mutation == "drop_final_newline":
+        raw = raw[:-1]
+    elif mutation == "drop_byte":
+        k = at % len(raw)
+        raw = raw[:k] + raw[k + 1 :]
+    elif mutation == "digit_two":
+        k = at % len(raw) // 2 * 2
+        raw = raw[:k] + b"2" + raw[k + 1 :]
+    if mutation != "gzip":
+        path.write_bytes(raw)
+    if mutation in ("none", "gzip"):
+        assert np.array_equal(gc.load_matrix(path), a)
+    _assert_reads_as_loadtxt(path)
 
 
 def test_permutation_io_round_trip(tmp_path):

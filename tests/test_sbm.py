@@ -1,7 +1,10 @@
 """Block-model specs, population quantities, limit spectra, and sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from helpers import four_block_spec, paper_scaled, reference_sample
 
 from specbary import sbm
 
@@ -155,3 +158,29 @@ def test_sample_mean_concentrates_on_population():
     mean = np.mean(graphs, axis=0)
     off = ~np.eye(32, dtype=bool)
     assert np.abs(mean - sbm.population_mean(spec))[off].max() < 0.2
+
+
+@pytest.mark.parametrize("spec", [
+    sbm.SbmSpec(block_sizes=(1,), p=(0.5,), q=0.5),
+    sbm.SbmSpec(block_sizes=(3, 5), p=(1.0, 0.5), q=0.0),
+    sbm.balanced(300, 3, 0.3, 0.1),
+    four_block_spec(),
+    paper_scaled(2048, 4),
+    sbm.balanced(2100, 7, 0.05, 0.01),  # the last row strip is partial
+], ids=["one_node", "sure_and_no_edges", "n300", "four_block", "n2048", "n2100"])
+def test_sample_matches_one_draw_reference_bit_for_bit(spec):
+    for t in range(2):
+        assert np.array_equal(sbm.sample(spec, (7, t)), reference_sample(spec, (7, t)))
+
+
+def test_sample_makes_no_n_by_n_float_scratch():
+    spec = paper_scaled(2048, 4)
+    tracemalloc.start()
+    try:
+        sbm.sample(spec, (7, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 result and n x n bools; the one-draw sampler held two more
+    # n x n float64 arrays (P and the uniforms)
+    assert peak < 1.5 * spec.n**2 * 8
