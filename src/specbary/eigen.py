@@ -113,7 +113,7 @@ def _lanczos_top(s: np.ndarray, k: int, d: np.ndarray | None):
 
 
 def _dense(s: np.ndarray, d: np.ndarray | None) -> np.ndarray:
-    return s if d is None else graph_core.normalized_adjacency(s, d)
+    return s if d is None else graph_core.normalized_adjacency(s)
 
 
 def _check_k(s: np.ndarray, k: int) -> np.ndarray:

@@ -67,13 +67,10 @@ def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
     return r
 
 
-def normalized_adjacency(a: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-    """a_ij / sqrt(d_i d_j), with rows and columns of zero-degree nodes left 0.
-
-    d defaults to degrees(a); pass it when the row sums are already known.
-    """
+def normalized_adjacency(a: np.ndarray) -> np.ndarray:
+    """a_ij / sqrt(d_i d_j), with rows and columns of zero-degree nodes left 0."""
     a = np.asarray(a, dtype=float)
-    r = _inverse_sqrt(degrees(a) if d is None else d)
+    r = _inverse_sqrt(degrees(a))
     return a * np.outer(r, r)
 
 
@@ -81,11 +78,12 @@ def normalized_adjacency_csr(a: np.ndarray, d: np.ndarray):
     """The normalized adjacency of a, with degrees d, as CSR arrays
     (data, indices, indptr).
 
-    They are the arrays of scipy's csr_matrix(normalized_adjacency(a, d)),
-    bit for bit, built from the nonzeros of a without an n x n float64
-    temporary: each kept entry is a_ij * (r_i * r_j) with r_i = 1 / sqrt(d_i),
-    the product the dense matrix holds, and entries that round to 0 are dropped as the dense to
-    sparse conversion drops them. Uses numpy only.
+    With d = degrees(a) they are the arrays of scipy's
+    csr_matrix(normalized_adjacency(a)), bit for bit, built from the nonzeros
+    of a without an n x n float64 temporary: each kept entry is
+    a_ij * (r_i * r_j) with r_i = 1 / sqrt(d_i), the product the dense matrix
+    holds, and entries that round to 0 are dropped as the dense to sparse
+    conversion drops them. Uses numpy only.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -178,7 +176,13 @@ def load_matrix(path: str | Path) -> np.ndarray:
     ragged rows, other tokens) goes through np.loadtxt.
     """
     if not str(path).endswith(".gz"):
-        table = _zero_one_table(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            # only a file whose first line is a row of the table is read whole
+            # here, so any other file is read once, by np.loadtxt
+            table = _zero_one_table(fh.readline())
+            if table is not None:
+                fh.seek(0)
+                table = _zero_one_table(fh.read())
         if table is not None:
             return (table[:, 0::2] == ord("1")).astype(float)
     m = np.loadtxt(path, delimiter=",", ndmin=2)

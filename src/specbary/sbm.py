@@ -79,12 +79,19 @@ def load_spec(path: str | Path) -> SbmSpec:
     return spec
 
 
+def _block_rule(spec: SbmSpec) -> tuple[np.ndarray, np.ndarray]:
+    # the block label of each node, and the M x M edge probabilities between
+    # blocks: p_m on the diagonal, q elsewhere; P_ij = block_p[label_i, label_j]
+    labels = np.repeat(np.arange(spec.M), spec.block_sizes)
+    block_p = np.full((spec.M, spec.M), spec.q)
+    np.fill_diagonal(block_p, spec.p)
+    return labels, block_p
+
+
 def population_mean(spec: SbmSpec) -> np.ndarray:
     """Entrywise expectation P: p_m on B_m x B_m (diagonal included), q elsewhere."""
-    P = np.full((spec.n, spec.n), spec.q)
-    for pm, blk in zip(spec.p, spec.block_slices()):
-        P[blk, blk] = pm
-    return P
+    labels, block_p = _block_rule(spec)
+    return block_p[np.ix_(labels, labels)]
 
 
 def expected_degrees(spec: SbmSpec) -> np.ndarray:
@@ -142,9 +149,7 @@ def sample(spec: SbmSpec, seed) -> np.ndarray:
     rows of P, so no n x n float64 array is made but the result.
     """
     n = spec.n
-    labels = np.repeat(np.arange(spec.M), spec.block_sizes)
-    block_p = np.full((spec.M, spec.M), spec.q)
-    np.fill_diagonal(block_p, spec.p)
+    labels, block_p = _block_rule(spec)
     rng = graph_core.philox(seed)
     rows = max(1, _SAMPLE_STRIP // n)
     upper = np.empty((n, n), dtype=bool)

@@ -244,11 +244,20 @@ def reference_is_symmetric(s: np.ndarray) -> bool:
     return not np.abs(s - s.T).max() > tol
 
 
+def reference_population_mean(spec: sbm.SbmSpec) -> np.ndarray:
+    """The n x n population mean filled block by block over
+    spec.block_slices(), the reference of sbm.population_mean."""
+    P = np.full((spec.n, spec.n), spec.q)
+    for pm, blk in zip(spec.p, spec.block_slices()):
+        P[blk, blk] = pm
+    return P
+
+
 def reference_sample(spec: sbm.SbmSpec, seed) -> np.ndarray:
     """The one-draw SBM sampler sbm.sample replaced: n x n uniforms compared
     with the n x n population mean, the reference whose bits it gives."""
     u = graph_core.philox(seed).random((spec.n, spec.n))
-    upper = np.triu(u < sbm.population_mean(spec), k=1)
+    upper = np.triu(u < reference_population_mean(spec), k=1)
     return (upper | upper.T).astype(float)
 
 

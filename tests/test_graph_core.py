@@ -391,6 +391,17 @@ def test_load_matrix_reads_byte_tables_as_loadtxt_does(tmp_path, raw, byte_table
     _assert_reads_as_loadtxt(path)
 
 
+def test_load_matrix_reads_only_the_first_line_of_other_files(tmp_path, monkeypatch):
+    # a weighted matrix fails the byte-table check on its first line, so
+    # np.loadtxt is the only reader of the whole file
+    path = tmp_path / "m.csv"
+    gc.save_matrix(np.full((4, 4), 0.5), path)
+    seen, real = [], gc._zero_one_table
+    monkeypatch.setattr(gc, "_zero_one_table", lambda raw: seen.append(raw) or real(raw))
+    assert np.array_equal(gc.load_matrix(path), np.full((4, 4), 0.5))
+    assert seen == [path.read_bytes().splitlines(keepends=True)[0]]
+
+
 _MUTATIONS = ("none", "crlf", "drop_final_newline", "drop_byte", "digit_two", "gzip")
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import four_block_spec, paper_scaled, reference_sample
+from helpers import four_block_spec, paper_scaled, reference_population_mean, reference_sample
 
 from specbary import sbm
 
@@ -54,6 +54,16 @@ def test_population_mean_two_blocks():
     expected[:2, :2] = 0.9
     expected[2:, 2:] = 0.9
     assert np.array_equal(sbm.population_mean(spec), expected)
+
+
+@pytest.mark.parametrize("spec", [
+    sbm.SbmSpec(block_sizes=(1,), p=(0.0,), q=0.0),
+    sbm.SbmSpec(block_sizes=(1, 1), p=(1.0, 0.5), q=0.5),
+    sbm.SbmSpec(block_sizes=(63, 147, 105, 197), p=(0.2, 0.3, 0.4, 0.5), q=0.02),
+    sbm.balanced(96, 8, 0.3, 0.05),
+], ids=["one_node", "two_nodes", "four_unequal", "balanced_eight"])
+def test_population_mean_matches_block_fill(spec):
+    assert np.array_equal(sbm.population_mean(spec), reference_population_mean(spec))
 
 
 def test_expected_degrees_balanced():
