@@ -17,13 +17,15 @@ Stages of compute_barycentre:
   4. eigenvalue regularization (bulk entries pinned to 1),
   5. truncated Laplacian and degree-rescaled adjacency as M x M matrices
      over the depth-M leaf blocks,
-  6. expansion of both block matrices to n x n in the input node order, one
-     gather each.
+  6. the leaf of each input node; the result keeps the block matrices, and
+     expands each to n x n in the input node order, by one gather, only when
+     a caller first reads it.
 """
 
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,18 +69,35 @@ class BlockDegrees:
 
 @dataclass(frozen=True)
 class BarycentreResult:
-    """Pipeline output.
+    """Pipeline output in block form.
 
-    mu_hat and laplacian_hat are in the input node order. permutation is the
-    alignment that was used internally (node i was moved to row
-    permutation[i]); degrees.blocks refers to that aligned order.
+    mu_blocks and lap_blocks are the M x M matrices of mu_hat and of
+    laplacian_hat - I over the leaf blocks, and leaf[i] is the 0-based leaf of
+    input node i. permutation is the alignment that was used internally (node
+    i was moved to row permutation[i]); degrees.blocks refers to that aligned
+    order.
+
+    mu_hat and laplacian_hat are the n x n matrices in the input node order,
+    built by one gather on first read and kept: every read returns the same
+    array, so an in-place edit is seen by later reads.
     """
 
-    mu_hat: np.ndarray
-    laplacian_hat: np.ndarray
+    mu_blocks: np.ndarray
+    lap_blocks: np.ndarray
+    leaf: np.ndarray
     spectrum: MeanSpectrum
     degrees: BlockDegrees
     permutation: np.ndarray
+
+    @cached_property
+    def mu_hat(self) -> np.ndarray:
+        return self.mu_blocks[np.ix_(self.leaf, self.leaf)]
+
+    @cached_property
+    def laplacian_hat(self) -> np.ndarray:
+        lap = self.lap_blocks[np.ix_(self.leaf, self.leaf)]
+        lap[np.diag_indices(len(self.leaf))] += 1.0
+        return lap
 
 
 def sample_mean_adjacency(graphs: list[np.ndarray]) -> np.ndarray:
@@ -252,12 +271,13 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
       seed: seed for the clustering restarts.
 
     Returns:
-      BarycentreResult with mu_hat in the input node order.
+      BarycentreResult in block form; its mu_hat is in the input node order.
     """
     # Each input graph is validated here, once. Every later matrix is derived
     # from checked graphs, so the eigen and soules bodies below run unchecked.
     graphs = [graph_core.check_adjacency(g) for g in graphs]
-    mean_adj = sample_mean_adjacency(graphs)
+    # the mean of one graph is that graph, bit for bit (x / 1 == x)
+    mean_adj = graphs[0] if len(graphs) == 1 else sample_mean_adjacency(graphs)
     n = mean_adj.shape[0]
     if M is None:
         spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(g)) for g in graphs]
@@ -278,23 +298,23 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     embedding = eigen._top_eigenpairs(mean_adj, M, mean_deg).vectors
     assignment = alignment.cluster_nodes(embedding, M, seed, degrees=mean_deg)
     perm = alignment.canonical_permutation(assignment)
+    # each n x n intermediate is dropped once it is dead
     mean_perm = graph_core.permute(mean_adj, perm)
+    del mean_adj
 
     basis = soules._best_soules_basis(mean_perm, depth=M)
     spectrum = regularize_eigenvalues(mean_vals, M, n)
     lap_blocks = truncated_laplacian(spectrum, basis)
     blocks = basis.tree.leaves(depth=M)
     block_deg = average_node_degrees(mean_perm, blocks)
-    mu_blocks = reconstruct_barycentre(lap_blocks, block_deg)
+    del mean_perm
 
     # input node i sits at aligned row perm[i], inside the first leaf ending
-    # at or after it; one gather per output expands the block matrices
-    leaf = np.searchsorted([b for _, b in blocks], perm + 1)
-    lap_hat = lap_blocks[np.ix_(leaf, leaf)]
-    lap_hat[np.diag_indices(n)] += 1.0
+    # at or after it
     return BarycentreResult(
-        mu_hat=mu_blocks[np.ix_(leaf, leaf)],
-        laplacian_hat=lap_hat,
+        mu_blocks=reconstruct_barycentre(lap_blocks, block_deg),
+        lap_blocks=lap_blocks,
+        leaf=np.searchsorted([b for _, b in blocks], perm + 1),
         spectrum=spectrum,
         degrees=block_deg,
         permutation=perm,
@@ -321,7 +341,7 @@ def write_result(result: BarycentreResult, out_dir: str | Path, extra_diagnostic
     (out / "degrees.json").write_text(json.dumps(degrees, indent=1))
     graph_core.save_permutation(result.permutation, out / "permutation.csv")
     diagnostics = {
-        "n": int(result.mu_hat.shape[0]),
+        "n": len(result.permutation),
         "M": int(result.spectrum.M),
         "leaf_blocks": [[a, b] for a, b in result.degrees.blocks],
         "regularization_warning": bool(

@@ -105,10 +105,9 @@ def cmd_barycentre(args) -> None:
         if permutations and any((p != permutations[0]).any() for p in permutations[1:]):
             log.warning("samples use different relabellings; skipping MSE against population")
         else:
-            mu = result.mu_hat
-            if permutations:
-                mu = mu[np.ix_(permutations[0], permutations[0])]
-            extra["mse"] = barycentre.mse(population, mu)
+            # node i of the population is input node permutations[0][i]
+            leaf = result.leaf[permutations[0]] if permutations else result.leaf
+            extra["mse"] = barycentre.mse(population, result.mu_blocks[np.ix_(leaf, leaf)])
             log.info("mse against population: %.6e", extra["mse"])
 
     out = Path(args.out)
@@ -140,9 +139,14 @@ def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tupl
     a = sbm.sample(spec, sample_key)
     perm = graph_core.philox((*sample_key, 1)).permutation(spec.n)
     shuffled = graph_core.permute(a, perm)
+    # each n x n input is freed once dead, so at most two are alive at once
+    del a
     result = barycentre.compute_barycentre([shuffled], M=M, seed=cluster_key)
-    mu = result.mu_hat[np.ix_(perm, perm)]
-    return barycentre.mse(sbm.population_mean(spec), mu)
+    del shuffled
+    # node i of the sample is input node perm[i]; one gather builds mu in the
+    # sample's labelling
+    leaf = result.leaf[perm]
+    return barycentre.mse(sbm.population_mean(spec), result.mu_blocks[np.ix_(leaf, leaf)])
 
 
 def _write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:

@@ -31,14 +31,22 @@ def check_symmetric(s: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a non-empty square matrix, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
-    tol = SYMMETRY_RTOL * max(1.0, float(s.max()), -float(s.min()))
+    # the tolerance is SYMMETRY_RTOL * max(1, s.max(), -s.min()); leaving out
+    # -s.min() can only lower it, so a tile within the lower tolerance passes
+    # either way, and the minimum is read only for a tile beyond it (on
+    # nonnegative input, check_adjacency's minimum is then the only one)
+    hi = float(s.max())
+    tol = SYMMETRY_RTOL * max(1.0, hi)
     # |s_ij - s_ji| is symmetric in (i, j), so the tiles on and above the
     # diagonal decide; tile (I, J) is compared with the transpose of (J, I)
     n, t = s.shape[0], _SYMMETRY_TILE
     for i in range(0, n, t):
         for j in range(i, n, t):
-            if np.abs(s[i : i + t, j : j + t] - s[j : j + t, i : i + t].T).max() > tol:
-                raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
+            diff = np.abs(s[i : i + t, j : j + t] - s[j : j + t, i : i + t].T).max()
+            if diff > tol:
+                tol = SYMMETRY_RTOL * max(1.0, hi, -float(s.min()))
+                if diff > tol:
+                    raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
     return s
 
 

@@ -578,6 +578,26 @@ def test_mu_hat_is_exactly_constant_on_leaf_blocks():
             assert (block == block.flat[0]).all(), (j, k)
 
 
+def test_result_expands_its_blocks_once_on_first_read():
+    graphs = [sbm.sample(four_block_spec(), (103, t)) for t in range(2)]
+    result = bc.compute_barycentre(graphs, M=4, seed=0)
+    n = len(result.permutation)
+    # no n x n array until a dense field is read
+    assert all(np.size(v) < n * n for v in vars(result).values())
+    ends = [b for _, b in result.degrees.blocks]
+    assert np.array_equal(result.leaf, np.searchsorted(ends, result.permutation + 1))
+    assert result.mu_blocks.shape == result.lap_blocks.shape == (4, 4)
+    expand = np.ix_(result.leaf, result.leaf)
+    assert np.array_equal(result.mu_hat, result.mu_blocks[expand])
+    assert np.array_equal(result.laplacian_hat, result.lap_blocks[expand] + np.eye(n))
+    for name in ("mu_hat", "laplacian_hat"):
+        dense = getattr(result, name)
+        assert getattr(result, name) is dense
+        before = dense.copy()
+        np.add(dense, 0.05, out=dense)
+        assert np.array_equal(getattr(result, name), before + 0.05)
+
+
 @pytest.mark.parametrize("M", [4, None])
 def test_pipeline_permutes_one_matrix(monkeypatch, M):
     permuted = []

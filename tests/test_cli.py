@@ -2,9 +2,11 @@
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import paper_scaled
 
 from specbary import alignment, barycentre, cli, graph_core, ingest, sbm
 
@@ -219,6 +221,25 @@ def test_block_sweep_scores_dense_unshuffled_reconstructions_through_mse(tmp_pat
         assert np.array_equal(mu, result.mu_hat[np.ix_(perm, perm)])
         assert np.array_equal(population, sbm.population_mean(spec))
         assert row == f"{M},0,{value}"
+
+
+def test_block_sweep_run_holds_at_most_two_n_by_n_arrays():
+    n, M, key = 2048, 32, (79, 0)
+    spec = paper_scaled(n, M)
+    perm = graph_core.philox((*key, 1)).permutation(n)
+    # the reference run also loads the solver modules before the measurement
+    shuffled = graph_core.permute(sbm.sample(spec, key), perm)
+    result = barycentre.compute_barycentre([shuffled], M=M, seed=(*key, 2))
+    expected = barycentre.mse(sbm.population_mean(spec), result.mu_hat[np.ix_(perm, perm)])
+    del shuffled, result
+    tracemalloc.start()
+    try:
+        value = cli._one_mse_run(spec, M, key, (*key, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n * n
+    assert value == expected
 
 
 def test_spectrum_of_empty_graphs_concentrates_at_one(tmp_path):

@@ -103,6 +103,24 @@ def test_check_symmetric_tiles_decide_like_the_whole_matrix(pair, scale, above, 
             gc.check_symmetric(s)
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_check_symmetric_widens_its_tolerance_by_a_far_tile_minimum(above):
+    s = np.round(_symmetric(300, 0.0, 1.0, 31) * 8) / 8
+    # the minimum, in the last tile, sets the tolerance; the pair (0, 1) of
+    # the first tile exceeds the tolerance the largest entry gives
+    s[299, 298] = s[298, 299] = -1e6
+    tol = gc.SYMMETRY_RTOL * 1e6
+    s[1, 0] = 0.0
+    s[0, 1] = np.nextafter(tol, np.inf) if above else tol
+    assert np.abs(s - s.T).max() > gc.SYMMETRY_RTOL * max(1.0, float(s.max()))
+    assert reference_is_symmetric(s) == (not above)
+    if above:
+        with pytest.raises(ValueError, match="not symmetric"):
+            gc.check_symmetric(s)
+    else:
+        assert gc.check_symmetric(s) is s
+
+
 def test_check_symmetric_rejects_one_off_diagonal_nan():
     a = _symmetric(600, 0.0, 1.0, 29)
     a[5, 400] = np.nan
