@@ -10,8 +10,8 @@ vectors enter the result, so for a given M only a head of each spectrum is
 computed.
 
 Stages of compute_barycentre:
-  1. sample mean adjacency and mean Laplacian spectrum (its head of M + 1
-     values when M is given),
+  1. sample mean adjacency and mean Laplacian spectrum (its head of M values
+     when M is given),
   2. alignment: spectral embedding, k-means, canonical block ordering,
   3. greedy Soules basis on the aligned mean adjacency, first M columns,
   4. eigenvalue regularization (bulk entries pinned to 1),
@@ -45,9 +45,9 @@ class MeanSpectrum:
     """Sample mean eigenvalues, the community count, and the regularized
     spectrum (first M entries kept, the bulk replaced by 1).
 
-    sample_mean holds the smallest eigenvalues that were computed: M + 1 of
-    them (at most n) for a given M, all n when M was estimated; regularized
-    always has n entries.
+    sample_mean holds the smallest eigenvalues that were computed: M of them
+    for a given M, all n when M was estimated; regularized always has n
+    entries.
     """
 
     sample_mean: np.ndarray
@@ -289,9 +289,8 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     else:
         # the smallest normalized-Laplacian eigenvalues are one minus the
         # largest of the normalized adjacency
-        k = min(M + 1, n)
         mean_vals = sample_mean_eigenvalues(
-            [1.0 - eigen._top_eigenvalues(g, k, graph_core.degrees(g)) for g in graphs])
+            [1.0 - eigen._top_eigenvalues(g, M, graph_core.degrees(g)) for g in graphs])
 
     # alignment.spectral_embed of the normalized mean, without re-checking it
     mean_deg = graph_core.degrees(mean_adj)
@@ -323,11 +322,17 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
 
 def write_result(result: BarycentreResult, out_dir: str | Path, extra_diagnostics: dict | None = None) -> None:
     """Export a result directory: mu_hat.csv, laplacian_hat.csv, spectrum.json,
-    degrees.json, permutation.csv, diagnostics.json."""
+    degrees.json, permutation.csv, diagnostics.json.
+
+    The two CSVs hold the bytes np.savetxt(fmt="%.17g", delimiter=",") gives
+    for mu_hat and laplacian_hat; they are written from the block form,
+    without the n x n arrays.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    graph_core.save_matrix(result.mu_hat, out / "mu_hat.csv")
-    graph_core.save_matrix(result.laplacian_hat, out / "laplacian_hat.csv")
+    _save_leaf_blocks(result.mu_blocks, result.leaf, out / "mu_hat.csv")
+    _save_leaf_blocks(result.lap_blocks, result.leaf, out / "laplacian_hat.csv",
+                      diagonal=np.diagonal(result.lap_blocks) + 1.0)
     spectrum = {
         "sample_mean": result.spectrum.sample_mean.tolist(),
         "M": int(result.spectrum.M),
@@ -351,3 +356,27 @@ def write_result(result: BarycentreResult, out_dir: str | Path, extra_diagnostic
     if extra_diagnostics:
         diagnostics.update(extra_diagnostics)
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=1))
+
+
+def _save_leaf_blocks(blocks: np.ndarray, leaf: np.ndarray, path: Path,
+                      diagonal: np.ndarray | None = None) -> None:
+    # Writes blocks[np.ix_(leaf, leaf)], with diagonal[leaf[i]] in place of
+    # entry (i, i) when given, in the bytes of np.savetxt(fmt="%.17g",
+    # delimiter=","). Each block value is formatted once and each leaf's row
+    # joined once; nodes of one leaf share that row, and a diagonal entry is
+    # spliced in at its column's character offset.
+    cells = [["%.17g" % v for v in row] for row in blocks.tolist()]
+    leaf_list = leaf.tolist()
+    rows = [",".join([c[k] for k in leaf_list]) + "\n" for c in cells]
+    with open(path, "w") as fh:
+        if diagonal is None:
+            fh.writelines(rows[k] for k in leaf_list)
+            return
+        diag = ["%.17g" % v for v in diagonal.tolist()]
+        widths = np.array([[len(x) for x in c] for c in cells])
+        # ends[k, i]: the offset just past column i's comma in leaf k's row
+        ends = np.cumsum(widths[:, leaf] + 1, axis=1)
+        for i, k in enumerate(leaf_list):
+            end = int(ends[k, i]) - 1
+            start = end - int(widths[k, k])
+            fh.write(rows[k][:start] + diag[k] + rows[k][end:])

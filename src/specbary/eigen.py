@@ -31,9 +31,10 @@ SIGN_EPS = 1e-12
 # OpenBLAS; it is used from 512 nodes on. Its cost grows with k when the
 # wanted eigenvalues sit in the spectral bulk (many communities, sparse
 # graphs). On balanced SBMs in the paper's scaling, n = 1024..2560, Lanczos
-# for the k largest eigenvalues took at most 0.63 of the time of a full
-# eigvalsh for k / n up to 0.032, 0.79-0.85 at 0.04-0.05 and 1.0-1.3 at 0.063;
-# so it is used only while k <= n / 32.
+# for the k = M largest eigenvalues of the normalized adjacency (the M
+# community outliers, as compute_barycentre asks for) took 0.14-0.56 of the
+# time of a full eigvalsh for k / n up to 1/32, 0.59-0.66 at 0.04-0.05 and
+# 1.0-1.3 at 1/16; so it is used only while k <= n / 32.
 _PARTIAL_MIN_N = 512
 _PARTIAL_MAX_SHARE = 32
 _LANCZOS_KEY = (0x5EC7, 1)  # Philox key of the Lanczos start vector

@@ -26,28 +26,28 @@ def check_symmetric(s: np.ndarray) -> np.ndarray:
     check; the pipeline runs it once per input graph and never on matrices it
     derives from checked ones.
     """
+    return _check_symmetric(s)[0]
+
+
+def _check_symmetric(s: np.ndarray) -> tuple[np.ndarray, float]:
+    # check_symmetric, also returning the smallest entry for check_adjacency
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
         raise ValueError(f"expected a non-empty square matrix, got shape {s.shape}")
-    if not np.isfinite(s).all():
+    # a nan propagates through max and min, and an infinity is one of them,
+    # so both are finite exactly when every entry is
+    hi, lo = float(s.max()), float(s.min())
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ValueError("matrix has non-finite entries")
-    # the tolerance is SYMMETRY_RTOL * max(1, s.max(), -s.min()); leaving out
-    # -s.min() can only lower it, so a tile within the lower tolerance passes
-    # either way, and the minimum is read only for a tile beyond it (on
-    # nonnegative input, check_adjacency's minimum is then the only one)
-    hi = float(s.max())
-    tol = SYMMETRY_RTOL * max(1.0, hi)
+    tol = SYMMETRY_RTOL * max(1.0, hi, -lo)
     # |s_ij - s_ji| is symmetric in (i, j), so the tiles on and above the
     # diagonal decide; tile (I, J) is compared with the transpose of (J, I)
     n, t = s.shape[0], _SYMMETRY_TILE
     for i in range(0, n, t):
         for j in range(i, n, t):
-            diff = np.abs(s[i : i + t, j : j + t] - s[j : j + t, i : i + t].T).max()
-            if diff > tol:
-                tol = SYMMETRY_RTOL * max(1.0, hi, -float(s.min()))
-                if diff > tol:
-                    raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
-    return s
+            if np.abs(s[i : i + t, j : j + t] - s[j : j + t, i : i + t].T).max() > tol:
+                raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
+    return s, lo
 
 
 def check_adjacency(a: np.ndarray) -> np.ndarray:
@@ -56,8 +56,8 @@ def check_adjacency(a: np.ndarray) -> np.ndarray:
     Returns the input as a float64 array. Weighted entries and nonzero
     diagonals are allowed.
     """
-    a = check_symmetric(a)
-    if a.min() < 0:
+    a, lo = _check_symmetric(a)
+    if lo < 0:
         raise ValueError("adjacency matrix has negative entries")
     return a
 

@@ -230,9 +230,8 @@ def reference_pipeline_heads(graphs: list[np.ndarray], M: int) -> tuple[np.ndarr
     scipy's dense to CSR conversion: the reference whose bits the pipeline's
     CSR built from each graph's nonzeros gives."""
     mean_adj = barycentre.sample_mean_adjacency(graphs)
-    k = min(M + 1, mean_adj.shape[0])
     head = barycentre.sample_mean_eigenvalues(
-        [1.0 - eigen._top_eigenvalues(graph_core.normalized_adjacency(g), k) for g in graphs])
+        [1.0 - eigen._top_eigenvalues(graph_core.normalized_adjacency(g), M) for g in graphs])
     embedding = eigen._top_eigenpairs(graph_core.normalized_adjacency(mean_adj), M).vectors
     return head, embedding
 

@@ -367,13 +367,14 @@ def test_pipeline_rejects_empty_matrix_by_shape(M):
 @pytest.mark.parametrize("M", [4, None])
 def test_pipeline_checks_each_input_graph_once(monkeypatch, M):
     checked = []
-    real = graph_core.check_symmetric
+    # the one symmetry check, behind check_symmetric and check_adjacency
+    real = graph_core._check_symmetric
 
     def spy(s):
         checked.append(s)
         return real(s)
 
-    monkeypatch.setattr(graph_core, "check_symmetric", spy)
+    monkeypatch.setattr(graph_core, "_check_symmetric", spy)
     # n = 512 runs the Lanczos path for M = 4 and the dense one for M = None
     graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(3)]
     bc.compute_barycentre(graphs, M=M, seed=0)
@@ -402,6 +403,7 @@ def test_write_result_exports_all_files(tmp_path):
 
     spectrum = json.loads((tmp_path / "spectrum.json").read_text())
     assert spectrum["M"] == 2
+    assert len(spectrum["sample_mean"]) == 2
     assert len(spectrum["regularized"]) == 16
 
     degrees = json.loads((tmp_path / "degrees.json").read_text())
@@ -521,7 +523,7 @@ def test_pipeline_lanczos_reads_csr_built_from_nonzeros(monkeypatch, eigsh_calls
     monkeypatch.setattr(sparse, "csr_matrix", spy_csr)
     graphs = [sbm.sample(paper_scaled(2048, 4), (89, t)) for t in range(2)]
     bc.compute_barycentre(graphs, M=4, seed=3)
-    assert eigsh_calls == [5, 5, 4]
+    assert eigsh_calls == [4, 4, 4]
     assert normalized == []
     assert converted == [tuple] * 3
 
@@ -532,12 +534,35 @@ def test_spectrum_head_matches_full_spectrum():
     graphs = [sbm.sample(spec, (23, t)) for t in range(2)]
     full = bc.sample_mean_eigenvalues(
         [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs])
-    # a given M reads the M + 1 smallest values (by Lanczos here, n = 1024)
+    # a given M reads the M smallest values (by Lanczos here, n = 1024)
     head = bc.compute_barycentre(graphs, M=4, seed=0).spectrum.sample_mean
-    assert len(head) == 5 and np.abs(head - full[:5]).max() < 1e-10
+    assert len(head) == 4 and np.abs(head - full[:4]).max() < 1e-10
     # an estimated M reads the whole spectrum
     auto = bc.compute_barycentre(graphs, M=None, seed=0).spectrum
     assert auto.M == 4 and np.array_equal(auto.sample_mean, full)
+
+
+# every PARTIAL_PATH_CASES input alone, and an n = 2048, M = 4, T = 8 sample
+SPECTRUM_HEAD_CASES = {
+    **{name: HEAD_CASES[name] for name in PARTIAL_PATH_CASES},
+    "sbm_2048_T8": (lambda: [sbm.sample(paper_scaled(2048, 4), (97, t)) for t in range(8)], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPECTRUM_HEAD_CASES))
+def test_spectrum_head_matches_dense_spectrum_and_longer_head(case):
+    build, M = SPECTRUM_HEAD_CASES[case]
+    graphs = build()
+    head = bc.compute_barycentre(graphs, M=M, seed=0).spectrum.sample_mean
+    dense = bc.sample_mean_eigenvalues(
+        [np.linalg.eigvalsh(graph_core.normalized_laplacian(g)) for g in graphs])[:M]
+    # the first M of a head of M + 1 values, which a different Krylov
+    # sequence gives
+    longer = bc.sample_mean_eigenvalues(
+        [1.0 - eigen._top_eigenvalues(g, M + 1, graph_core.degrees(g))[:M] for g in graphs])
+    assert len(head) == M
+    assert np.abs(head - dense).max() < 1e-12
+    assert np.abs(head - longer).max() < 1e-13
 
 
 def _contact_morning() -> list[np.ndarray]:
@@ -565,6 +590,21 @@ def test_pipeline_matches_dense_reconstruction(case):
     mu, lap = reference_barycentre(graphs, result)
     assert np.abs(result.mu_hat - mu).max() <= 1e-13
     assert np.abs(result.laplacian_hat - lap).max() <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["contact_day_auto_M", "four_block", "empty"])
+def test_write_result_writes_the_dense_matrices_bytes(tmp_path, case):
+    build, M = BLOCK_FORM_CASES[case]
+    result = bc.compute_barycentre(build(), M=M, seed=0)
+    if case == "empty":
+        # mu_hat holds -0.0, which %.17g writes as "-0"; laplacian_hat - I
+        # holds 0.0, so laplacian_hat is a 0/1 matrix
+        assert np.signbit(result.mu_blocks).all() and not np.signbit(result.lap_blocks).any()
+    bc.write_result(result, tmp_path / "out")
+    for name in ("mu_hat", "laplacian_hat"):
+        expected = tmp_path / f"{name}.csv"
+        graph_core.save_matrix(getattr(result, name), expected)
+        assert (tmp_path / "out" / f"{name}.csv").read_bytes() == expected.read_bytes()
 
 
 def test_mu_hat_is_exactly_constant_on_leaf_blocks():

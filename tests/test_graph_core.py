@@ -128,6 +128,20 @@ def test_check_symmetric_rejects_one_off_diagonal_nan():
         gc.check_symmetric(a)
 
 
+@pytest.mark.parametrize("check", [gc.check_symmetric, gc.check_adjacency])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checks_reject_non_finite_before_symmetry_and_sign(check, value):
+    a = _symmetric(600, 0.0, 1.0, 37)
+    # the first tile is asymmetric and a far entry negative, so a symmetry
+    # or sign test run first would raise its own message; filterwarnings =
+    # error turns any RuntimeWarning from the scans into a failure
+    a[0, 1] += 1.0
+    a[598, 599] = -1.0
+    a[400, 5] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        check(a)
+
+
 def test_check_symmetric_scales_tolerance_by_most_negative_entry():
     a = _symmetric(6, -4.0, 0.0, 31)
     near = a.copy()
