@@ -9,6 +9,7 @@ by descending volume.
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,10 +52,9 @@ def spectral_embed(a_hat: np.ndarray, M: int) -> np.ndarray:
 
 def _normalize_rows(points: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(points, axis=1)
-    out = points.copy()
     keep = norms > ZERO_ROW_EPS
-    out[keep] = points[keep] / norms[keep, None]
-    out[~keep] = 0.0
+    out = np.zeros_like(points)
+    np.divide(points, norms[:, None], out=out, where=keep[:, None])
     return out
 
 
@@ -75,54 +75,95 @@ def _broadcast_argmin(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The labels of _broadcast_argmin, from one n x k matrix product.
+def _assign(points: np.ndarray, centers: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The labels of _broadcast_argmin, from one n x k matrix product written
+    into the n x k scratch dist, which is left overwritten.
 
     Only rows whose two nearest centres lie within _TIE_MARGIN of each other
     go through _broadcast_argmin.
     """
     # |x - c|^2 less the per-row constant |x|^2, which moves no argmin or gap
-    shifted = (centers**2).sum(axis=1) - 2.0 * (points @ centers.T)
-    labels = np.argmin(shifted, axis=1)
+    np.matmul(points, centers.T, out=dist)
+    dist *= 2.0
+    np.subtract((centers**2).sum(axis=1), dist, out=dist)
+    labels = np.argmin(dist, axis=1)
     if centers.shape[0] > 1:
-        two = np.partition(shifted, 1, axis=1)
-        near = np.flatnonzero(two[:, 1] - two[:, 0] <= _TIE_MARGIN)
+        # the two smallest values of each row: the argmin's, then the least
+        # once that entry is masked (equal to it when the minimum repeats);
+        # argmin and a gather take that least faster than a min reduction
+        rows = np.arange(len(labels))
+        first = dist[rows, labels]
+        dist[rows, labels] = np.inf
+        second = dist[rows, np.argmin(dist, axis=1)]
+        near = np.flatnonzero(second - first <= _TIE_MARGIN)
         labels[near] = _broadcast_argmin(points[near], centers)
     return labels
 
 
 def _centroids(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of each cluster's rows, summed in row order like
+    """Mean of each cluster's rows with the bits of
     points[labels == c].mean(axis=0); every cluster must be non-empty."""
-    rows = points[np.argsort(labels, kind="stable")]
-    return np.array([block.mean(axis=0) for block in np.split(rows, np.cumsum(counts)[:-1])])
+    k, d = len(counts), points.shape[1]
+    if d == 1:
+        # numpy sums a contiguous column pairwise, not in row order
+        return np.array([points[labels == c].mean(axis=0) for c in range(k)])
+    # for d >= 2 numpy adds the rows in order, as one bincount over the
+    # (label, column) bins of the flattened rows does
+    bins = (labels * d)[:, None] + np.arange(d)
+    sums = np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * d)
+    return sums.reshape(k, d) / counts[:, None]
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
+def _sq_dist(points: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # ((points - centers) ** 2).sum(axis=1), with the n x d difference in out
+    np.subtract(points, centers, out=out)
+    np.multiply(out, out, out=out)
+    return out.sum(axis=1)
+
+
+class _Restart(NamedTuple):
+    labels: np.ndarray | None  # None when the restart lost a cluster
+    inertia: float
+    iterations: int  # assignment steps taken
+    capped: bool  # stopped at KMEANS_MAX_ITER without converging
+
+
+def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
+                 scratch: np.ndarray | None = None) -> _Restart:
+    """One seeded restart. scratch, when given, is a float array of at least
+    n * max(k, d) entries that is overwritten; restarts can share one."""
+    n, d = points.shape
+    if scratch is None:
+        scratch = np.empty(n * max(k, d))
+    dist = scratch[: n * k].reshape(n, k)
+    diff = scratch[: n * d].reshape(n, d)
+
+    centers = np.empty((k, d))
     centers[0] = points[int(rng.integers(n))]
-    dist2 = ((points - centers[0]) ** 2).sum(axis=1)
+    dist2 = _sq_dist(points, centers[0], diff)
     for c in range(1, k):
         # farthest-point seeding; argmax takes the smallest index on ties
         centers[c] = points[int(np.argmax(dist2))]
-        dist2 = np.minimum(dist2, ((points - centers[c]) ** 2).sum(axis=1))
+        np.minimum(dist2, _sq_dist(points, centers[c], diff), out=dist2)
 
     labels = np.full(n, -1)
-    for _ in range(KMEANS_MAX_ITER):
-        new_labels = _assign(points, centers)
+    capped = False
+    for iterations in range(1, KMEANS_MAX_ITER + 1):
+        new_labels = _assign(points, centers, dist)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
-            return None  # restart is invalid
+            return _Restart(None, np.inf, iterations, False)
         if (new_labels == labels).all():
             break
         labels, assigned = new_labels, centers
         centers = _centroids(points, labels, counts)
     else:
         # out of iterations: the labels came from the centres before the update
-        centers = assigned
-    inertia = float(((points - centers[labels]) ** 2).sum(axis=1).sum())
-    return labels, inertia
+        centers, capped = assigned, True
+    # labels are in range; mode="raise" would gather through a buffer first
+    np.take(centers, labels, axis=0, out=diff, mode="clip")
+    inertia = float(_sq_dist(points, diff, diff).sum())
+    return _Restart(labels, inertia, iterations, capped)
 
 
 def cluster_nodes(
@@ -136,8 +177,9 @@ def cluster_nodes(
     Rows are normalized to unit length first (near-zero rows stay at the
     origin). The best of KMEANS_RESTARTS seeded restarts by inertia wins;
     restarts that lose a cluster are discarded, and ClusteringError is raised
-    if every restart does. The counts of kept and lost restarts and the best
-    inertia are logged at INFO.
+    if every restart does. The counts of kept and lost restarts, the best
+    inertia, the Lloyd iterations of all restarts together and the number of
+    restarts stopped at KMEANS_MAX_ITER are logged at INFO.
 
     Args:
       embedding: (n, d) matrix of node coordinates.
@@ -160,22 +202,26 @@ def cluster_nodes(
     points = _normalize_rows(points)
 
     rng = graph_core.philox(seed)
-    best, lost = None, 0
+    scratch = np.empty(n * max(M, points.shape[1]))
+    best, lost, iterations, capped = None, 0, 0, 0
     for _ in range(KMEANS_RESTARTS):
-        result = _kmeans_once(points, M, rng)
-        if result is None:
+        run = _kmeans_once(points, M, rng, scratch)
+        iterations += run.iterations
+        capped += run.capped
+        if run.labels is None:
             lost += 1
-            continue
-        if best is None or result[1] < best[1]:
-            best = result
+        elif best is None or run.inertia < best.inertia:
+            best = run
     if best is None:
         raise ClusteringError(f"k-means lost a cluster in all {KMEANS_RESTARTS} restarts")
     log.info(
-        "k-means M=%d: %d of %d restarts kept, %d lost a cluster, best inertia %.6g",
-        M, KMEANS_RESTARTS - lost, KMEANS_RESTARTS, lost, best[1],
+        "k-means M=%d: %d of %d restarts kept, %d lost a cluster, best inertia %.6g, "
+        "%d Lloyd iterations in all, %d restarts stopped at the %d-iteration cap",
+        M, KMEANS_RESTARTS - lost, KMEANS_RESTARTS, lost, best.inertia,
+        iterations, capped, KMEANS_MAX_ITER,
     )
 
-    labels = best[0] + 1
+    labels = best.labels + 1
     weights = np.ones(n) if degrees is None else np.asarray(degrees, dtype=float)
     volumes = np.array([weights[labels == c].sum() for c in range(1, M + 1)])
     return ClusterAssignment(labels=labels, volumes=volumes)

@@ -11,7 +11,8 @@ computed.
 
 Stages of compute_barycentre:
   1. sample mean adjacency and mean Laplacian spectrum (its head of M values
-     when M is given),
+     when M is given; a single graph's head comes from the eigensolve of the
+     embedding in stage 2),
   2. alignment: spectral embedding, k-means, canonical block ordering,
   3. greedy Soules basis on the aligned mean adjacency, first M columns,
   4. eigenvalue regularization (bulk entries pinned to 1),
@@ -91,11 +92,11 @@ class BarycentreResult:
 
     @cached_property
     def mu_hat(self) -> np.ndarray:
-        return self.mu_blocks[np.ix_(self.leaf, self.leaf)]
+        return self.mu_blocks.take(self.leaf, 0).take(self.leaf, 1)
 
     @cached_property
     def laplacian_hat(self) -> np.ndarray:
-        lap = self.lap_blocks[np.ix_(self.leaf, self.leaf)]
+        lap = self.lap_blocks.take(self.leaf, 0).take(self.leaf, 1)
         lap[np.diag_indices(len(self.leaf))] += 1.0
         return lap
 
@@ -279,6 +280,7 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     # the mean of one graph is that graph, bit for bit (x / 1 == x)
     mean_adj = graphs[0] if len(graphs) == 1 else sample_mean_adjacency(graphs)
     n = mean_adj.shape[0]
+    mean_vals = None
     if M is None:
         spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(g)) for g in graphs]
         mean_vals = sample_mean_eigenvalues(spectra)
@@ -286,7 +288,7 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
         log.info("estimated M=%d from the mean spectrum", M)
     elif not 1 <= M <= n:
         raise ValueError(f"M={M} outside 1..{n}")
-    else:
+    elif len(graphs) > 1:
         # the smallest normalized-Laplacian eigenvalues are one minus the
         # largest of the normalized adjacency
         mean_vals = sample_mean_eigenvalues(
@@ -294,8 +296,11 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
 
     # alignment.spectral_embed of the normalized mean, without re-checking it
     mean_deg = graph_core.degrees(mean_adj)
-    embedding = eigen._top_eigenpairs(mean_adj, M, mean_deg).vectors
-    assignment = alignment.cluster_nodes(embedding, M, seed, degrees=mean_deg)
+    top = eigen._top_eigenpairs(mean_adj, M, mean_deg)
+    if mean_vals is None:
+        # one graph is its own mean, so the embedding's eigensolve gives its head
+        mean_vals = sample_mean_eigenvalues([1.0 - top.values])
+    assignment = alignment.cluster_nodes(top.vectors, M, seed, degrees=mean_deg)
     perm = alignment.canonical_permutation(assignment)
     # each n x n intermediate is dropped once it is dead
     mean_perm = graph_core.permute(mean_adj, perm)

@@ -107,7 +107,8 @@ def cmd_barycentre(args) -> None:
         else:
             # node i of the population is input node permutations[0][i]
             leaf = result.leaf[permutations[0]] if permutations else result.leaf
-            extra["mse"] = barycentre.mse(population, result.mu_blocks[np.ix_(leaf, leaf)])
+            mu = result.mu_blocks.take(leaf, 0).take(leaf, 1)
+            extra["mse"] = barycentre.mse(population, mu)
             log.info("mse against population: %.6e", extra["mse"])
 
     out = Path(args.out)
@@ -146,7 +147,7 @@ def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tupl
     # node i of the sample is input node perm[i]; one gather builds mu in the
     # sample's labelling
     leaf = result.leaf[perm]
-    return barycentre.mse(sbm.population_mean(spec), result.mu_blocks[np.ix_(leaf, leaf)])
+    return barycentre.mse(sbm.population_mean(spec), result.mu_blocks.take(leaf, 0).take(leaf, 1))
 
 
 def _write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:

@@ -1,11 +1,12 @@
 """Spectral embedding, clustering, canonical node order, community count."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import PARTIAL_PATH_CASES, partial_path_case, reference_kmeans_once
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specbary import alignment as al
@@ -127,16 +128,37 @@ def _assert_restarts_match_reference(points: np.ndarray, k: int, key) -> None:
     for _ in range(al.KMEANS_RESTARTS):
         got = al._kmeans_once(points, k, fast_rng)
         want = reference_kmeans_once(points, k, ref_rng)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert np.array_equal(got[0], want[0])
-            assert got[1] == want[1]
+        assert (got.labels is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.labels, want[0])
+            assert got.inertia == want[1]
 
 
 @pytest.mark.parametrize("max_iter", [al.KMEANS_MAX_ITER, 2])
 def test_kmeans_matches_broadcast_reference_on_sbm_embedding(monkeypatch, max_iter):
     monkeypatch.setattr(al, "KMEANS_MAX_ITER", max_iter)
     _assert_restarts_match_reference(_sbm_points(), 16, 7)
+
+
+def test_kmeans_matches_broadcast_reference_on_wide_sbm_embedding():
+    # k = d = 32, the widest block-sweep case of the benchmark, at n = 512
+    _assert_restarts_match_reference(_sbm_points(512, 32), 32, 11)
+
+
+def test_cluster_nodes_peak_memory_at_wide_k():
+    # the block sweep's n = 2048, M = 32: the restarts share one n x M scratch
+    # array; an n x k x d broadcast in any restart would take M times that
+    n, M = 2048, 32
+    logn = np.log(n)
+    a = sbm.sample(sbm.balanced(n, M, 3 * logn**2 / n, 2 * logn / n), (71, 1))
+    embedding = al.spectral_embed(gc.normalized_adjacency(a), M)
+    tracemalloc.start()
+    try:
+        al.cluster_nodes(embedding, M, seed=0, degrees=gc.degrees(a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * M * 8
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -157,41 +179,64 @@ def test_kmeans_matches_broadcast_reference_on_lattice(monkeypatch, max_iter, no
     assert max(fallback_rows) > 0  # the tie-break ran, not only the product
 
 
-@settings(max_examples=200)
-@given(
-    rows=st.integers(1, 24),
-    dim=st.integers(1, 4),
-    k=st.integers(1, 5),
-    key=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_kmeans_matches_broadcast_reference_on_one_decimal_inputs(rows, dim, k, key, data):
+@st.composite
+def _one_decimal_points(draw) -> np.ndarray:
     # coordinates on a 0.1 grid make equidistant centres and tied rows common
-    tenths = data.draw(st.lists(st.integers(-10, 10), min_size=rows * dim, max_size=rows * dim))
-    points = np.array(tenths, dtype=float).reshape(rows, dim) / 10
-    _assert_restarts_match_reference(points, min(k, rows), key)
+    rows, dim = draw(st.integers(1, 24)), draw(st.integers(1, 4))
+    tenths = draw(st.lists(st.integers(-10, 10), min_size=rows * dim, max_size=rows * dim))
+    return np.array(tenths, dtype=float).reshape(rows, dim) / 10
 
 
-def test_cluster_logs_restarts_kept_lost_and_best_inertia(monkeypatch, caplog):
-    # two distinct rows, three copies each, split exactly by every restart;
-    # every fourth restart is made to lose a cluster
+# d = 1 rows whose cluster means differ between numpy's pairwise sum of a
+# column and a sum in row order: a row-order centroid fails on this input
+_PAIRWISE_COLUMN = np.array(
+    [9, 6, -8, -10, 8, -2, -9, 0, -3, -1, -1, -4, 0, 0, 10, 4, 6, -10, -4], dtype=float)[:, None] / 10
+
+
+@settings(max_examples=200)
+@given(points=_one_decimal_points(), k=st.integers(1, 5), key=st.integers(0, 2**32 - 1))
+@example(points=_PAIRWISE_COLUMN, k=2, key=98)
+def test_kmeans_matches_broadcast_reference_on_one_decimal_inputs(points, k, key):
+    _assert_restarts_match_reference(points, min(k, len(points)), key)
+
+
+def _kmeans_log_message(monkeypatch, caplog) -> str:
+    # two distinct rows, three copies each, split exactly by every restart in
+    # two assignment steps; every fourth restart is made to lose a cluster
     points = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0]]), 3, axis=0)
     calls = []
     real = al._kmeans_once
 
-    def every_fourth_lost(points, k, rng):
-        calls.append(k)
-        result = real(points, k, rng)
-        return None if len(calls) % 4 == 0 else result
+    def every_fourth_lost(*args):
+        calls.append(args[1])
+        result = real(*args)
+        return result._replace(labels=None) if len(calls) % 4 == 0 else result
 
     monkeypatch.setattr(al, "_kmeans_once", every_fourth_lost)
     with caplog.at_level(logging.INFO, logger="specbary.alignment"):
         al.cluster_nodes(points, 2, seed=0)
-    lost = al.KMEANS_RESTARTS // 4
     (record,) = [r for r in caplog.records if r.name == "specbary.alignment"]
-    assert record.getMessage() == (
+    return record.getMessage()
+
+
+def test_cluster_logs_restarts_kept_lost_and_best_inertia(monkeypatch, caplog):
+    lost = al.KMEANS_RESTARTS // 4
+    assert _kmeans_log_message(monkeypatch, caplog) == (
         f"k-means M=2: {al.KMEANS_RESTARTS - lost} of {al.KMEANS_RESTARTS} restarts kept, "
-        f"{lost} lost a cluster, best inertia 0"
+        f"{lost} lost a cluster, best inertia 0, {2 * al.KMEANS_RESTARTS} Lloyd iterations "
+        f"in all, 0 restarts stopped at the {al.KMEANS_MAX_ITER}-iteration cap"
+    )
+
+
+def test_cluster_logs_restarts_stopped_at_the_iteration_cap(monkeypatch, caplog):
+    # one step per restart: each stops at the cap, on labels that are already
+    # the split
+    monkeypatch.setattr(al, "KMEANS_MAX_ITER", 1)
+    lost = al.KMEANS_RESTARTS // 4
+    assert _kmeans_log_message(monkeypatch, caplog) == (
+        f"k-means M=2: {al.KMEANS_RESTARTS - lost} of {al.KMEANS_RESTARTS} restarts kept, "
+        f"{lost} lost a cluster, best inertia 0, {al.KMEANS_RESTARTS} Lloyd iterations "
+        f"in all, {al.KMEANS_RESTARTS} restarts stopped at the 1-iteration cap"
     )
 
 
