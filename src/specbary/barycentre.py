@@ -19,8 +19,8 @@ Stages of compute_barycentre:
   5. truncated Laplacian and degree-rescaled adjacency as M x M matrices
      over the depth-M leaf blocks,
   6. the leaf of each input node; the result keeps the block matrices, and
-     expands each to n x n in the input node order, by one gather, only when
-     a caller first reads it.
+     expands each to n x n in the input node order, by a gather of the leaf
+     rows and then of the leaf columns, only when a caller first reads it.
 """
 
 import json
@@ -79,8 +79,9 @@ class BarycentreResult:
     order.
 
     mu_hat and laplacian_hat are the n x n matrices in the input node order,
-    built by one gather on first read and kept: every read returns the same
-    array, so an in-place edit is seen by later reads.
+    built on first read by gathering the leaf rows (an n x M array) and then
+    the leaf columns, and kept: every read returns the same array, so an
+    in-place edit is seen by later reads.
     """
 
     mu_blocks: np.ndarray

@@ -144,8 +144,8 @@ def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tupl
     del a
     result = barycentre.compute_barycentre([shuffled], M=M, seed=cluster_key)
     del shuffled
-    # node i of the sample is input node perm[i]; one gather builds mu in the
-    # sample's labelling
+    # node i of the sample is input node perm[i]; gathering the leaf rows,
+    # then the leaf columns, builds mu in the sample's labelling
     leaf = result.leaf[perm]
     return barycentre.mse(sbm.population_mean(spec), result.mu_blocks.take(leaf, 0).take(leaf, 1))
 
