@@ -10,11 +10,15 @@ vectors enter the result, so for a given M only a head of each spectrum is
 computed.
 
 Stages of compute_barycentre:
-  1. sample mean adjacency and mean Laplacian spectrum (its head of M values
-     when M is given; a single graph's head comes from the eigensolve of the
-     embedding in stage 2),
+  1. one check of each input graph, which finds its nonzero entries; the
+     mean Laplacian spectrum (its head of M values when M is given, by
+     Lanczos on CSR arrays built from each graph's entries; a single graph's
+     head comes from the eigensolve of the embedding in stage 2), and the
+     sample mean adjacency as entries, built in row strips with no n x n
+     array,
   2. alignment: spectral embedding, k-means, canonical block ordering,
-  3. greedy Soules basis on the aligned mean adjacency, first M columns,
+  3. greedy Soules basis on the aligned mean adjacency, scattered from the
+     mean's entries into the pipeline's one n x n array, first M columns,
   4. eigenvalue regularization (bulk entries pinned to 1),
   5. truncated Laplacian and degree-rescaled adjacency as M x M matrices
      over the depth-M leaf blocks,
@@ -39,6 +43,8 @@ REGULARIZE_TOL = 1e-9
 
 # elements per strip of mse (512 KB of float64 per strip array)
 _MSE_STRIP = 1 << 16
+# elements per row strip of the sample mean (1 MB of float64)
+_MEAN_STRIP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,35 @@ def sample_mean_adjacency(graphs: list[np.ndarray]) -> np.ndarray:
         acc += g
     acc /= len(graphs)
     return acc
+
+
+def _sample_mean_entries(entries: list[graph_core.Entries]) -> tuple[graph_core.Entries, np.ndarray]:
+    """The entries of the entrywise mean of T >= 1 same-size matrices, given
+    by their entries, and the mean's row sums, without an n x n array.
+
+    The mean is built in row strips. Each strip is zeroed, the entries of
+    matrix 0, 1, ... are added to it in order and it is divided by T, so it
+    holds the bits sample_mean_adjacency gives (up to the sign of zeros),
+    and its row sums have the bits of graph_core.degrees of that mean.
+    """
+    n, T = entries[0].n, len(entries)
+    rows = max(1, _MEAN_STRIP // n)
+    scratch = np.empty((rows, n))
+    row_sums = np.empty(n)
+    flats, values = [], []
+    for i in range(0, n, rows):
+        strip = scratch[: min(rows, n - i)]
+        strip.fill(0.0)
+        cells = strip.reshape(-1)
+        for e in entries:
+            lo, hi = e.indptr[i], e.indptr[i + len(strip)]
+            cells[(e.rows[lo:hi] - i) * n + e.cols[lo:hi]] += e.values[lo:hi]
+        strip /= T
+        strip.sum(axis=1, out=row_sums[i : i + len(strip)])
+        flat = np.flatnonzero(strip != 0)
+        values.append(cells.take(flat))
+        flats.append(flat + i * n)
+    return graph_core.entries_at(n, np.concatenate(flats), np.concatenate(values)), row_sums
 
 
 def sample_mean_eigenvalues(spectra: list[np.ndarray]) -> np.ndarray:
@@ -274,13 +309,24 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
 
     Returns:
       BarycentreResult in block form; its mu_hat is in the input node order.
+
+    Raises ValueError for no graphs, a graph that fails
+    graph_core.check_adjacency, graphs of different sizes (before any
+    eigensolve) or M outside 1..n. The graphs are read as their nonzero
+    entries, so -0.0 counts as 0.0: for a given M, an input holding -0.0
+    gives the bits the same input with 0.0 gives.
     """
-    # Each input graph is validated here, once. Every later matrix is derived
-    # from checked graphs, so the eigen and soules bodies below run unchecked.
-    graphs = [graph_core.check_adjacency(g) for g in graphs]
-    # the mean of one graph is that graph, bit for bit (x / 1 == x)
-    mean_adj = graphs[0] if len(graphs) == 1 else sample_mean_adjacency(graphs)
-    n = mean_adj.shape[0]
+    if not graphs:
+        raise ValueError("no graphs given")
+    # Each input graph is validated here, once, by the one scan that also
+    # finds its nonzero entries; the Lanczos heads and the mean are built
+    # from those. Every later matrix is derived from checked graphs, so the
+    # eigen and soules bodies below run unchecked.
+    graphs, entries = zip(*[graph_core.adjacency_entries(g) for g in graphs])
+    n = entries[0].n
+    for g in graphs:
+        if g.shape != graphs[0].shape:
+            raise ValueError(f"graph sizes differ: {g.shape} vs {graphs[0].shape}")
     mean_vals = None
     if M is None:
         spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(g)) for g in graphs]
@@ -293,19 +339,24 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
         # the smallest normalized-Laplacian eigenvalues are one minus the
         # largest of the normalized adjacency
         mean_vals = sample_mean_eigenvalues(
-            [1.0 - eigen._top_eigenvalues(g, M, graph_core.degrees(g)) for g in graphs])
+            [1.0 - eigen._top_eigenvalues(e, M, graph_core.degrees(g)) for g, e in zip(graphs, entries)])
 
+    # the mean of one graph is that graph, bit for bit (x / 1 == x)
+    if len(graphs) == 1:
+        mean, mean_deg = entries[0], graph_core.degrees(graphs[0])
+    else:
+        mean, mean_deg = _sample_mean_entries(entries)
+    del entries
     # alignment.spectral_embed of the normalized mean, without re-checking it
-    mean_deg = graph_core.degrees(mean_adj)
-    top = eigen._top_eigenpairs(mean_adj, M, mean_deg)
+    top = eigen._top_eigenpairs(mean, M, mean_deg)
     if mean_vals is None:
         # one graph is its own mean, so the embedding's eigensolve gives its head
         mean_vals = sample_mean_eigenvalues([1.0 - top.values])
     assignment = alignment.cluster_nodes(top.vectors, M, seed, degrees=mean_deg)
     perm = alignment.canonical_permutation(assignment)
-    # each n x n intermediate is dropped once it is dead
-    mean_perm = graph_core.permute(mean_adj, perm)
-    del mean_adj
+    # the aligned mean, which the split search and the block degrees read
+    mean_perm = mean.dense(perm)
+    del mean
 
     basis = soules._best_soules_basis(mean_perm, depth=M)
     spectrum = regularize_eigenvalues(mean_vals, M, n)

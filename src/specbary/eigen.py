@@ -12,12 +12,13 @@ converge, they fall back to the dense solvers.
 Each public function checks its argument with graph_core.check_symmetric,
 and Lanczos reads it through scipy's dense to CSR conversion.
 compute_barycentre calls the private bodies of top_eigenvalues and
-top_eigenpairs directly, on input graphs it has checked and their mean,
-with their degrees: the bodies then find eigenpairs of the normalized
-adjacency. Lanczos reads it as CSR arrays built from the graph's nonzeros
-(graph_core.normalized_adjacency_csr); the dense normalized matrix is built
-only when the dense solver runs. For a full spectrum of a checked graph
-compute_barycentre and the spectrum command call np.linalg.eigvalsh.
+top_eigenpairs directly, with the graph_core.Entries of the input graphs it
+has checked and of their mean, and their degrees: the bodies then find
+eigenpairs of the normalized adjacency. Lanczos reads it as CSR arrays built
+from those entries (graph_core.normalized_adjacency_csr); only the dense
+solver builds an n x n matrix, from the entries, which hold +0.0 where an
+input held -0.0. For a full spectrum of a checked graph compute_barycentre
+and the spectrum command call np.linalg.eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -76,13 +77,14 @@ def sym_eig_values(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(graph_core.check_symmetric(s))
 
 
-def _lanczos_top(s: np.ndarray, k: int, d: np.ndarray | None):
+def _lanczos_top(s, k: int, d: np.ndarray | None):
     """The k largest eigenpairs by Lanczos, largest first, or None when the
     dense path must be used instead.
 
-    With degrees d, s is an adjacency matrix and the eigenpairs are those of
-    its normalized adjacency, read from the CSR arrays of
-    graph_core.normalized_adjacency_csr; without, they are those of s.
+    With degrees d, s is the graph_core.Entries of an adjacency matrix and
+    the eigenpairs are those of its normalized adjacency, read from the CSR
+    arrays of graph_core.normalized_adjacency_csr; without, they are those
+    of the matrix s.
 
     Lanczos runs only when n >= 512, k <= n / 32 and the nonzero pattern is
     connected. A disconnected pattern (isolated nodes included) gives the
@@ -113,8 +115,8 @@ def _lanczos_top(s: np.ndarray, k: int, d: np.ndarray | None):
     return values[order], vectors[:, order]
 
 
-def _dense(s: np.ndarray, d: np.ndarray | None) -> np.ndarray:
-    return s if d is None else graph_core.normalized_adjacency(s)
+def _dense(s, d: np.ndarray | None) -> np.ndarray:
+    return s if d is None else graph_core.normalized_adjacency(s.dense())
 
 
 def _check_k(s: np.ndarray, k: int) -> np.ndarray:
@@ -133,8 +135,9 @@ def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
     return _top_eigenvalues(_check_k(s, k), k)
 
 
-def _top_eigenvalues(s: np.ndarray, k: int, d: np.ndarray | None = None) -> np.ndarray:
-    # with degrees d, of the normalized adjacency of s (see _lanczos_top)
+def _top_eigenvalues(s, k: int, d: np.ndarray | None = None) -> np.ndarray:
+    # with degrees d, of the normalized adjacency of the entries s (see
+    # _lanczos_top)
     top = _lanczos_top(s, k, d)
     if top is None:
         return np.linalg.eigvalsh(_dense(s, d))[::-1][:k].copy()
@@ -151,8 +154,9 @@ def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
     return _top_eigenpairs(_check_k(s, k), k)
 
 
-def _top_eigenpairs(s: np.ndarray, k: int, d: np.ndarray | None = None) -> SpectralSummary:
-    # with degrees d, of the normalized adjacency of s (see _lanczos_top)
+def _top_eigenpairs(s, k: int, d: np.ndarray | None = None) -> SpectralSummary:
+    # with degrees d, of the normalized adjacency of the entries s (see
+    # _lanczos_top)
     top = _lanczos_top(s, k, d)
     if top is None:
         values, vectors = np.linalg.eigh(_dense(s, d))

@@ -4,18 +4,59 @@ random streams, and plain-text matrix and permutation I/O. 0/1 matrices are
 written and read as a byte table, every other matrix through np.savetxt and
 np.loadtxt.
 
-All matrices are dense numpy arrays of float64, nodes indexed by row 0..n-1;
-only normalized_adjacency_csr returns the CSR arrays of one.
+All matrices are dense numpy arrays of float64, nodes indexed by row 0..n-1.
+The one symmetry check reads a matrix once, as its nonzero entries, and
+decides from them alone; adjacency_entries hands those entries on (an
+Entries), and normalized_adjacency_csr builds CSR arrays from them.
 """
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 SYMMETRY_RTOL = 1e-12
-# side of the square tiles of the symmetry comparison; a 128 x 128 tile and
-# its transposed partner take 256 KB, so both stay in cache
-_SYMMETRY_TILE = 128
+
+
+@dataclass(frozen=True)
+class Entries:
+    """The nonzero entries of an n x n matrix, in row-major order.
+
+    Entry k sits at (rows[k], cols[k]) and holds values[k]; the entries of
+    row i are those from indptr[i] to indptr[i + 1]. Zeros, -0.0 included,
+    are not stored, so dense() holds +0.0 wherever the matrix held -0.0.
+    """
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def dense(self, perm: np.ndarray | None = None) -> np.ndarray:
+        """The n x n matrix; with perm, relabelled as permute relabels it:
+        entry (i, j) moves to (perm[i], perm[j])."""
+        rows, cols = (self.rows, self.cols) if perm is None else (perm[self.rows], perm[self.cols])
+        out = np.zeros((self.n, self.n))
+        np.put(out, rows * self.n + cols, self.values)
+        return out
+
+
+def entries_at(n: int, flat: np.ndarray, values: np.ndarray) -> Entries:
+    """The Entries of an n x n matrix from the ascending flat (row-major)
+    indices of its nonzeros and their values."""
+    rows, cols = np.divmod(flat, n)
+    return Entries(n, rows, cols, values, _indptr(rows, n))
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def check_symmetric(s: np.ndarray) -> np.ndarray:
@@ -29,25 +70,30 @@ def check_symmetric(s: np.ndarray) -> np.ndarray:
     return _check_symmetric(s)[0]
 
 
-def _check_symmetric(s: np.ndarray) -> tuple[np.ndarray, float]:
-    # check_symmetric, also returning the smallest entry for check_adjacency
+def _check_symmetric(s: np.ndarray) -> tuple[np.ndarray, Entries, float]:
+    # check_symmetric, also returning the entries and the smallest entry
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
         raise ValueError(f"expected a non-empty square matrix, got shape {s.shape}")
-    # a nan propagates through max and min, and an infinity is one of them,
-    # so both are finite exactly when every entry is
-    hi, lo = float(s.max()), float(s.min())
+    n = s.shape[0]
+    # flatnonzero of a bool array is several times faster than nonzero of a
+    # float64 one; nan and the infinities compare unequal to 0, so they are
+    # among the entries
+    flat = np.flatnonzero(s != 0)
+    entries = entries_at(n, flat, s.take(flat))
+    # every entry not stored is a zero; a nan propagates through max and
+    # min, and an infinity is one of them, so both are finite exactly when
+    # every entry is
+    hi, lo = float(entries.values.max(initial=0.0)), float(entries.values.min(initial=0.0))
     if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ValueError("matrix has non-finite entries")
     tol = SYMMETRY_RTOL * max(1.0, hi, -lo)
-    # |s_ij - s_ji| is symmetric in (i, j), so the tiles on and above the
-    # diagonal decide; tile (I, J) is compared with the transpose of (J, I)
-    n, t = s.shape[0], _SYMMETRY_TILE
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            if np.abs(s[i : i + t, j : j + t] - s[j : j + t, i : i + t].T).max() > tol:
-                raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
-    return s, lo
+    # a pair of zeros never fails, so each pair with a nonzero is decided at
+    # a stored entry, against its transposed partner
+    mirror = s.take(entries.cols * n + entries.rows)
+    if np.abs(entries.values - mirror).max(initial=0.0) > tol:
+        raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
+    return s, entries, lo
 
 
 def check_adjacency(a: np.ndarray) -> np.ndarray:
@@ -56,10 +102,16 @@ def check_adjacency(a: np.ndarray) -> np.ndarray:
     Returns the input as a float64 array. Weighted entries and nonzero
     diagonals are allowed.
     """
-    a, lo = _check_symmetric(a)
+    return adjacency_entries(a)[0]
+
+
+def adjacency_entries(a: np.ndarray) -> tuple[np.ndarray, Entries]:
+    """check_adjacency, also returning the nonzero entries of the matrix,
+    found by the same single scan."""
+    a, entries, lo = _check_symmetric(a)
     if lo < 0:
         raise ValueError("adjacency matrix has negative entries")
-    return a
+    return a, entries
 
 
 def degrees(a: np.ndarray) -> np.ndarray:
@@ -82,31 +134,24 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     return a * np.outer(r, r)
 
 
-def normalized_adjacency_csr(a: np.ndarray, d: np.ndarray):
-    """The normalized adjacency of a, with degrees d, as CSR arrays
-    (data, indices, indptr).
+def normalized_adjacency_csr(entries: Entries, d: np.ndarray):
+    """The normalized adjacency of a matrix with the given entries and
+    degrees d, as CSR arrays (data, indices, indptr).
 
     With d = degrees(a) they are the arrays of scipy's
-    csr_matrix(normalized_adjacency(a)), bit for bit, built from the nonzeros
-    of a without an n x n float64 temporary: each kept entry is
-    a_ij * (r_i * r_j) with r_i = 1 / sqrt(d_i), the product the dense matrix
-    holds, and entries that round to 0 are dropped as the dense to sparse
-    conversion drops them. Uses numpy only.
+    csr_matrix(normalized_adjacency(a)), bit for bit, built from the entries
+    without an n x n temporary: each kept entry is a_ij * (r_i * r_j) with
+    r_i = 1 / sqrt(d_i), the product the dense matrix holds, and entries
+    that round to 0 are dropped as the dense to sparse conversion drops them.
+    Uses numpy only.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
     r = _inverse_sqrt(d)
-    # flatnonzero of a bool array is several times faster than nonzero of a
-    # float64 one; divmod splits the flat indices into rows and columns
-    flat = np.flatnonzero(a != 0)
-    rows, cols = np.divmod(flat, n)
-    data = a.take(flat) * (r[rows] * r[cols])
+    rows, cols = entries.rows, entries.cols
+    data = entries.values * (r[rows] * r[cols])
     kept = data != 0
-    if not kept.all():
-        rows, cols, data = rows[kept], cols[kept], data[kept]
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return data, cols, indptr
+    if kept.all():
+        return data, cols, entries.indptr
+    return data[kept], cols[kept], _indptr(rows[kept], entries.n)
 
 
 def normalized_laplacian(a: np.ndarray) -> np.ndarray:

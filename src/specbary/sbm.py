@@ -91,7 +91,7 @@ def _block_rule(spec: SbmSpec) -> tuple[np.ndarray, np.ndarray]:
 def population_mean(spec: SbmSpec) -> np.ndarray:
     """Entrywise expectation P: p_m on B_m x B_m (diagonal included), q elsewhere."""
     labels, block_p = _block_rule(spec)
-    return block_p[np.ix_(labels, labels)]
+    return block_p.take(labels, 0).take(labels, 1)
 
 
 def expected_degrees(spec: SbmSpec) -> np.ndarray:
@@ -154,7 +154,7 @@ def sample(spec: SbmSpec, seed) -> np.ndarray:
     rows = max(1, _SAMPLE_STRIP // n)
     upper = np.empty((n, n), dtype=bool)
     for i in range(0, n, rows):
-        strip = rng.random((min(rows, n - i), n)) < block_p[np.ix_(labels[i : i + rows], labels)]
+        strip = rng.random((min(rows, n - i), n)) < block_p.take(labels[i : i + rows], 0).take(labels, 1)
         upper[i : i + rows] = np.triu(strip, k=i + 1)
     return (upper | upper.T).astype(float)
 

@@ -239,8 +239,8 @@ def reference_pipeline_heads(graphs: list[np.ndarray], M: int) -> tuple[np.ndarr
 
 
 def reference_is_symmetric(s: np.ndarray) -> bool:
-    """The whole-matrix decision graph_core.check_symmetric takes tile by
-    tile, on a finite square matrix."""
+    """The whole-matrix decision graph_core.check_symmetric takes from the
+    stored entries alone, on a finite square matrix."""
     tol = graph_core.SYMMETRY_RTOL * max(1.0, float(s.max()), -float(s.min()))
     return not np.abs(s - s.T).max() > tol
 

@@ -387,7 +387,7 @@ def test_pipeline_rejects_slightly_asymmetric_graph_at_entry():
     a[0, 1] += 1e-10
     with pytest.raises(ValueError, match="not symmetric") as failure:
         bc.compute_barycentre([a], M=2)
-    assert "check_adjacency" in [entry.name for entry in failure.traceback]
+    assert "adjacency_entries" in [entry.name for entry in failure.traceback]
 
 
 def test_write_result_exports_all_files(tmp_path):
@@ -559,7 +559,8 @@ def test_spectrum_head_matches_dense_spectrum_and_longer_head(case):
     # the first M of a head of M + 1 values, which a different Krylov
     # sequence gives
     longer = bc.sample_mean_eigenvalues(
-        [1.0 - eigen._top_eigenvalues(g, M + 1, graph_core.degrees(g))[:M] for g in graphs])
+        [1.0 - eigen._top_eigenvalues(graph_core.adjacency_entries(g)[1], M + 1, graph_core.degrees(g))[:M]
+         for g in graphs])
     assert len(head) == M
     assert np.abs(head - dense).max() < 1e-12
     assert np.abs(head - longer).max() < 1e-13
@@ -639,15 +640,83 @@ def test_result_expands_its_blocks_once_on_first_read():
 
 
 @pytest.mark.parametrize("M", [4, None])
-def test_pipeline_permutes_one_matrix(monkeypatch, M):
-    permuted = []
-    real = graph_core.permute
+def test_pipeline_builds_no_dense_mean_and_permutes_nothing(monkeypatch, M):
+    called = []
 
-    def spy(a, perm):
-        permuted.append(a.shape)
-        return real(a, perm)
+    def spy(name, real):
+        def wrapper(*args):
+            called.append(name)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(graph_core, "permute", spy)
+    monkeypatch.setattr(graph_core, "permute", spy("permute", graph_core.permute))
+    monkeypatch.setattr(bc, "sample_mean_adjacency", spy("mean", bc.sample_mean_adjacency))
     graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(2)]
     bc.compute_barycentre(graphs, M=M, seed=0)
-    assert permuted == [(512, 512)]
+    assert called == []
+
+
+def test_pipeline_peak_memory_holds_one_n_by_n_array():
+    n = 2048
+    graphs = [sbm.sample(paper_scaled(n, 4), (37, t)) for t in range(2)]
+    # the reference run also loads the solver modules before the measurement
+    expected = bc.compute_barycentre(graphs, M=4, seed=0)
+    tracemalloc.start()
+    try:
+        result = bc.compute_barycentre(graphs, M=4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the aligned mean, the entries of the inputs and of their mean, and
+    # strip scratch; a dense mean beside it would pass 2 n^2 floats
+    assert peak < 1.5 * 8 * n * n
+    assert np.array_equal(result.mu_blocks, expected.mu_blocks)
+
+
+@pytest.mark.parametrize("M", [2, None])
+def test_pipeline_rejects_graphs_of_different_sizes_before_any_eigensolve(monkeypatch, M):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigensolve before the size check")
+
+    for module, name in ((eigen, "_top_eigenvalues"), (eigen, "_top_eigenpairs"),
+                         (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, fail)
+    graphs = [sbm.sample(sbm.balanced(40, 2, 0.8, 0.1), (3, 0)),
+              sbm.sample(sbm.balanced(44, 2, 0.8, 0.1), (3, 1))]
+    with pytest.raises(ValueError, match=r"graph sizes differ: \(44, 44\) vs \(40, 40\)"):
+        bc.compute_barycentre(graphs, M=M)
+
+
+def _weighted_graphs(n: int, T: int, key: int) -> list[np.ndarray]:
+    # weights on a grid of 1/8 in (0, 4], with patterns of varying density
+    rng = np.random.default_rng(key)
+    graphs = []
+    for t in range(T):
+        w = np.where(rng.random((n, n)) < 0.05 * (t + 1), np.ceil(rng.uniform(0.0, 32.0, (n, n))) / 8, 0.0)
+        graphs.append(np.triu(w) + np.triu(w, 1).T)
+    return graphs
+
+
+@pytest.mark.parametrize("n", [1, 5, 300, 700])
+@pytest.mark.parametrize("T", [1, 2, 3, 7])
+def test_sample_mean_entries_match_the_dense_mean_and_its_degrees(n, T):
+    graphs = _weighted_graphs(n, T, 1000 * n + T)
+    mean, row_sums = bc._sample_mean_entries([graph_core.adjacency_entries(g)[1] for g in graphs])
+    dense = bc.sample_mean_adjacency(graphs)
+    assert np.array_equal(mean.dense(), dense)
+    assert np.array_equal(mean.values, dense[dense != 0])
+    assert np.array_equal(row_sums, graph_core.degrees(dense))
+
+
+# Lanczos at n = 512 and the dense solver at n = 64; an estimated M would
+# read the full spectra of the dense inputs, whose bits -0.0 may move
+@pytest.mark.parametrize(("spec", "M"), [(four_block_spec(), 4), (sbm.balanced(64, 2, 0.5, 0.1), 2)])
+def test_pipeline_reads_negative_zeros_as_zeros_for_a_given_M(spec, M):
+    graphs = [sbm.sample(spec, (83, t)) for t in range(2)]
+    signed = [np.where(g == 0, -0.0, g) for g in graphs]
+    expected, result = (bc.compute_barycentre(gs, M=M, seed=0) for gs in (graphs, signed))
+    for name in ("mu_blocks", "lap_blocks", "leaf", "permutation"):
+        assert np.array_equal(getattr(result, name), getattr(expected, name))
+        assert np.signbit(getattr(result, name)).tobytes() == np.signbit(getattr(expected, name)).tobytes()
+    assert np.array_equal(result.spectrum.sample_mean, expected.spectrum.sample_mean)
+    assert np.array_equal(result.degrees.values, expected.degrees.values)

@@ -134,6 +134,18 @@ def test_barycentre_mixed_sizes_is_data_error(tmp_path):
     assert run("barycentre", "--in", src, "--M", 1, "--out", tmp_path / "o") == 3
 
 
+@pytest.mark.parametrize("mode", [("--M", 2), ("--auto-M",)])
+def test_barycentre_names_the_differing_sizes(tmp_path, caplog, mode):
+    src = tmp_path / "src"
+    src.mkdir()
+    graph_core.save_matrix(sbm.sample(sbm.balanced(40, 2, 0.8, 0.1), (3, 0)), src / "g0.csv")
+    graph_core.save_matrix(sbm.sample(sbm.balanced(44, 2, 0.8, 0.1), (3, 1)), src / "g1.csv")
+    with caplog.at_level(logging.ERROR):
+        assert run("barycentre", "--in", src, *mode, "--out", tmp_path / "o") == 3
+    (message,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert message == "graph sizes differ: (44, 44) vs (40, 40)"
+
+
 def test_barycentre_empty_directory_is_data_error(tmp_path):
     src = tmp_path / "src"
     src.mkdir()

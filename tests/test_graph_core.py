@@ -50,21 +50,21 @@ def _symmetric(n: int, low: float, high: float, key: int) -> np.ndarray:
 def test_check_symmetric_rejects_asymmetry_in_last_strip():
     a = _symmetric(600, 0.0, 1.0, 23)
     gc.check_symmetric(a)
-    # only the last, partial diagonal tile (rows and columns 512..599) holds
-    # the pair (590, 599)
+    # the pair (590, 599) sits in the last rows and columns
     a[599, 590] += 1e-9
     assert not reference_is_symmetric(a)
     with pytest.raises(ValueError, match="not symmetric"):
         gc.check_symmetric(a)
 
 
-_TILE = gc._SYMMETRY_TILE
+# side of the square tiles of the grid a pair is planted on
+_TILE = 128
 
 
 @st.composite
 def _planted_pair(draw):
     """n in 1..300 and one entry (i, j): in a diagonal tile, an off-diagonal
-    tile or the last row or column."""
+    tile or the last row or column of a grid of 128 x 128 tiles."""
     place = draw(st.sampled_from(["diagonal_tile", "off_diagonal_tile", "last_row", "last_column"]))
     n = draw(st.integers(_TILE + 1 if place == "off_diagonal_tile" else 1, 300))
     index = st.integers(0, n - 1)
@@ -106,8 +106,8 @@ def test_check_symmetric_tiles_decide_like_the_whole_matrix(pair, scale, above, 
 @pytest.mark.parametrize("above", [False, True])
 def test_check_symmetric_widens_its_tolerance_by_a_far_tile_minimum(above):
     s = np.round(_symmetric(300, 0.0, 1.0, 31) * 8) / 8
-    # the minimum, in the last tile, sets the tolerance; the pair (0, 1) of
-    # the first tile exceeds the tolerance the largest entry gives
+    # the minimum, in the last rows, sets the tolerance; the pair (0, 1) in
+    # the first rows exceeds the tolerance the largest entry gives
     s[299, 298] = s[298, 299] = -1e6
     tol = gc.SYMMETRY_RTOL * 1e6
     s[1, 0] = 0.0
@@ -132,7 +132,7 @@ def test_check_symmetric_rejects_one_off_diagonal_nan():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_checks_reject_non_finite_before_symmetry_and_sign(check, value):
     a = _symmetric(600, 0.0, 1.0, 37)
-    # the first tile is asymmetric and a far entry negative, so a symmetry
+    # the first rows are asymmetric and a far entry negative, so a symmetry
     # or sign test run first would raise its own message; filterwarnings =
     # error turns any RuntimeWarning from the scans into a failure
     a[0, 1] += 1.0
@@ -151,6 +151,98 @@ def test_check_symmetric_scales_tolerance_by_most_negative_entry():
     off[0, 1] += 4e-10
     with pytest.raises(ValueError, match="not symmetric"):
         gc.check_symmetric(off)
+
+
+def _sparse_symmetric(n: int, density: float, key: int) -> np.ndarray:
+    # weights on a grid of 1/8 in (0, 4] on a random symmetric pattern
+    rng = np.random.default_rng(key)
+    a = np.where(rng.random((n, n)) < density, np.ceil(rng.uniform(0.0, 32.0, (n, n))) / 8, 0.0)
+    return np.triu(a) + np.triu(a, 1).T
+
+
+@settings(max_examples=200)
+@given(n=st.integers(2, 300), density=st.sampled_from([0.0, 0.02, 0.3]), above=st.booleans(),
+       negative_zeros=st.booleans(), key=st.integers(0, 2**32 - 1))
+def test_check_symmetric_decides_one_sided_entries_like_the_whole_matrix(n, density, above,
+                                                                        negative_zeros, key):
+    s = _sparse_symmetric(n, density, key)
+    if negative_zeros:
+        s[s == 0] = -0.0
+    rng = np.random.default_rng(key + 1)
+    i, j = rng.choice(n, 2, replace=False)
+    # one side of the pair holds a zero, the other exactly the tolerance or
+    # the next float above it, so only the stored side can decide
+    s[i, j] = s[j, i] = 0.0
+    tol = gc.SYMMETRY_RTOL * max(1.0, float(s.max()))
+    s[i, j] = np.nextafter(tol, np.inf) if above else tol
+    assert reference_is_symmetric(s) == (not above)
+    if above:
+        with pytest.raises(ValueError, match="not symmetric"):
+            gc.check_adjacency(s)
+    else:
+        assert gc.check_adjacency(s) is s
+
+
+@pytest.mark.parametrize("check", [gc.check_symmetric, gc.check_adjacency])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checks_reject_non_finite_entry_facing_a_zero(check, value):
+    a = _sparse_symmetric(300, 0.02, 41)
+    a[7, 250] = a[250, 7] = 0.0
+    # only the transposed partner, a zero, is there to compare it with
+    a[7, 250] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        check(a)
+
+
+def test_negative_zeros_are_zeros_to_the_checks_and_the_entries():
+    a = _sparse_symmetric(50, 0.1, 43)
+    signed = np.where(a == 0, -0.0, a)
+    signed[3, 4] = 0.0
+    signed[4, 3] = -0.0
+    assert gc.check_adjacency(signed) is signed
+    _, entries = gc.adjacency_entries(signed)
+    _, expected = gc.adjacency_entries(a)
+    for name in ("rows", "cols", "values", "indptr"):
+        assert np.array_equal(getattr(entries, name), getattr(expected, name))
+    # the entries keep no zeros, so the matrix they give back has +0.0
+    # where the input held -0.0
+    dense = entries.dense()
+    assert np.array_equal(dense, signed) and not np.signbit(dense).any()
+
+
+def test_all_zero_matrix_passes_with_no_entries():
+    a = np.zeros((5, 5))
+    assert gc.check_adjacency(a) is a
+    _, entries = gc.adjacency_entries(a)
+    assert entries.values.size == 0 and np.array_equal(entries.indptr, np.zeros(6))
+    assert np.array_equal(entries.dense(), a)
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_check_symmetric_reads_every_entry_of_a_dense_weighted_matrix(above):
+    s = np.round(_symmetric(200, 0.5, 4.0, 47) * 8) / 8
+    _, entries, _ = gc._check_symmetric(s)
+    assert entries.values.size == s.size
+    # half or twice the tolerance, which rounding of the sum cannot undo
+    tol = gc.SYMMETRY_RTOL * float(s.max())
+    s[150, 20] = s[20, 150] + (2.0 * tol if above else 0.5 * tol)
+    assert reference_is_symmetric(s) == (not above)
+    if above:
+        with pytest.raises(ValueError, match="not symmetric"):
+            gc.check_symmetric(s)
+    else:
+        assert gc.check_symmetric(s) is s
+
+
+def test_adjacency_entries_are_the_row_major_nonzeros():
+    a = _sparse_symmetric(40, 0.2, 53)
+    _, entries = gc.adjacency_entries(a)
+    rows, cols = np.nonzero(a)
+    assert np.array_equal(entries.rows, rows) and np.array_equal(entries.cols, cols)
+    assert np.array_equal(entries.values, a[rows, cols])
+    assert np.array_equal(entries.indptr, np.concatenate([[0], np.cumsum((a != 0).sum(axis=1))]))
+    perm = np.random.default_rng(59).permutation(40)
+    assert np.array_equal(entries.dense(perm), gc.permute(a, perm))
 
 
 # every public function that takes a symmetric matrix from a caller
@@ -206,7 +298,7 @@ def test_normalized_adjacency_csr_matches_dense_conversion(case):
 
     a = PARTIAL_PATH_CASES[case][0]()
     expected = sparse.csr_matrix(gc.normalized_adjacency(a))
-    data, indices, indptr = gc.normalized_adjacency_csr(a, gc.degrees(a))
+    data, indices, indptr = gc.normalized_adjacency_csr(gc.adjacency_entries(a)[1], gc.degrees(a))
     assert np.array_equal(data, expected.data)
     assert np.array_equal(indices, expected.indices)
     assert np.array_equal(indptr, expected.indptr)
