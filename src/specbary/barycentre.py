@@ -17,8 +17,12 @@ Stages of compute_barycentre:
      sample mean adjacency as entries, built in row strips with no n x n
      array,
   2. alignment: spectral embedding, k-means, canonical block ordering,
-  3. greedy Soules basis on the aligned mean adjacency, scattered from the
-     mean's entries into the pipeline's one n x n array, first M columns,
+  3. greedy Soules basis on the aligned mean adjacency, read as the mean's
+     entries with their rows and columns relabelled, first M columns; the
+     block degrees average the mean's row sums over its leaves. So for a
+     given M on inputs that Lanczos reads, no n x n array is built after
+     the inputs (M=None scans each graph's full spectrum, and the dense
+     eigensolver fallback builds its matrix from the entries),
   4. eigenvalue regularization (bulk entries pinned to 1),
   5. truncated Laplacian and degree-rescaled adjacency as M x M matrices
      over the depth-M leaf blocks,
@@ -236,11 +240,12 @@ def estimate_block_degrees(mean_adj: np.ndarray, blocks) -> BlockDegrees:
     return BlockDegrees(values=values, blocks=blocks)
 
 
-def average_node_degrees(mean_adj: np.ndarray, blocks) -> BlockDegrees:
-    """Average full degree (whole row sum) of the nodes in each block."""
-    mean_adj = np.asarray(mean_adj, dtype=float)
-    blocks = _check_partition(blocks, mean_adj.shape[0])
-    values = np.array([mean_adj[a - 1 : b, :].sum() / (b - a + 1) for a, b in blocks])
+def average_node_degrees(node_degrees: np.ndarray, blocks) -> BlockDegrees:
+    """Average full degree of the nodes in each block, given the degree (the
+    whole row sum of the mean adjacency) of each node in block order."""
+    node_degrees = np.asarray(node_degrees, dtype=float)
+    blocks = _check_partition(blocks, len(node_degrees))
+    values = np.array([node_degrees[a - 1 : b].sum() / (b - a + 1) for a, b in blocks])
     return BlockDegrees(values=values, blocks=blocks)
 
 
@@ -313,15 +318,15 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     Raises ValueError for no graphs, a graph that fails
     graph_core.check_adjacency, graphs of different sizes (before any
     eigensolve) or M outside 1..n. The graphs are read as their nonzero
-    entries, so -0.0 counts as 0.0: for a given M, an input holding -0.0
-    gives the bits the same input with 0.0 gives.
+    entries, so -0.0 counts as 0.0: an input holding -0.0 gives the bits
+    the same input with 0.0 gives.
     """
     if not graphs:
         raise ValueError("no graphs given")
     # Each input graph is validated here, once, by the one scan that also
-    # finds its nonzero entries; the Lanczos heads and the mean are built
-    # from those. Every later matrix is derived from checked graphs, so the
-    # eigen and soules bodies below run unchecked.
+    # finds its nonzero entries; the spectra, the mean and everything after
+    # are built from those. Every later matrix is derived from checked
+    # graphs, so the eigen and soules bodies below run unchecked.
     graphs, entries = zip(*[graph_core.adjacency_entries(g) for g in graphs])
     n = entries[0].n
     for g in graphs:
@@ -329,7 +334,7 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
             raise ValueError(f"graph sizes differ: {g.shape} vs {graphs[0].shape}")
     mean_vals = None
     if M is None:
-        spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(g)) for g in graphs]
+        spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(e.dense())) for e in entries]
         mean_vals = sample_mean_eigenvalues(spectra)
         M = alignment.estimate_M(mean_vals)
         log.info("estimated M=%d from the mean spectrum", M)
@@ -354,16 +359,16 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
         mean_vals = sample_mean_eigenvalues([1.0 - top.values])
     assignment = alignment.cluster_nodes(top.vectors, M, seed, degrees=mean_deg)
     perm = alignment.canonical_permutation(assignment)
-    # the aligned mean, which the split search and the block degrees read
-    mean_perm = mean.dense(perm)
-    del mean
 
-    basis = soules._best_soules_basis(mean_perm, depth=M)
+    # the aligned mean, as the mean's entries relabelled: node i moves to perm[i]
+    basis = soules._best_soules_basis(n, perm[mean.rows], perm[mean.cols], mean.values, depth=M)
+    del mean
     spectrum = regularize_eigenvalues(mean_vals, M, n)
     lap_blocks = truncated_laplacian(spectrum, basis)
     blocks = basis.tree.leaves(depth=M)
-    block_deg = average_node_degrees(mean_perm, blocks)
-    del mean_perm
+    aligned_deg = np.empty(n)
+    aligned_deg[perm] = mean_deg
+    block_deg = average_node_degrees(aligned_deg, blocks)
 
     # input node i sits at aligned row perm[i], inside the first leaf ending
     # at or after it

@@ -9,16 +9,16 @@ On large connected inputs they run Lanczos (scipy's ARPACK) from a fixed
 Philox start vector; everywhere else, and whenever Lanczos does not
 converge, they fall back to the dense solvers.
 
-Each public function checks its argument with graph_core.check_symmetric,
-and Lanczos reads it through scipy's dense to CSR conversion.
-compute_barycentre calls the private bodies of top_eigenvalues and
-top_eigenpairs directly, with the graph_core.Entries of the input graphs it
-has checked and of their mean, and their degrees: the bodies then find
-eigenpairs of the normalized adjacency. Lanczos reads it as CSR arrays built
-from those entries (graph_core.normalized_adjacency_csr); only the dense
-solver builds an n x n matrix, from the entries, which hold +0.0 where an
-input held -0.0. For a full spectrum of a checked graph compute_barycentre
-and the spectrum command call np.linalg.eigvalsh.
+Each public function checks its argument with graph_core's one symmetry
+check. top_eigenvalues and top_eigenpairs hand the entries the check finds
+(a graph_core.Entries) to their private bodies, which take nothing else;
+compute_barycentre calls those bodies directly, with the entries of the
+input graphs it has checked and of their mean, and their degrees, so the
+bodies then find eigenpairs of the normalized adjacency. Lanczos reads CSR arrays built from
+the entries (graph_core.normalized_adjacency_csr for a normalized
+adjacency); only the dense solver builds an n x n matrix, from the entries,
+which hold +0.0 where an input held -0.0. For a full spectrum of a checked
+graph compute_barycentre and the spectrum command call np.linalg.eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -77,21 +77,20 @@ def sym_eig_values(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(graph_core.check_symmetric(s))
 
 
-def _lanczos_top(s, k: int, d: np.ndarray | None):
+def _lanczos_top(e: graph_core.Entries, k: int, d: np.ndarray | None):
     """The k largest eigenpairs by Lanczos, largest first, or None when the
     dense path must be used instead.
 
-    With degrees d, s is the graph_core.Entries of an adjacency matrix and
-    the eigenpairs are those of its normalized adjacency, read from the CSR
-    arrays of graph_core.normalized_adjacency_csr; without, they are those
-    of the matrix s.
+    They are the eigenpairs of the matrix with entries e, read as its CSR
+    arrays; with degrees d, of its normalized adjacency, read from the CSR
+    arrays of graph_core.normalized_adjacency_csr.
 
     Lanczos runs only when n >= 512, k <= n / 32 and the nonzero pattern is
     connected. A disconnected pattern (isolated nodes included) gives the
     top eigenvalue of a normalized adjacency one copy per component, which
     one Krylov sequence may miss.
     """
-    n = s.shape[0]
+    n = e.n
     if n < _PARTIAL_MIN_N or _PARTIAL_MAX_SHARE * k > n:
         return None
     # imported here so that small inputs never pay for loading scipy
@@ -99,8 +98,8 @@ def _lanczos_top(s, k: int, d: np.ndarray | None):
     from scipy.sparse import csgraph
     from scipy.sparse import linalg as splinalg
 
-    a = sparse.csr_matrix(s if d is None else graph_core.normalized_adjacency_csr(s, d),
-                          shape=(n, n))
+    csr = (e.values, e.cols, e.indptr) if d is None else graph_core.normalized_adjacency_csr(e, d)
+    a = sparse.csr_matrix(csr, shape=(n, n))
     if csgraph.connected_components(a, directed=False, return_labels=False) > 1:
         return None
     # one fixed stream for the start vector and for any restart vector ARPACK
@@ -115,15 +114,16 @@ def _lanczos_top(s, k: int, d: np.ndarray | None):
     return values[order], vectors[:, order]
 
 
-def _dense(s, d: np.ndarray | None) -> np.ndarray:
-    return s if d is None else graph_core.normalized_adjacency(s.dense())
+def _dense(e: graph_core.Entries, d: np.ndarray | None) -> np.ndarray:
+    a = e.dense()
+    return a if d is None else graph_core.normalized_adjacency(a)
 
 
-def _check_k(s: np.ndarray, k: int) -> np.ndarray:
-    s = graph_core.check_symmetric(s)
-    if not 1 <= k <= s.shape[0]:
-        raise ValueError(f"k={k} outside 1..{s.shape[0]}")
-    return s
+def _check_k(s: np.ndarray, k: int) -> graph_core.Entries:
+    e = graph_core._check_symmetric(s)[1]
+    if not 1 <= k <= e.n:
+        raise ValueError(f"k={k} outside 1..{e.n}")
+    return e
 
 
 def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
@@ -135,12 +135,12 @@ def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
     return _top_eigenvalues(_check_k(s, k), k)
 
 
-def _top_eigenvalues(s, k: int, d: np.ndarray | None = None) -> np.ndarray:
-    # with degrees d, of the normalized adjacency of the entries s (see
-    # _lanczos_top)
-    top = _lanczos_top(s, k, d)
+def _top_eigenvalues(e: graph_core.Entries, k: int, d: np.ndarray | None = None) -> np.ndarray:
+    # of the matrix with entries e; with degrees d, of its normalized
+    # adjacency (see _lanczos_top)
+    top = _lanczos_top(e, k, d)
     if top is None:
-        return np.linalg.eigvalsh(_dense(s, d))[::-1][:k].copy()
+        return np.linalg.eigvalsh(_dense(e, d))[::-1][:k].copy()
     return top[0]
 
 
@@ -154,12 +154,12 @@ def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
     return _top_eigenpairs(_check_k(s, k), k)
 
 
-def _top_eigenpairs(s, k: int, d: np.ndarray | None = None) -> SpectralSummary:
-    # with degrees d, of the normalized adjacency of the entries s (see
-    # _lanczos_top)
-    top = _lanczos_top(s, k, d)
+def _top_eigenpairs(e: graph_core.Entries, k: int, d: np.ndarray | None = None) -> SpectralSummary:
+    # of the matrix with entries e; with degrees d, of its normalized
+    # adjacency (see _lanczos_top)
+    top = _lanczos_top(e, k, d)
     if top is None:
-        values, vectors = np.linalg.eigh(_dense(s, d))
+        values, vectors = np.linalg.eigh(_dense(e, d))
         return SpectralSummary(values=values[::-1][:k].copy(),
                                vectors=_fix_signs(vectors[:, ::-1][:, :k]))
     values, vectors = top

@@ -4,10 +4,12 @@ random streams, and plain-text matrix and permutation I/O. 0/1 matrices are
 written and read as a byte table, every other matrix through np.savetxt and
 np.loadtxt.
 
-All matrices are dense numpy arrays of float64, nodes indexed by row 0..n-1.
-The one symmetry check reads a matrix once, as its nonzero entries, and
-decides from them alone; adjacency_entries hands those entries on (an
-Entries), and normalized_adjacency_csr builds CSR arrays from them.
+Matrices come in as dense numpy arrays of float64, nodes indexed by row
+0..n-1. The one symmetry check reads a matrix once, as its nonzero entries,
+and decides from them alone; adjacency_entries hands those entries on (an
+Entries). The eigen bodies and the Soules split search read a checked
+matrix only as its Entries, and normalized_adjacency_csr builds CSR arrays
+from them.
 """
 
 from dataclasses import dataclass
@@ -33,16 +35,10 @@ class Entries:
     values: np.ndarray
     indptr: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
-    def dense(self, perm: np.ndarray | None = None) -> np.ndarray:
-        """The n x n matrix; with perm, relabelled as permute relabels it:
-        entry (i, j) moves to (perm[i], perm[j])."""
-        rows, cols = (self.rows, self.cols) if perm is None else (perm[self.rows], perm[self.cols])
+    def dense(self) -> np.ndarray:
+        """The n x n matrix."""
         out = np.zeros((self.n, self.n))
-        np.put(out, rows * self.n + cols, self.values)
+        np.put(out, self.rows * self.n + self.cols, self.values)
         return out
 
 

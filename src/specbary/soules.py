@@ -19,12 +19,6 @@ import numpy as np
 from . import graph_core
 
 
-# elements per strip of the noise floor's absolute sum (512 KB of float64)
-_ABS_STRIP = 1 << 16
-# rows per strip of a leaf's lower-triangle row sums
-_ROW_STRIP = 64
-
-
 @dataclass(frozen=True)
 class SoulesSplit:
     """One interval split: [i0, i1] divides into [i0, istar] and [istar+1, i1].
@@ -207,37 +201,18 @@ def inner_product_score(s: np.ndarray, split: SoulesSplit) -> float:
     return val * val
 
 
-def _abs_sum(flat: np.ndarray) -> float:
-    """np.abs(flat).sum() of a 1-D array without a full-size temporary.
+def _leaf_best(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, a: int, b: int,
+               noise_floor: float) -> tuple[float, int]:
+    """The best (score, istar) over the cuts istar = a..b-1 of leaf [a, b],
+    from the leaf's own entries (0-based rows and cols in a-1..b-1, any order).
 
-    numpy sums a contiguous array pairwise: it halves the range at a multiple
-    of 8 until at most 128 values remain. Splitting the same way down to
-    strips keeps that tree, so the result has the same bits.
+    With t the 0-based offset in the leaf, s00(t) sums the entries whose
+    larger offset is at most t and s0b(t) those whose row offset is, so
+    both are cumulative sums of one bincount each.
     """
-    if flat.size <= _ABS_STRIP:
-        return float(np.abs(flat).sum())
-    half = flat.size // 2
-    half -= half % 8
-    return _abs_sum(flat[:half]) + _abs_sum(flat[half:])
-
-
-def _leaf_best(s: np.ndarray, a: int, b: int, noise_floor: float) -> tuple[float, int]:
-    """The best (score, istar) over the cuts istar = a..b-1 of leaf [a, b].
-
-    Block sums come from the leaf's own rows, read in place: s0b(t) is the
-    cumulative row sum over the leaf's columns, and by symmetry
-    s00(t) = s00(t-1) + 2 sum_{a<=j<t} s[t, j] + s[t, t].
-    """
-    block = s[a - 1 : b, a - 1 : b]
     L = b - a + 1
-    lower = np.empty(L)
-    for r in range(0, L, _ROW_STRIP):
-        rows = block[r : r + _ROW_STRIP]
-        # the columns left of the strip, then the strict lower triangle inside it
-        lower[r : r + _ROW_STRIP] = (rows[:, :r].sum(axis=1)
-                                     + np.tril(rows[:, r : r + _ROW_STRIP], -1).sum(axis=1))
-    s00 = np.cumsum(2.0 * lower + np.diagonal(block))[:-1]
-    s0b = np.cumsum(block.sum(axis=1))
+    s00 = np.cumsum(np.bincount(np.maximum(rows, cols) - (a - 1), weights=values, minlength=L))[:-1]
+    s0b = np.cumsum(np.bincount(rows - (a - 1), weights=values, minlength=L))
     stot = s0b[-1]
     s0b = s0b[:-1]
     r0 = np.arange(1.0, L)
@@ -260,9 +235,10 @@ def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     Ties go to the smallest i0, then the smallest istar. The search stops once
     depth vectors exist (the constant vector counts as the first).
 
-    A leaf's block sums are prefix sums over its own rows, read from s in
-    place, so scoring a leaf of length L costs O(L^2) and needs no n x n
-    scratch. Each leaf is scored once.
+    The search reads the nonzero entries that graph_core's check finds. A
+    leaf's block sums are cumulative sums over its own entries, so scoring
+    a leaf costs O(L + its entries) and needs no n x n scratch. Each leaf is
+    scored once; a split hands each child the entries inside it.
 
     Args:
       s: square symmetric matrix, typically a sample mean adjacency.
@@ -271,23 +247,27 @@ def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     Returns:
       A SoulesBasis with depth columns and depth-1 recorded splits.
     """
-    return _best_soules_basis(graph_core.check_symmetric(s), depth)
+    e = graph_core._check_symmetric(s)[1]
+    return _best_soules_basis(e.n, e.rows, e.cols, e.values, depth)
 
 
-def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
-    # the search itself, on a matrix that graph_core.check_symmetric passed
-    n = s.shape[0]
+def _best_soules_basis(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                       depth: int) -> SoulesBasis:
+    # the search itself, on the entries (any order) of an n x n matrix that
+    # graph_core's check passed
     if not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
 
     # scores at the rounding noise of the block sums count as exact zeros,
     # otherwise summation-order jitter would decide ties on structureless input
-    mass = max(1.0, _abs_sum(s.ravel(order="K")))
+    mass = max(1.0, float(np.abs(values).sum()))
     noise_floor = (64.0 * np.finfo(float).eps * mass) ** 2
 
     # each leaf is scored once, at the first level that considers it; a level
-    # scores only the two leaves the previous split created
+    # scores only the two leaves the previous split created. A leaf keeps its
+    # entries until it is split; entries across the cut lie in no later leaf
     leaves = [(1, n)]
+    inside = {(1, n): (rows, cols, values)}
     scored: dict[tuple[int, int], tuple[float, int]] = {}
     splits: list[SoulesSplit] = []
     for level in range(1, depth):
@@ -297,7 +277,7 @@ def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
             if b == a:
                 continue
             if (a, b) not in scored:
-                scored[(a, b)] = _leaf_best(s, a, b, noise_floor)
+                scored[(a, b)] = _leaf_best(*inside[(a, b)], a, b, noise_floor)
             score, istar = scored[(a, b)]
             # strict comparison keeps the earliest (i0, istar) on ties
             if score > best_score:
@@ -309,6 +289,11 @@ def _best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
         splits.append(SoulesSplit(i0=a, i1=b, istar=istar, level=level))
         ix = leaves.index((a, b))
         leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
+        r, c, v = inside.pop((a, b))
+        # 0-based, the left child holds rows and columns below istar
+        left_r, left_c = r < istar, c < istar
+        for child, keep in (((a, istar), left_r & left_c), ((istar + 1, b), ~(left_r | left_c))):
+            inside[child] = (r[keep], c[keep], v[keep])
 
     return materialize(SoulesTree(n=n, splits=tuple(splits)))
 

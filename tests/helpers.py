@@ -226,14 +226,15 @@ def partial_path_case(name: str) -> tuple[np.ndarray, int, bool]:
 
 def reference_pipeline_heads(graphs: list[np.ndarray], M: int) -> tuple[np.ndarray, np.ndarray]:
     """The mean spectrum head and the embedding of compute_barycentre for a
-    given M, from dense normalized adjacencies that Lanczos reads through
-    scipy's dense to CSR conversion: the reference whose bits the pipeline's
-    CSR built from each graph's nonzeros gives. One graph is its own mean, so
-    its head comes from the embedding's eigensolve, as in the pipeline."""
+    given M, from the public top_eigen functions on dense normalized
+    adjacencies built from the dense mean: the reference whose bits the
+    pipeline's CSR, built from each graph's entries and degrees, gives. One
+    graph is its own mean, so its head comes from the embedding's
+    eigensolve, as in the pipeline."""
     mean_adj = barycentre.sample_mean_adjacency(graphs)
-    top = eigen._top_eigenpairs(graph_core.normalized_adjacency(mean_adj), M)
+    top = eigen.top_eigenpairs(graph_core.normalized_adjacency(mean_adj), M)
     heads = [top.values] if len(graphs) == 1 else [
-        eigen._top_eigenvalues(graph_core.normalized_adjacency(g), M) for g in graphs]
+        eigen.top_eigenvalues(graph_core.normalized_adjacency(g), M) for g in graphs]
     head = barycentre.sample_mean_eigenvalues([1.0 - h for h in heads])
     return head, top.vectors
 

@@ -256,8 +256,12 @@ def test_best_basis_input_validation():
         so.best_soules_basis(np.eye(4), depth=5)
 
 
-def _splits(s: np.ndarray, depth: int) -> tuple:
-    return so._best_soules_basis(s, depth).tree.splits
+def _splits(s: np.ndarray, depth: int, perm: np.ndarray | None = None, order=slice(None)) -> tuple:
+    """The splits the search gives on the checked entries of s, relabelled
+    by perm (node i moves to perm[i]) and handed over in the given order."""
+    e = graph_core._check_symmetric(s)[1]
+    rows, cols = (e.rows, e.cols) if perm is None else (perm[e.rows], perm[e.cols])
+    return so._best_soules_basis(e.n, rows[order], cols[order], e.values[order], depth).tree.splits
 
 
 def _reference_splits(s: np.ndarray, depth: int) -> tuple:
@@ -277,16 +281,6 @@ def _exact_value(s: np.ndarray, split: so.SoulesSplit) -> Fraction:
     r1 = split.i1 - split.istar
     return (Fraction(r1, L * r0) * total(lo, lo) + Fraction(r0, L * r1) * total(hi, hi)
             - Fraction(2, L) * total(lo, hi))
-
-
-# 263 x 271 and 700 x 301 halve at a length that is not a multiple of 8
-@pytest.mark.parametrize("shape", [(7, 7), (300, 300), (263, 271), (700, 301), (1024, 1029)])
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_abs_sum_gives_the_noise_floor_bits_of_numpy(shape, layout):
-    rng = np.random.default_rng(shape[1])
-    s = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
-    s = {"C": s, "F": np.asfortranarray(s), "strided": s[::2, ::3]}[layout]
-    assert so._abs_sum(s.ravel(order="K")) == float(np.abs(s).sum())
 
 
 @st.composite
@@ -318,12 +312,19 @@ def _eighths_matrix(draw):
 
 
 @settings(max_examples=400)
-@given(case=_eighths_matrix())
-def test_split_search_matches_table_reference_on_eighths(case):
+@given(case=_eighths_matrix(), seed=st.integers(0, 2**32 - 1))
+def test_split_search_matches_table_reference_on_eighths(case, seed):
     # entries on a 1/8 grid make every block sum exact in both searches, so
-    # scores agree bit for bit and planted ties are broken the same way
+    # scores agree bit for bit and planted ties are broken the same way, in
+    # any order of the entries and under any relabelling of the nodes
     s, depth = case
-    assert _splits(s, depth) == _reference_splits(s, depth)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(np.count_nonzero(s))
+    perm = rng.permutation(len(s))
+    expected = _reference_splits(s, depth)
+    assert _splits(s, depth) == expected
+    assert _splits(s, depth, order=order) == expected
+    assert _splits(s, depth, perm, order) == _reference_splits(graph_core.permute(s, perm), depth)
 
 
 def test_split_search_matches_table_reference_on_criterion_04_inputs():
@@ -348,7 +349,7 @@ def test_split_search_matches_table_reference_on_criterion_04_inputs():
                         gap = abs(abs(_exact_value(s, new)) - abs(_exact_value(s, ref)))
                         assert gap <= 64 * np.finfo(float).eps * np.abs(s).sum(), (s, new, ref)
                         flipped += 1
-    assert flipped < 300  # 225 near-ties flip out of 23,520 inputs
+    assert flipped < 300  # 232 near-ties flip out of 23,520 inputs
 
 
 def test_split_search_matches_table_reference_on_criterion_05_inputs():
@@ -388,10 +389,10 @@ def test_split_search_matches_table_reference_on_school_mornings(seed, M):
 
 def test_split_search_needs_no_n_by_n_scratch():
     n = 2048
-    s = graph_core.check_symmetric(sbm.sample(paper_scaled(n, 32), (72, 0)))
+    e = graph_core._check_symmetric(sbm.sample(paper_scaled(n, 32), (72, 0)))[1]
     tracemalloc.start()
     try:
-        so._best_soules_basis(s, 32)
+        so._best_soules_basis(n, e.rows, e.cols, e.values, 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
