@@ -10,19 +10,19 @@ vectors enter the result, so for a given M only a head of each spectrum is
 computed.
 
 Stages of compute_barycentre:
-  1. one check of each input graph, which finds its nonzero entries; the
-     mean Laplacian spectrum (its head of M values when M is given, by
-     Lanczos on CSR arrays built from each graph's entries; a single graph's
-     head comes from the eigensolve of the embedding in stage 2), and the
-     sample mean adjacency as entries, built in row strips with no n x n
-     array,
+  1. one check of each input graph, which finds its nonzero entries;
+     after it only those entries are read. The mean Laplacian spectrum (its
+     head of M values when M is given, by Lanczos on CSR arrays built from
+     each graph's entries; a single graph's head comes from the eigensolve
+     of the embedding in stage 2), and the sample mean adjacency as entries,
+     merged from the graphs' entries with no n x n array,
   2. alignment: spectral embedding, k-means, canonical block ordering,
   3. greedy Soules basis on the aligned mean adjacency, read as the mean's
      entries with their rows and columns relabelled, first M columns; the
-     block degrees average the mean's row sums over its leaves. So for a
-     given M on inputs that Lanczos reads, no n x n array is built after
-     the inputs (M=None scans each graph's full spectrum, and the dense
-     eigensolver fallback builds its matrix from the entries),
+     block degrees average the mean's Entries.degrees over its leaves. So
+     for a given M on inputs that Lanczos reads, no n x n array is built
+     after the inputs (M=None scans each graph's full spectrum, and the
+     dense eigensolver fallback builds its matrix from the entries),
   4. eigenvalue regularization (bulk entries pinned to 1),
   5. truncated Laplacian and degree-rescaled adjacency as M x M matrices
      over the depth-M leaf blocks,
@@ -47,8 +47,6 @@ REGULARIZE_TOL = 1e-9
 
 # elements per strip of mse (512 KB of float64 per strip array)
 _MSE_STRIP = 1 << 16
-# elements per row strip of the sample mean (1 MB of float64)
-_MEAN_STRIP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -129,33 +127,31 @@ def sample_mean_adjacency(graphs: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _sample_mean_entries(entries: list[graph_core.Entries]) -> tuple[graph_core.Entries, np.ndarray]:
+def _sample_mean_entries(entries: list[graph_core.Entries]) -> graph_core.Entries:
     """The entries of the entrywise mean of T >= 1 same-size matrices, given
-    by their entries, and the mean's row sums, without an n x n array.
+    by their entries, without an n x n array.
 
-    The mean is built in row strips. Each strip is zeroed, the entries of
-    matrix 0, 1, ... are added to it in order and it is divided by T, so it
-    holds the bits sample_mean_adjacency gives (up to the sign of zeros),
-    and its row sums have the bits of graph_core.degrees of that mean.
+    The entries of all T matrices are merged by one stable sort of their
+    flat positions, so each position's values stay in matrix order; one
+    np.bincount adds them in that order from 0.0, and the sums are divided
+    by T. These are the additions sample_mean_adjacency makes, so the mean
+    has its bits (up to the sign of zeros). A pairwise sum (np.add.reduceat)
+    or an unstable sort would add in another order. One matrix is its own
+    mean (x / 1 == x) and is returned as it is.
     """
-    n, T = entries[0].n, len(entries)
-    rows = max(1, _MEAN_STRIP // n)
-    scratch = np.empty((rows, n))
-    row_sums = np.empty(n)
-    flats, values = [], []
-    for i in range(0, n, rows):
-        strip = scratch[: min(rows, n - i)]
-        strip.fill(0.0)
-        cells = strip.reshape(-1)
-        for e in entries:
-            lo, hi = e.indptr[i], e.indptr[i + len(strip)]
-            cells[(e.rows[lo:hi] - i) * n + e.cols[lo:hi]] += e.values[lo:hi]
-        strip /= T
-        strip.sum(axis=1, out=row_sums[i : i + len(strip)])
-        flat = np.flatnonzero(strip != 0)
-        values.append(cells.take(flat))
-        flats.append(flat + i * n)
-    return graph_core.entries_at(n, np.concatenate(flats), np.concatenate(values)), row_sums
+    if len(entries) == 1:
+        return entries[0]
+    n = entries[0].n
+    flat = np.concatenate([e.rows * n + e.cols for e in entries])
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    values = np.concatenate([e.values for e in entries])[order]
+    del order
+    first = np.diff(flat, prepend=-1) != 0
+    sums = np.bincount(np.cumsum(first) - 1, weights=values) / len(entries)
+    flat = flat[first]
+    kept = sums != 0
+    return graph_core.entries_at(n, flat[kept], sums[kept])
 
 
 def sample_mean_eigenvalues(spectra: list[np.ndarray]) -> np.ndarray:
@@ -319,19 +315,20 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     graph_core.check_adjacency, graphs of different sizes (before any
     eigensolve) or M outside 1..n. The graphs are read as their nonzero
     entries, so -0.0 counts as 0.0: an input holding -0.0 gives the bits
-    the same input with 0.0 gives.
+    the same input with 0.0 gives. M = 1 gives one leaf, and mu_hat the sum
+    of the mean adjacency over n^2, to within rounding.
     """
     if not graphs:
         raise ValueError("no graphs given")
     # Each input graph is validated here, once, by the one scan that also
-    # finds its nonzero entries; the spectra, the mean and everything after
-    # are built from those. Every later matrix is derived from checked
+    # finds its nonzero entries; everything after, degrees included, is
+    # built from those alone. Every later matrix is derived from checked
     # graphs, so the eigen and soules bodies below run unchecked.
-    graphs, entries = zip(*[graph_core.adjacency_entries(g) for g in graphs])
+    entries = [graph_core.adjacency_entries(g)[1] for g in graphs]
     n = entries[0].n
-    for g in graphs:
-        if g.shape != graphs[0].shape:
-            raise ValueError(f"graph sizes differ: {g.shape} vs {graphs[0].shape}")
+    for e in entries:
+        if e.n != n:
+            raise ValueError(f"graph sizes differ: ({e.n}, {e.n}) vs ({n}, {n})")
     mean_vals = None
     if M is None:
         spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(e.dense())) for e in entries]
@@ -340,23 +337,20 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
         log.info("estimated M=%d from the mean spectrum", M)
     elif not 1 <= M <= n:
         raise ValueError(f"M={M} outside 1..{n}")
-    elif len(graphs) > 1:
+    elif len(entries) > 1:
         # the smallest normalized-Laplacian eigenvalues are one minus the
         # largest of the normalized adjacency
         mean_vals = sample_mean_eigenvalues(
-            [1.0 - eigen._top_eigenvalues(e, M, graph_core.degrees(g)) for g, e in zip(graphs, entries)])
+            [1.0 - eigen._top_eigenvalues(e, M, normalized=True) for e in entries])
 
-    # the mean of one graph is that graph, bit for bit (x / 1 == x)
-    if len(graphs) == 1:
-        mean, mean_deg = entries[0], graph_core.degrees(graphs[0])
-    else:
-        mean, mean_deg = _sample_mean_entries(entries)
+    mean = _sample_mean_entries(entries)
     del entries
     # alignment.spectral_embed of the normalized mean, without re-checking it
-    top = eigen._top_eigenpairs(mean, M, mean_deg)
+    top = eigen._top_eigenpairs(mean, M, normalized=True)
     if mean_vals is None:
         # one graph is its own mean, so the embedding's eigensolve gives its head
         mean_vals = sample_mean_eigenvalues([1.0 - top.values])
+    mean_deg = mean.degrees
     assignment = alignment.cluster_nodes(top.vectors, M, seed, degrees=mean_deg)
     perm = alignment.canonical_permutation(assignment)
 

@@ -11,13 +11,14 @@ converge, they fall back to the dense solvers.
 
 Each public function checks its argument with graph_core's one symmetry
 check. top_eigenvalues and top_eigenpairs hand the entries the check finds
-(a graph_core.Entries) to their private bodies, which take nothing else;
-compute_barycentre calls those bodies directly, with the entries of the
-input graphs it has checked and of their mean, and their degrees, so the
-bodies then find eigenpairs of the normalized adjacency. Lanczos reads CSR arrays built from
-the entries (graph_core.normalized_adjacency_csr for a normalized
-adjacency); only the dense solver builds an n x n matrix, from the entries,
-which hold +0.0 where an input held -0.0. For a full spectrum of a checked
+(a graph_core.Entries) to their private bodies; compute_barycentre calls
+those bodies directly, with the entries of the input graphs it has checked
+and of their mean and normalized=True, so the bodies then find eigenpairs
+of the normalized adjacency, whose degrees they take from the entries.
+Lanczos reads CSR arrays built from the entries
+(graph_core.normalized_adjacency_csr for a normalized adjacency); only the
+dense solver builds an n x n matrix, from the entries, which hold +0.0
+where an input held -0.0. For a full spectrum of a checked
 graph compute_barycentre and the spectrum command call np.linalg.eigvalsh.
 """
 
@@ -77,12 +78,12 @@ def sym_eig_values(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(graph_core.check_symmetric(s))
 
 
-def _lanczos_top(e: graph_core.Entries, k: int, d: np.ndarray | None):
+def _lanczos_top(e: graph_core.Entries, k: int, normalized: bool):
     """The k largest eigenpairs by Lanczos, largest first, or None when the
     dense path must be used instead.
 
     They are the eigenpairs of the matrix with entries e, read as its CSR
-    arrays; with degrees d, of its normalized adjacency, read from the CSR
+    arrays; when normalized, of its normalized adjacency, read from the CSR
     arrays of graph_core.normalized_adjacency_csr.
 
     Lanczos runs only when n >= 512, k <= n / 32 and the nonzero pattern is
@@ -98,7 +99,7 @@ def _lanczos_top(e: graph_core.Entries, k: int, d: np.ndarray | None):
     from scipy.sparse import csgraph
     from scipy.sparse import linalg as splinalg
 
-    csr = (e.values, e.cols, e.indptr) if d is None else graph_core.normalized_adjacency_csr(e, d)
+    csr = graph_core.normalized_adjacency_csr(e) if normalized else (e.values, e.cols, e.indptr)
     a = sparse.csr_matrix(csr, shape=(n, n))
     if csgraph.connected_components(a, directed=False, return_labels=False) > 1:
         return None
@@ -114,9 +115,9 @@ def _lanczos_top(e: graph_core.Entries, k: int, d: np.ndarray | None):
     return values[order], vectors[:, order]
 
 
-def _dense(e: graph_core.Entries, d: np.ndarray | None) -> np.ndarray:
+def _dense(e: graph_core.Entries, normalized: bool) -> np.ndarray:
     a = e.dense()
-    return a if d is None else graph_core.normalized_adjacency(a)
+    return graph_core.normalized_adjacency(a) if normalized else a
 
 
 def _check_k(s: np.ndarray, k: int) -> graph_core.Entries:
@@ -135,12 +136,12 @@ def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
     return _top_eigenvalues(_check_k(s, k), k)
 
 
-def _top_eigenvalues(e: graph_core.Entries, k: int, d: np.ndarray | None = None) -> np.ndarray:
-    # of the matrix with entries e; with degrees d, of its normalized
+def _top_eigenvalues(e: graph_core.Entries, k: int, normalized: bool = False) -> np.ndarray:
+    # of the matrix with entries e; when normalized, of its normalized
     # adjacency (see _lanczos_top)
-    top = _lanczos_top(e, k, d)
+    top = _lanczos_top(e, k, normalized)
     if top is None:
-        return np.linalg.eigvalsh(_dense(e, d))[::-1][:k].copy()
+        return np.linalg.eigvalsh(_dense(e, normalized))[::-1][:k].copy()
     return top[0]
 
 
@@ -154,12 +155,12 @@ def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
     return _top_eigenpairs(_check_k(s, k), k)
 
 
-def _top_eigenpairs(e: graph_core.Entries, k: int, d: np.ndarray | None = None) -> SpectralSummary:
-    # of the matrix with entries e; with degrees d, of its normalized
+def _top_eigenpairs(e: graph_core.Entries, k: int, normalized: bool = False) -> SpectralSummary:
+    # of the matrix with entries e; when normalized, of its normalized
     # adjacency (see _lanczos_top)
-    top = _lanczos_top(e, k, d)
+    top = _lanczos_top(e, k, normalized)
     if top is None:
-        values, vectors = np.linalg.eigh(_dense(e, d))
+        values, vectors = np.linalg.eigh(_dense(e, normalized))
         return SpectralSummary(values=values[::-1][:k].copy(),
                                vectors=_fix_signs(vectors[:, ::-1][:, :k]))
     values, vectors = top

@@ -9,10 +9,12 @@ Matrices come in as dense numpy arrays of float64, nodes indexed by row
 and decides from them alone; adjacency_entries hands those entries on (an
 Entries). The eigen bodies and the Soules split search read a checked
 matrix only as its Entries, and normalized_adjacency_csr builds CSR arrays
-from them.
+from them. Every degree is one np.bincount of each row's nonzeros in column
+order, so degrees(a) and Entries.degrees of a's entries have the same bits.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,11 @@ class Entries:
         out = np.zeros((self.n, self.n))
         np.put(out, self.rows * self.n + self.cols, self.values)
         return out
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """The row sums, each row's entries added in column order."""
+        return np.bincount(self.rows, weights=self.values, minlength=self.n)
 
 
 def entries_at(n: int, flat: np.ndarray, values: np.ndarray) -> Entries:
@@ -111,8 +118,11 @@ def adjacency_entries(a: np.ndarray) -> tuple[np.ndarray, Entries]:
 
 
 def degrees(a: np.ndarray) -> np.ndarray:
-    """Row sums of the adjacency matrix (the diagonal of the degree matrix)."""
-    return np.asarray(a, dtype=float).sum(axis=1)
+    """Row sums of the adjacency matrix (the diagonal of the degree matrix),
+    each row's nonzeros added in column order, as Entries.degrees adds them."""
+    a = np.asarray(a, dtype=float)
+    flat = np.flatnonzero(a)  # unlike a bool scan, makes no n x n temporary
+    return np.bincount(flat // a.shape[1], weights=a.take(flat), minlength=a.shape[0])
 
 
 def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
@@ -130,18 +140,18 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     return a * np.outer(r, r)
 
 
-def normalized_adjacency_csr(entries: Entries, d: np.ndarray):
-    """The normalized adjacency of a matrix with the given entries and
-    degrees d, as CSR arrays (data, indices, indptr).
+def normalized_adjacency_csr(entries: Entries):
+    """The normalized adjacency of a matrix with the given entries, as CSR
+    arrays (data, indices, indptr).
 
-    With d = degrees(a) they are the arrays of scipy's
-    csr_matrix(normalized_adjacency(a)), bit for bit, built from the entries
-    without an n x n temporary: each kept entry is a_ij * (r_i * r_j) with
-    r_i = 1 / sqrt(d_i), the product the dense matrix holds, and entries
-    that round to 0 are dropped as the dense to sparse conversion drops them.
-    Uses numpy only.
+    They are the arrays of scipy's csr_matrix(normalized_adjacency(a)), bit
+    for bit, built from the entries without an n x n temporary: each kept
+    entry is a_ij * (r_i * r_j) with r_i = 1 / sqrt(d_i) for the entries'
+    degrees d, the product the dense matrix holds, and entries that round to
+    0 are dropped as the dense to sparse conversion drops them. Uses numpy
+    only.
     """
-    r = _inverse_sqrt(d)
+    r = _inverse_sqrt(entries.degrees)
     rows, cols = entries.rows, entries.cols
     data = entries.values * (r[rows] * r[cols])
     kept = data != 0

@@ -13,7 +13,6 @@ table rather than through np.savetxt.
 """
 
 import gzip
-import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,7 +151,7 @@ def window_graphs(contacts: ContactTable, start: int, end: int, width: int) -> S
     ends = np.concatenate([contacts.i[in_range], contacts.j[in_range]])
     node_ids, index = np.unique(ends, return_inverse=True)
     n = len(node_ids)
-    count = math.ceil((end - start) / width)
+    count = -(-(end - start) // width)
     graphs = np.zeros((count, n, n))
     # each contact sets both (a, b) and (b, a) of its window
     graphs[np.tile(window, 2), index, np.roll(index, len(window))] = 1.0

@@ -157,10 +157,3 @@ def sample(spec: SbmSpec, seed) -> np.ndarray:
         strip = rng.random((min(rows, n - i), n)) < block_p.take(labels[i : i + rows], 0).take(labels, 1)
         upper[i : i + rows] = np.triu(strip, k=i + 1)
     return (upper | upper.T).astype(float)
-
-
-def sample_ensemble(spec: SbmSpec, T: int, seed: int) -> list[np.ndarray]:
-    """T independent samples, one Philox stream per graph keyed (seed, index)."""
-    if T < 1:
-        raise ValueError(f"ensemble size must be positive, got {T}")
-    return [sample(spec, (seed, t)) for t in range(T)]

@@ -228,7 +228,7 @@ def reference_pipeline_heads(graphs: list[np.ndarray], M: int) -> tuple[np.ndarr
     """The mean spectrum head and the embedding of compute_barycentre for a
     given M, from the public top_eigen functions on dense normalized
     adjacencies built from the dense mean: the reference whose bits the
-    pipeline's CSR, built from each graph's entries and degrees, gives. One
+    pipeline's CSR, built from each graph's entries alone, gives. One
     graph is its own mean, so its head comes from the embedding's
     eigensolve, as in the pipeline."""
     mean_adj = barycentre.sample_mean_adjacency(graphs)

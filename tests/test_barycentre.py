@@ -37,7 +37,7 @@ def test_sample_mean_zero_and_complete():
 
 def test_sample_mean_concentration():
     spec = sbm.balanced(32, 2, 0.5, 0.1)
-    mean = bc.sample_mean_adjacency(sbm.sample_ensemble(spec, 100, seed=21))
+    mean = bc.sample_mean_adjacency([sbm.sample(spec, (21, t)) for t in range(100)])
     off = ~np.eye(32, dtype=bool)
     assert np.abs(mean - sbm.population_mean(spec))[off].max() < 0.2
 
@@ -162,7 +162,7 @@ def test_estimate_block_degrees_hoeffding_band():
     # the deviation band at level 0.01
     spec = sbm.balanced(64, 2, 0.6, 0.1)
     T = 200
-    mean = bc.sample_mean_adjacency(sbm.sample_ensemble(spec, T, seed=9))
+    mean = bc.sample_mean_adjacency([sbm.sample(spec, (9, t)) for t in range(T)])
     got = bc.estimate_block_degrees(mean, ((1, 32), (33, 64)))
     s = 32
     delta = np.sqrt(s * (s - 1) * np.log(100.0) / (4 * T))
@@ -338,7 +338,7 @@ def test_pipeline_mse_median_decreases_with_sample_count():
 def test_pipeline_auto_m_on_sparse_model():
     logn = np.log(512)
     spec = sbm.balanced(512, 4, 3 * logn**2 / 512, 2 * logn / 512)
-    graphs = sbm.sample_ensemble(spec, 4, seed=55)
+    graphs = [sbm.sample(spec, (55, t)) for t in range(4)]
     result = bc.compute_barycentre(graphs, M=None, seed=0)
     assert result.spectrum.M == 4
 
@@ -363,6 +363,28 @@ def test_pipeline_rejects_empty_input():
 def test_pipeline_rejects_empty_matrix_by_shape(M):
     with pytest.raises(ValueError, match=r"expected a non-empty square matrix, got shape \(0, 0\)"):
         bc.compute_barycentre([np.zeros((0, 0))], M=M)
+
+
+# name -> graphs: Lanczos reads the first; the second is dense and weighted,
+# and the contact windows hold isolated nodes
+ONE_BLOCK_CASES = {
+    "sbm_2048_T3": lambda: [sbm.sample(paper_scaled(2048, 4), (43, t)) for t in range(3)],
+    "dense_60": lambda: [sbm.population_mean(sbm.balanced(60, 3, 0.8, 0.1))],
+    "contact_morning": lambda: _contact_morning(),
+}
+
+
+@pytest.mark.parametrize("case", ONE_BLOCK_CASES)
+def test_pipeline_with_one_block_gives_the_mean_density(case):
+    # M = 1 keeps the constant Soules vector and the eigenvalue 0, so mu_hat
+    # is the mean degree over n: the sum of the mean adjacency over n^2
+    graphs = ONE_BLOCK_CASES[case]()
+    n = len(graphs[0])
+    result = bc.compute_barycentre(graphs, M=1, seed=0)
+    assert result.degrees.blocks == ((1, n),)
+    density = bc.sample_mean_adjacency(graphs).sum() / n**2
+    assert abs(result.mu_blocks[0, 0] - density) <= 1e-12 * density
+
 
 @pytest.mark.parametrize("M", [4, None])
 def test_pipeline_checks_each_input_graph_once(monkeypatch, M):
@@ -559,7 +581,7 @@ def test_spectrum_head_matches_dense_spectrum_and_longer_head(case):
     # the first M of a head of M + 1 values, which a different Krylov
     # sequence gives
     longer = bc.sample_mean_eigenvalues(
-        [1.0 - eigen._top_eigenvalues(graph_core.adjacency_entries(g)[1], M + 1, graph_core.degrees(g))[:M]
+        [1.0 - eigen._top_eigenvalues(graph_core.adjacency_entries(g)[1], M + 1, normalized=True)[:M]
          for g in graphs])
     assert len(head) == M
     assert np.abs(head - dense).max() < 1e-12
@@ -652,11 +674,14 @@ def test_pipeline_builds_no_dense_mean_and_permutes_nothing(monkeypatch, M):
     monkeypatch.setattr(graph_core, "permute", spy("permute", graph_core.permute))
     monkeypatch.setattr(bc, "sample_mean_adjacency", spy("mean", bc.sample_mean_adjacency))
     monkeypatch.setattr(graph_core.Entries, "dense", spy("dense", graph_core.Entries.dense))
+    monkeypatch.setattr(graph_core, "degrees", spy("degrees", graph_core.degrees))
     # n = 512, so Lanczos reads every eigenproblem of a given M
     graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(2)]
     bc.compute_barycentre(graphs, M=M, seed=0)
     # an estimated M scans the full spectrum of each graph, densified once
-    assert called == ([] if M else ["dense"] * len(graphs))
+    # and normalized by the degrees of that dense matrix; every other degree
+    # comes from the entries
+    assert called == ([] if M else ["dense", "degrees"] * len(graphs))
 
 
 @pytest.mark.parametrize(("T", "bound"), [(2, 0.75), (1, 0.5)])
@@ -671,7 +696,7 @@ def test_pipeline_peak_memory_holds_no_n_by_n_array(T, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the entries of the inputs and of their mean, strip scratch and O(n)
+    # the entries of the inputs and of their mean, merge temporaries and O(n)
     # arrays, in units of one n x n float64 array; an aligned dense mean
     # beside them would pass the bound
     assert peak < bound * 8 * n * n
@@ -693,24 +718,27 @@ def test_pipeline_rejects_graphs_of_different_sizes_before_any_eigensolve(monkey
 
 
 def _weighted_graphs(n: int, T: int, key: int) -> list[np.ndarray]:
-    # weights on a grid of 1/8 in (0, 4], with patterns of varying density
+    # non-dyadic weights in [0, 4), whose sums depend on the order of the
+    # additions, with patterns of varying density; every odd graph holds
+    # -0.0 in place of 0.0
     rng = np.random.default_rng(key)
     graphs = []
     for t in range(T):
-        w = np.where(rng.random((n, n)) < 0.05 * (t + 1), np.ceil(rng.uniform(0.0, 32.0, (n, n))) / 8, 0.0)
-        graphs.append(np.triu(w) + np.triu(w, 1).T)
+        w = np.where(rng.random((n, n)) < 0.05 * (t % 20 + 1), rng.uniform(0.0, 4.0, (n, n)), 0.0)
+        g = np.triu(w) + np.triu(w, 1).T
+        graphs.append(np.where(g == 0, -0.0, g) if t % 2 else g)
     return graphs
 
 
 @pytest.mark.parametrize("n", [1, 5, 300, 700])
-@pytest.mark.parametrize("T", [1, 2, 3, 7])
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 35])
 def test_sample_mean_entries_match_the_dense_mean_and_its_degrees(n, T):
     graphs = _weighted_graphs(n, T, 1000 * n + T)
-    mean, row_sums = bc._sample_mean_entries([graph_core.adjacency_entries(g)[1] for g in graphs])
+    mean = bc._sample_mean_entries([graph_core.adjacency_entries(g)[1] for g in graphs])
     dense = bc.sample_mean_adjacency(graphs)
     assert np.array_equal(mean.dense(), dense)
     assert np.array_equal(mean.values, dense[dense != 0])
-    assert np.array_equal(row_sums, graph_core.degrees(dense))
+    assert np.array_equal(mean.degrees, graph_core.degrees(dense))
 
 
 # Lanczos at n = 512 and the dense solver at n = 64; an estimated M reads

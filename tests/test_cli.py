@@ -289,6 +289,17 @@ def test_ingest_wide_window_single_snapshot(tmp_path):
     assert snapshot.sum() == 4.0
 
 
+def test_ingest_window_count_is_exact_for_long_spans(tmp_path):
+    contacts = tmp_path / "contacts.txt"
+    contacts.write_text(f"{3 * 10**16} 1 2\n")
+    out = tmp_path / "out"
+    assert run("ingest", "--contacts", contacts, "--start", 0, "--end", 3 * 10**16 + 1,
+               "--width", 10**16, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["window_bounds"][-1] == [3 * 10**16, 3 * 10**16 + 1]
+    assert graph_core.load_matrix(out / "snapshot_003.csv")[0, 1] == 1.0
+
+
 def test_ingest_parse_error_is_data_error(tmp_path):
     contacts = tmp_path / "contacts.txt"
     contacts.write_text("one two three\n")

@@ -1,7 +1,9 @@
 """Adjacency checks, normalization, spectral distance, permutations, and IO."""
 
+import functools
 import gzip
 import io
+import operator
 import warnings
 
 import numpy as np
@@ -24,6 +26,20 @@ def test_degrees_empty_graph():
 
 def test_degrees_weighted():
     assert np.array_equal(gc.degrees(np.array([[0.0, 2.0], [2.0, 0.0]])), [2.0, 2.0])
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_degrees_add_each_rows_nonzeros_in_column_order(n):
+    # non-dyadic weights, whose sums depend on the order of the additions,
+    # and zeros of both signs
+    rng = np.random.default_rng(n)
+    w = np.where(rng.random((n, n)) < 0.5, rng.uniform(0.0, 4.0, (n, n)), 0.0)
+    a = np.triu(w) + np.triu(w, 1).T
+    a[(a == 0) & (rng.random((n, n)) < 0.25)] = -0.0
+    # built-in sum compensates its additions from Python 3.12 on
+    expected = [functools.reduce(operator.add, row[row != 0].tolist(), 0.0) for row in a]
+    assert np.array_equal(gc.degrees(a), expected)
+    assert np.array_equal(gc.adjacency_entries(a)[1].degrees, expected)
 
 
 def test_check_adjacency_rejects_bad_input():
@@ -296,7 +312,7 @@ def test_normalized_adjacency_csr_matches_dense_conversion(case):
 
     a = PARTIAL_PATH_CASES[case][0]()
     expected = sparse.csr_matrix(gc.normalized_adjacency(a))
-    data, indices, indptr = gc.normalized_adjacency_csr(gc.adjacency_entries(a)[1], gc.degrees(a))
+    data, indices, indptr = gc.normalized_adjacency_csr(gc.adjacency_entries(a)[1])
     assert np.array_equal(data, expected.data)
     assert np.array_equal(indices, expected.indices)
     assert np.array_equal(indptr, expected.indptr)

@@ -1,6 +1,7 @@
 """Import hygiene without a linter: every name a source or test file imports
-is read somewhere in that file, and every specbary module imports on its own
-in a fresh interpreter with warnings as errors."""
+is read somewhere in that file, every specbary module imports on its own
+in a fresh interpreter with warnings as errors, and small pipeline runs
+never load scipy."""
 
 import ast
 import os
@@ -42,10 +43,35 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path) == []
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports_alone_without_warnings(module):
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", f"import {module}"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone_without_warnings(module):
+    proc = run_python("-W", "error", "-c", f"import {module}")
     assert proc.returncode == 0, proc.stderr
+
+
+# compute_barycentre on the 232-node contact morning with M = 4 and an
+# estimated M, then on an n = 1024 sample that Lanczos reads
+PIPELINE_SCIPY = """
+import io, sys
+from specbary import barycentre, ingest, sbm
+table = ingest.parse_contacts(io.StringIO(ingest.synthetic_school_day(seed=0)))
+graphs = ingest.window_graphs(table, ingest.MORNING_START, ingest.MORNING_END,
+                              ingest.MORNING_WIDTH).graphs
+for M in (4, None):
+    barycentre.compute_barycentre(graphs, M=M, seed=0)
+print("scipy" in sys.modules)
+barycentre.compute_barycentre([sbm.sample(sbm.balanced(1024, 4, 0.2, 0.02), (5, 0))], M=4, seed=0)
+print("scipy" in sys.modules)
+"""
+
+
+def test_only_inputs_lanczos_reads_load_scipy():
+    proc = run_python("-c", PIPELINE_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

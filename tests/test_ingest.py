@@ -166,6 +166,15 @@ def test_window_wider_than_range_gives_single_snapshot():
     assert np.array_equal(series.graphs[0], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
+def test_window_count_is_exact_for_spans_past_float_precision():
+    # (end - start) / width rounds 3 + 1e-16 down to 3.0 and drops the
+    # last window
+    series = ingest.window_graphs(_table(f"{3 * 10**16} 1 2\n"), 0, 3 * 10**16 + 1, 10**16)
+    assert len(series.graphs) == 4
+    assert series.window_bounds[-1] == (3 * 10**16, 3 * 10**16 + 1)
+    assert series.graphs[-1][0, 1] == 1.0
+
+
 def test_window_node_set_fixed_across_series():
     text = "0 4 2\n70 9 2\n500 11 12\n"  # the last contact lies outside [0, 120)
     series = ingest.window_graphs(_table(text), 0, 120, 60)

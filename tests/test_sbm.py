@@ -151,20 +151,9 @@ def test_sample_determinism_and_stream_separation():
     assert not np.array_equal(sbm.sample(spec, 9), sbm.sample(spec, 10))
 
 
-def test_sample_ensemble():
-    spec = sbm.balanced(16, 2, 0.5, 0.1)
-    graphs = sbm.sample_ensemble(spec, 3, seed=4)
-    assert len(graphs) == 3
-    assert not np.array_equal(graphs[0], graphs[1])
-    again = sbm.sample_ensemble(spec, 3, seed=4)
-    assert all(np.array_equal(a, b) for a, b in zip(graphs, again))
-    with pytest.raises(ValueError):
-        sbm.sample_ensemble(spec, 0, seed=4)
-
-
 def test_sample_mean_concentrates_on_population():
     spec = sbm.balanced(32, 2, 0.5, 0.1)
-    graphs = sbm.sample_ensemble(spec, 100, seed=12)
+    graphs = [sbm.sample(spec, (12, t)) for t in range(100)]
     mean = np.mean(graphs, axis=0)
     off = ~np.eye(32, dtype=bool)
     assert np.abs(mean - sbm.population_mean(spec))[off].max() < 0.2
