@@ -21,6 +21,9 @@ import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 
+# elements per row strip of degrees (64 KB of bool per strip mask)
+_DEGREE_STRIP = 1 << 16
+
 
 @dataclass(frozen=True)
 class Entries:
@@ -121,8 +124,15 @@ def degrees(a: np.ndarray) -> np.ndarray:
     """Row sums of the adjacency matrix (the diagonal of the degree matrix),
     each row's nonzeros added in column order, as Entries.degrees adds them."""
     a = np.asarray(a, dtype=float)
-    flat = np.flatnonzero(a)  # unlike a bool scan, makes no n x n temporary
-    return np.bincount(flat // a.shape[1], weights=a.take(flat), minlength=a.shape[0])
+    n, m = a.shape
+    # the rows in strips, so the bool scan makes no n x n temporary
+    rows = max(1, _DEGREE_STRIP // max(1, m))
+    d = np.empty(n)
+    for r in range(0, n, rows):
+        strip = a[r : r + rows]
+        flat = np.flatnonzero(strip != 0)
+        d[r : r + rows] = np.bincount(flat // m, weights=strip.take(flat), minlength=len(strip))
+    return d
 
 
 def _inverse_sqrt(d: np.ndarray) -> np.ndarray:

@@ -6,13 +6,24 @@ whitespace separated, '#' starting a comment line. Timestamps are seconds;
 contacts are recorded on a 20 s tick.
 
 parse_contacts reads the lines into one columnar ContactTable (int64 arrays
-t, i, j plus the two class columns), and window_graphs fills one
-(windows, n, n) array of 0/1 snapshots with array operations and returns its
-n x n slices as a list. Every snapshot has only 0/1 entries, so graph_core.save_matrix writes it as a byte
-table rather than through np.savetxt.
+t, i, j plus the two class columns). A byte scan reads the whole text with
+numpy in whole-line chunks of _SCAN_CHUNK bytes: tokens end at the ASCII
+whitespace str.split() splits on, t/i/j are built from their digits, and the
+class names become codes into the few distinct names. It declines any text
+it cannot read exactly as str.split() and int() would: a malformed line
+(not 3 or 5 fields, a non-integer, a self-contact, a negative t), non-ASCII
+text, a NUL byte, or a t/i/j that is not an optional sign and 1 to 18 ASCII
+digits ('1_000', values of 19 or more digits). The per-line loop then reads
+the whole input, so every ParseError keeps its message and line number.
+
+window_graphs fills one (windows, n, n) array of 0/1 snapshots with array
+operations and returns its n x n slices as a list. Every snapshot has only
+0/1 entries, so graph_core.save_matrix writes it as a byte table rather than
+through np.savetxt.
 """
 
 import gzip
+import logging
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import graph_core
+
+log = logging.getLogger(__name__)
 
 # school-day windows (seconds from midnight): 8:30-12:00 and 2:00-4:30 PM.
 # 360 s windows split the morning into 35 snapshots; 347 s windows split the
@@ -37,6 +50,22 @@ _RECESS_CROSS_TICK = 0.003
 
 _CLASS_NAMES = ("1A", "1B", "2A", "2B", "3A", "3B", "4A", "4B", "5A", "5B")
 _CLASS_SIZES = (23, 23, 23, 23, 23, 23, 23, 23, 24, 24)
+
+
+# bytes per chunk of the byte scan, which runs on to the end of the line the
+# budget ends in; the scan's temporaries stay a fixed multiple of a chunk
+_SCAN_CHUNK = 1 << 18
+
+# bytes.translate table marking with 1 the ASCII whitespace str.split()
+# splits on (\t \n \x0b \x0c \r \x1c-\x1f and space), every other byte 0
+_SPACE = bytes(b in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f " for b in range(256))
+
+# the value of each ASCII digit byte, and -1 for every other byte
+_DIGIT = np.full(256, -1, dtype=np.int64)
+_DIGIT[ord("0") : ord("9") + 1] = np.arange(10)
+
+# the longest t/i/j the scan reads: every 18-digit value fits in int64
+_MAX_DIGITS = 18
 
 
 class ParseError(ValueError):
@@ -75,14 +104,158 @@ class SnapshotSeries:
 
 
 def parse_contacts(stream) -> ContactTable:
-    """Parse an iterable of text lines into a contact table, in input order.
+    """Parse a text stream, or any iterable of text lines, into a contact
+    table, in input order.
 
-    Each field goes through int(); a line is blank or a comment when its
-    first whitespace-separated field is missing or starts with '#'. The first
-    bad line in file order raises ParseError: a field count other than 3 or
-    5, a non-integer t/i/j, a self-contact, a negative timestamp, or a value
-    outside the int64 range.
+    Fields are split as str.split() splits them and t/i/j read as int() reads
+    them; a line is blank or a comment when its first field is missing or
+    starts with '#'. The first bad line in file order raises ParseError: a
+    field count other than 3 or 5, a non-integer t/i/j, a self-contact, a
+    negative timestamp, or a value outside the int64 range.
+
+    A stream (anything with read()) is read whole and its lines end at '\\n',
+    as a text file opened in the default newline mode ends them. The byte
+    scan reads the text unless it holds a line the scan cannot read exactly:
+    a malformed line, non-ASCII text, a NUL byte, or a t/i/j that is not an
+    optional sign and 1 to 18 ASCII digits (such as '1_000' or a value of 19
+    or more digits). Then the per-line loop reads the whole input, so its
+    ParseError messages and line numbers stand. Other iterables go to the
+    per-line loop. The 'specbary.ingest' logger says at INFO which reader
+    read how many contact lines, and which line sent the input to the loop.
     """
+    if hasattr(stream, "read"):
+        return _parse_text(stream.read())
+    table = _parse_lines(stream)
+    log.info("read %d contact lines with the per-line loop", len(table))
+    return table
+
+
+def _parse_text(text: str) -> ContactTable:
+    try:
+        table = _scan_text(text)
+    except _Declined as exc:
+        offset, reason = exc.args
+        table = _parse_lines(_lines(text))
+        log.info("read %d contact lines with the per-line loop; the byte scan declined "
+                 "line %d (%s)", len(table), text.count("\n", 0, offset) + 1, reason)
+    else:
+        log.info("read %d contact lines with the byte scan", len(table))
+    return table
+
+
+def _lines(text: str):
+    # the lines of text, each running to and including a '\n'; a generator
+    # rather than io.StringIO, which would hold the text again at 4 bytes a
+    # character
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+class _Declined(Exception):
+    """A line the byte scan cannot read exactly: the text offset of a
+    character on it, and why."""
+
+
+def _scan_text(text: str) -> ContactTable:
+    # the whole text in whole-line chunks of about _SCAN_CHUNK bytes; raises
+    # _Declined at the first line it cannot read exactly
+    if not text.isascii():
+        try:
+            text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise _Declined(exc.start, "non-ASCII text") from None
+    if "\0" in text:
+        raise _Declined(text.index("\0"), "NUL byte")
+    names = {None: 0}  # class name -> code, in order of first appearance
+    parts, start = [], 0
+    while not parts or start < len(text):  # an empty text is one empty chunk
+        stop = text.find("\n", start + _SCAN_CHUNK - 1) + 1 or len(text)
+        parts.append(_scan_chunk(text[start:stop].encode("ascii"), start, names))
+        start = stop
+    tij = np.concatenate([p[0] for p in parts], axis=1)
+    objects = np.array(list(names), dtype=object)
+    class_i, class_j = (objects[np.concatenate([p[k] for p in parts])].tolist() for k in (1, 2))
+    return ContactTable(t=tij[0], i=tij[1], j=tij[2], class_i=class_i, class_j=class_j)
+
+
+def _scan_chunk(raw: bytes, offset: int, names: dict):
+    # the (3, lines) t/i/j values and the two class codes of the contact
+    # lines in raw, which starts at this text offset
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    space = np.frombuffer(raw.translate(_SPACE), dtype=np.int8)
+    # -1 where a token starts, +1 just past where it ends
+    edge = np.diff(space, prepend=np.int8(1), append=np.int8(1))
+    starts, ends = np.flatnonzero(edge == -1), np.flatnonzero(edge == 1)
+    # the first token of each line that has one: token 0, and the first
+    # token after each newline; blank lines repeat the next line's head
+    head = np.concatenate(([0], np.searchsorted(starts, np.flatnonzero(buf == 10))))
+    head = head[np.diff(head, append=len(starts)) > 0]
+    fields = np.diff(head, append=len(starts))
+    keep = buf[starts[head]] != ord("#")
+    head, fields = head[keep], fields[keep]
+
+    def decline(bad: np.ndarray, reason: str):
+        raise _Declined(offset + int(starts[head[bad.argmax()]]), reason)
+
+    bad = (fields != 3) & (fields != 5)
+    if bad.any():
+        decline(bad, "not 3 or 5 fields")
+
+    tok = head + np.arange(3)[:, None]  # the t, i and j tokens
+    first, end = buf[starts[tok]], ends[tok]
+    negative = first == ord("-")
+    digits = end - starts[tok] - (negative | (first == ord("+")))
+    bad = (digits < 1) | (digits > _MAX_DIGITS)
+    tij = np.zeros(tok.shape, dtype=np.int64)
+    for w in range(min(int(digits.max(initial=0)), _MAX_DIGITS)):
+        live = digits > w
+        d = _DIGIT[buf[np.where(live, end - 1 - w, 0)]]
+        bad |= live & (d < 0)
+        tij += np.where(live, d, 0) * 10**w
+    np.negative(tij, out=tij, where=negative)
+    bad_token = bad.any(axis=0)
+    t, i, j = tij
+    bad = bad_token | (i == j) | (t < 0)
+    if bad.any():
+        decline(bad, "t/i/j not 1 to 18 ASCII digits" if bad_token[bad.argmax()]
+                else "self-contact or negative t")
+
+    codes = np.zeros((2, len(head)), dtype=np.intp)  # 0 is None, for 3-field lines
+    five = fields == 5
+    tok = head[five] + np.array([[3], [4]])
+    codes[:, five] = _class_codes(buf, starts[tok], ends[tok], names)
+    return tij, codes[0], codes[1]
+
+
+def _class_codes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, names: dict) -> np.ndarray:
+    # the code in names of each token buf[start:end], adding new names; a
+    # token of up to 8 bytes is keyed by its bytes as one uint64, which no
+    # NUL byte can make ambiguous, and a longer one is sliced out by itself
+    width = ends - starts
+    key = np.zeros(starts.shape, dtype=np.uint64)
+    for w in range(min(int(width.max(initial=0)), 8)):
+        live = width > w
+        key |= np.where(live, buf[np.where(live, starts + w, 0)], 0).astype(np.uint64) << (8 * w)
+    long = width > 8
+    key[long] = 0
+    keys, inverse = np.unique(key, return_inverse=True)
+    lut = np.zeros(len(keys), dtype=np.intp)
+    for k, v in enumerate(keys.tolist()):
+        if v:
+            name = v.to_bytes(8, "little").rstrip(b"\0").decode("ascii")
+            lut[k] = names.setdefault(name, len(names))
+    codes = lut[inverse.reshape(key.shape)]
+    for r, c in zip(*np.nonzero(long)):
+        name = buf[starts[r, c] : ends[r, c]].tobytes().decode("ascii")
+        codes[r, c] = names.setdefault(name, len(names))
+    return codes
+
+
+def _parse_lines(stream) -> ContactTable:
+    # the per-line loop: str.split() and int() on each line.
     # array("q") stores each value as a C int64 as it is appended, so an
     # out-of-range value fails on its own line and the columns need no copy
     t, i, j = array("q"), array("q"), array("q")
@@ -123,7 +296,8 @@ def load_contacts(path: str | Path) -> ContactTable:
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "rt") as fh:
-        return parse_contacts(fh)
+        text = fh.read()
+    return _parse_text(text)
 
 
 def window_graphs(contacts: ContactTable, start: int, end: int, width: int) -> SnapshotSeries:

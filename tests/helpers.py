@@ -6,8 +6,9 @@ the inputs on which the Lanczos and dense eigensolver paths are compared, the
 dense-built normalized adjacencies whose spectrum heads and embedding the
 pipeline must reproduce, the whole-matrix symmetry decision and the full-draw
 SBM sampler that graph_core.check_symmetric and sbm.sample must reproduce,
-the broadcast k-means restart that alignment._kmeans_once must reproduce, and
-the per-line contact parser that ingest.parse_contacts must reproduce."""
+the broadcast k-means restart that alignment._kmeans_once must reproduce, the
+whole-matrix degree scan that graph_core.degrees must reproduce, and the
+per-line contact parser that ingest.parse_contacts must reproduce."""
 
 import math
 
@@ -291,6 +292,15 @@ def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     return labels, inertia
 
 
+def reference_degrees(a: np.ndarray) -> np.ndarray:
+    """The whole-matrix scan graph_core.degrees replaced: one bincount over
+    the row-major nonzeros of a, so each row's nonzeros are added in column
+    order from 0.0."""
+    a = np.asarray(a, dtype=float)
+    flat = np.flatnonzero(a)
+    return np.bincount(flat // a.shape[1], weights=a.take(flat), minlength=a.shape[0])
+
+
 def reference_parse_contacts(stream) -> list[tuple]:
     """The per-line contact parser ingest.parse_contacts replaced, with the
     checks of the event record it built inlined: (t, i, j, class_i, class_j)
@@ -312,6 +322,8 @@ def reference_parse_contacts(stream) -> list[tuple]:
             raise ingest.ParseError(f"line {lineno}: self-contact at t={t} for node {i}")
         if t < 0:
             raise ingest.ParseError(f"line {lineno}: negative timestamp {t}")
+        if not all(-(2**63) <= v < 2**63 for v in (t, i, j)):
+            raise ingest.ParseError(f"line {lineno}: t/i/j outside int64 in {line!r}")
         rows.append((t, i, j, ci, cj))
     return rows
 

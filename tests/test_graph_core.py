@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import PARTIAL_PATH_CASES, reference_is_symmetric
+from helpers import PARTIAL_PATH_CASES, reference_degrees, reference_is_symmetric
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +40,24 @@ def test_degrees_add_each_rows_nonzeros_in_column_order(n):
     expected = [functools.reduce(operator.add, row[row != 0].tolist(), 0.0) for row in a]
     assert np.array_equal(gc.degrees(a), expected)
     assert np.array_equal(gc.adjacency_entries(a)[1].degrees, expected)
+
+
+@pytest.mark.parametrize("strip", [1, 7, 1 << 16])
+@pytest.mark.parametrize("kind", ["binary", "weighted", "signed_zeros", "nonfinite"])
+def test_degrees_row_strips_match_whole_matrix_scan(monkeypatch, strip, kind):
+    monkeypatch.setattr(gc, "_DEGREE_STRIP", strip)
+    rng = np.random.default_rng(5)
+    a = (rng.random((40, 40)) < 0.3).astype(float)
+    if kind != "binary":
+        a *= rng.uniform(0.0, 4.0, a.shape)
+    if kind == "signed_zeros":
+        a[(a == 0) & (rng.random(a.shape) < 0.5)] = -0.0
+    if kind == "nonfinite":
+        a[3, 5], a[7, 0], a[7, 9] = np.nan, np.inf, -np.inf
+    for matrix in (a, np.asfortranarray(a), a[:, ::-1]):
+        # bit for bit, nan included
+        assert np.array_equal(gc.degrees(matrix).view(np.int64),
+                              reference_degrees(matrix).view(np.int64))
 
 
 def test_check_adjacency_rejects_bad_input():

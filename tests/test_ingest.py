@@ -2,6 +2,9 @@
 
 import gzip
 import io
+import logging
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from helpers import reference_parse_contacts, reference_window_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specbary import barycentre, ingest
+from specbary import barycentre, cli, ingest
 
 
 def _table(text: str) -> ingest.ContactTable:
@@ -76,36 +79,56 @@ def test_load_contacts_handles_gzip(tmp_path):
     assert _rows(ingest.load_contacts(plain)) == _rows(ingest.load_contacts(zipped))
 
 
-# one generator per line kind; every bad kind is planted at most once
-_SPACE = st.sampled_from([" ", "\t", "  ", " \t "])
-_CLASS = st.sampled_from(["1A", "3B", "x"])
-_INT_TEXT = st.sampled_from(["{}", "+{}", "0{}"])
+# one generator per line kind; every bad kind is planted at most once. The
+# scanned kinds are those the byte scan reads; the good kinds add what only
+# the per-line loop reads (non-ASCII whitespace and digits, '_' separators,
+# 19-digit values, NUL bytes), so the scan must either read a line exactly or
+# leave the whole input to the loop
+_ASCII_SPACE = [" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+_ASCII_CLASS = ["1A", "3B", "x", "#x", "Teachers", "classroom_1A"]
+_ASCII_INT = [str, "+{}".format, "0{}".format]
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
 @st.composite
-def _contact_line(draw, fields: int) -> str:
+def _contact_line(draw, fields: int, loop_only: bool = False) -> str:
+    spaces, classes, ints = _ASCII_SPACE, _ASCII_CLASS, _ASCII_INT
+    if loop_only:
+        spaces = spaces + [" \xa0", "\u2003"]
+        classes = classes + ["1\x00A"]
+        ints = ints + ["{:_}".format, lambda v: str(v).translate(_ARABIC_INDIC)]
     t = draw(st.integers(0, 10**6))
     i = draw(st.integers(-3, 40))
     j = draw(st.integers(-3, 40).filter(lambda v: v != i))
-    values = [draw(_INT_TEXT).format(v) if v >= 0 else str(v) for v in (t, i, j)]
+    values = [draw(st.sampled_from(ints))(v) if v >= 0 else str(v) for v in (t, i, j)]
     if fields == 5:
-        values += [draw(_CLASS), draw(_CLASS)]
-    return draw(_SPACE).join(values)
+        values += [draw(st.sampled_from(classes)), draw(st.sampled_from(classes))]
+    return draw(st.sampled_from(spaces)).join(values)
 
 
-_GOOD = st.one_of(
+_SCANNED = st.one_of(
     _contact_line(3),
     _contact_line(5),
     st.builds(lambda ws, text: f"{ws}#{text}", st.sampled_from(["", " ", "\t", "  "]),
               st.sampled_from(["", " t i j", "# 1 2 3"])),
-    st.sampled_from(["", " ", "\t "]),
+    st.sampled_from(["", " ", "\t ", "\x0c"]),
+    st.sampled_from([f"{10**17} 1 {-(10**18 - 1)}", f"0 {10**18 - 1} -{'0' * 17}1 1A 1B"]),
+)
+_GOOD = st.one_of(
+    _SCANNED,
+    _contact_line(3, loop_only=True),
+    _contact_line(5, loop_only=True),
+    # the int64 limits, and a 19-digit value inside them
+    st.sampled_from([f"{2**63 - 1} {-(2**63)} 1", f"0 {-(2**63 - 1)} {2**63 - 1} 1A 1B",
+                     f"{10**18} 1 2"]),
 )
 _BAD = {
     "field_count": st.sampled_from(["10 1", "10 1 2 3", "1 2 3 4 5 6", "7"]),
-    "non_integer": st.sampled_from(["ten 1 2", "1.5 1 2", "10 a 2 1A 1B", "10 1 0x2"]),
+    "non_integer": st.sampled_from(["ten 1 2", "1.5 1 2", "10 a 2 1A 1B", "10 1 0x2", "1__0 1 2"]),
     # "-3 6 6" is also a negative timestamp; the self-contact is reported first
     "self_contact": st.sampled_from(["10 4 4", "0 -2 -2 1A 1A", "5 +4 4", "-3 6 6"]),
     "negative_t": st.sampled_from(["-5 1 2", "-1 3 4 1A 1B"]),
+    "outside_int64": st.sampled_from([f"{2**63} 1 2", f"1 2 {-(2**63) - 1} 1A 1B"]),
 }
 
 
@@ -118,6 +141,8 @@ def test_parse_matches_reference_loop(data, good):
             lines.insert(data.draw(st.integers(0, len(lines))), data.draw(bad))
     endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
                                  max_size=len(lines)))
+    if endings and data.draw(st.booleans(), label="no final newline"):
+        endings[-1] = ""
     text = "".join(line + end for line, end in zip(lines, endings))
     try:
         expected = reference_parse_contacts(io.StringIO(text))
@@ -127,6 +152,134 @@ def test_parse_matches_reference_loop(data, good):
         assert str(caught.value) == str(exc)
     else:
         assert _rows(_table(text)) == expected
+
+
+@settings(max_examples=300)
+@given(data=st.data(), lines=st.lists(_SCANNED, max_size=30),
+       chunk=st.sampled_from([1, 7, ingest._SCAN_CHUNK]))
+def test_byte_scan_matches_reference_loop(data, lines, chunk):
+    endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                                 max_size=len(lines)))
+    if endings and data.draw(st.booleans(), label="no final newline"):
+        endings[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, endings))
+    with mock.patch.object(ingest, "_SCAN_CHUNK", chunk):
+        assert _rows(ingest._scan_text(text)) == reference_parse_contacts(io.StringIO(text))
+
+
+def _forbid_loop(monkeypatch):
+    def loop(stream):
+        raise AssertionError("the per-line loop read an input the byte scan should read")
+
+    monkeypatch.setattr(ingest, "_parse_lines", loop)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, None])
+def test_byte_scan_reads_the_contact_files(monkeypatch, seed):
+    # the synthetic days, and a 3-field file for seed None
+    text = "10 1 2\n20 2 3\n# c\n30 -4 +5\n" if seed is None else ingest.synthetic_school_day(seed)
+    expected = reference_parse_contacts(io.StringIO(text))
+    _forbid_loop(monkeypatch)
+    table = _table(text)
+    assert _rows(table) == expected
+    assert all(c.dtype == np.int64 for c in (table.t, table.i, table.j))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 17, 64])
+def test_byte_scan_chunks_cut_anywhere(monkeypatch, chunk):
+    # each chunk runs on to the end of the line its budget ends in, so lines,
+    # comments and blank lines fall across every budget boundary
+    text = ("# head\n\n10 1 2 1A 1B\r\n \n  # 5 6\n20\t3 4\n"
+            "30 5 6 Teachers classroom_2B\n\n\n40 7 8 1A 1A\n# tail\n50 9 10")
+    day = "".join(ingest.synthetic_school_day(seed=0).splitlines(keepends=True)[:200])
+    expected = [reference_parse_contacts(io.StringIO(t)) for t in (text, day)]
+    monkeypatch.setattr(ingest, "_SCAN_CHUNK", chunk)
+    _forbid_loop(monkeypatch)
+    assert [_rows(_table(t)) for t in (text, day)] == expected
+
+
+def test_byte_scan_shares_class_name_objects():
+    table = _table("10 1 2 1A 1B\n20 3 4 1B 1A\n30 5 6\n")
+    assert table.class_i == ["1A", "1B", None] and table.class_j == ["1B", "1A", None]
+    assert table.class_i[0] is table.class_j[1]
+
+
+@pytest.mark.parametrize("text,line,reason", [
+    ("10 1 2\n10\xa01 2\n", 2, "non-ASCII text"),
+    ("10 1 2\n\n10 1 2 1\x00A 1B\n", 3, "NUL byte"),
+    ("# c\n10 1 2\n10 1_000 2\n", 3, "t/i/j not 1 to 18 ASCII digits"),
+    (f"10 1 2\n10 1 {10**18}\n", 2, "t/i/j not 1 to 18 ASCII digits"),
+])
+@pytest.mark.parametrize("chunk", [1, ingest._SCAN_CHUNK])
+def test_byte_scan_declines_what_only_the_loop_reads(monkeypatch, caplog, chunk, text, line,
+                                                     reason):
+    monkeypatch.setattr(ingest, "_SCAN_CHUNK", chunk)
+    caplog.set_level(logging.INFO, logger="specbary.ingest")
+    assert _rows(_table(text)) == reference_parse_contacts(io.StringIO(text))
+    assert caplog.messages == [f"read 2 contact lines with the per-line loop; the byte scan "
+                               f"declined line {line} ({reason})"]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("10 1 2\n20 2 3\r30 3 4\n", 2),
+    ("# 1 2\n10 1 2\n\n10 a 2\n", 4),
+    ("10 1 2\n20 2 3 1A\n", 2),
+    ("10 1 2\n20 3 3\n", 2),
+    ("10 1 2\n-1 4 5\n", 2),
+])
+@pytest.mark.parametrize("chunk", [1, ingest._SCAN_CHUNK])
+def test_byte_scan_declines_malformed_lines(monkeypatch, chunk, text, line):
+    monkeypatch.setattr(ingest, "_SCAN_CHUNK", chunk)
+    with pytest.raises(ingest._Declined) as caught:
+        ingest._scan_text(text)
+    assert text.count("\n", 0, caught.value.args[0]) + 1 == line
+    with pytest.raises(ingest.ParseError, match=f"line {line}: "):
+        _table(text)
+
+
+def test_ingest_logs_the_reader(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="specbary.ingest")
+    day = tmp_path / "day.txt"
+    day.write_text(ingest.synthetic_school_day(seed=0))
+    assert cli.main(["ingest", "--contacts", str(day), "--out", str(tmp_path / "a")]) == 0
+    lines = len(ingest.synthetic_school_day(seed=0).splitlines()) - 1
+    assert f"read {lines} contact lines with the byte scan" in caplog.messages
+    caplog.clear()
+    day.write_text(ingest.synthetic_school_day(seed=0).replace(" 1A 1A", " 1A 1\u00c5", 1))
+    assert cli.main(["ingest", "--contacts", str(day), "--out", str(tmp_path / "b")]) == 0
+    [record] = [r for r in caplog.records if r.name == "specbary.ingest"]
+    assert record.levelno == logging.INFO
+    assert record.getMessage().startswith(f"read {lines} contact lines with the per-line loop; "
+                                          "the byte scan declined line ")
+    assert record.getMessage().endswith(" (non-ASCII text)")
+
+
+def test_load_contacts_reads_lone_carriage_returns(tmp_path):
+    # text mode turns each lone \r into a line end
+    path = tmp_path / "mac.txt"
+    path.write_bytes(b"# t i j\r10 1 2\r20 2 3 1A 1B\r")
+    assert _rows(ingest.load_contacts(path)) == [(10, 1, 2, None, None), (20, 2, 3, "1A", "1B")]
+
+
+def test_load_contacts_peak_memory_within_the_loops(tmp_path):
+    # the scan holds the text, one chunk's temporaries and the columns; the
+    # per-line loop over the open file held one str per class token
+    path = tmp_path / "day.txt"
+    path.write_text(ingest.synthetic_school_day(seed=0))
+    def loop(path):
+        with open(path) as fh:
+            return ingest._parse_lines(fh)
+
+    peaks = []
+    for read in (ingest.load_contacts, loop):
+        tracemalloc.start()
+        try:
+            table = read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 100_000
+    assert peaks[0] <= peaks[1]
 
 
 def test_window_single_event():
