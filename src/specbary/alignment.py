@@ -121,6 +121,23 @@ def _sq_dist(points: np.ndarray, centers: np.ndarray, out: np.ndarray) -> np.nda
     return out.sum(axis=1)
 
 
+def _farthest(points: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> int:
+    """The one of the ascending rows farthest from its nearest centre, the
+    first on ties, by ((x - c) ** 2).sum with the bits of _sq_dist.
+
+    The rows are read in chunks, so the n_rows x k x d broadcast of each
+    holds at most n x d entries."""
+    step = max(1, len(points) // len(centers))
+    best, best_row = -np.inf, -1
+    for i in range(0, len(rows), step):
+        chunk = rows[i : i + step]
+        d2 = ((points[chunk][:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        j = int(np.argmax(d2))
+        if d2[j] > best:
+            best, best_row = d2[j], int(chunk[j])
+    return best_row
+
+
 class _Restart(NamedTuple):
     labels: np.ndarray | None  # None when the restart lost a cluster
     inertia: float
@@ -140,11 +157,19 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
 
     centers = np.empty((k, d))
     centers[0] = points[int(rng.integers(n))]
-    dist2 = _sq_dist(points, centers[0], diff)
+    # farthest-point seeding: each next centre is the row farthest from its
+    # nearest centre, the first on ties. The running minimum of the product
+    # form |x|^2 + |c|^2 - 2 x.c lies within _TIE_MARGIN / 2 of the exact
+    # distance, so the farthest rows and all their ties lie within
+    # _TIE_MARGIN of its maximum; only the rows within 2 * _TIE_MARGIN are
+    # measured exactly
+    sq_norms = np.multiply(points, points, out=diff).sum(axis=1)
+    nearest = np.full(n, np.inf)
     for c in range(1, k):
-        # farthest-point seeding; argmax takes the smallest index on ties
-        centers[c] = points[int(np.argmax(dist2))]
-        np.minimum(dist2, _sq_dist(points, centers[c], diff), out=dist2)
+        prev = centers[c - 1]
+        np.minimum(nearest, sq_norms + (prev @ prev - 2.0 * (points @ prev)), out=nearest)
+        rows = np.flatnonzero(nearest >= nearest.max() - 2 * _TIE_MARGIN)
+        centers[c] = points[_farthest(points, rows, centers[:c])]
 
     labels = np.full(n, -1)
     capped = False

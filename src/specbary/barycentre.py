@@ -258,13 +258,15 @@ def reconstruct_barycentre(lap_blocks: np.ndarray, degrees: BlockDegrees) -> np.
     return -np.sqrt(np.outer(degrees.values, degrees.values)) * lap_blocks
 
 
-def mse(a: np.ndarray, b: np.ndarray) -> float:
+def mse(a: np.ndarray | graph_core.BlockMatrix, b: np.ndarray) -> float:
     """Mean squared entrywise difference, 1/n^2 sum |a_ij - b_ij|^2.
 
     The sum of squares is exact and rounded once, so the value has the bits
     of math.fsum over the squares and is exactly invariant under simultaneous
     permutation of both arguments. The inputs are read in strips; no
-    full-size difference array is made.
+    full-size difference array is made. a may be a graph_core.BlockMatrix,
+    whose strips are built as they are read, so the value has the bits that
+    np.asarray(a) gives and a is never held as an n x n array.
 
     Each square is sig * 2^(e - 1075) for the integer significand sig and
     exponent field e of its bit pattern (e = 1 for subnormals). Per strip,
@@ -274,14 +276,15 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     square is nan, else inf if any is inf, and an exact sum past the float
     range raises OverflowError.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if not isinstance(a, graph_core.BlockMatrix):
+        a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    rows = max(1, _MSE_STRIP // max(1, a[0].size)) if len(a) else 1
+    rows = max(1, _MSE_STRIP // max(1, b[0].size)) if len(b) else 1
     total = 0  # the exact sum of squares in units of 2^-1075
     special = 0.0  # the sum of the nan and inf squares
-    for i in range(0, len(a), rows):
+    for i in range(0, len(b), rows):
         sq = (a[i : i + rows] - b[i : i + rows]).reshape(-1)
         np.multiply(sq, sq, out=sq)
         bits = sq.view(np.uint64)
@@ -297,7 +300,7 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
         for e in np.flatnonzero(hi + lo):
             total += ((int(hi[e]) << 26) + int(lo[e])) << int(e)
     # int / int rounds correctly and raises OverflowError past the float range
-    return (special if special else total / (1 << 1075)) / a.size
+    return (special if special else total / (1 << 1075)) / b.size
 
 
 def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int = 0) -> BarycentreResult:

@@ -72,8 +72,9 @@ def cmd_sample(args) -> None:
     perm = graph_core.philox((args.seed, 0, 1)).permutation(spec.n)
     graph_files, perm_files = [], []
     for t in range(args.T):
-        a = sbm.sample(spec, (args.seed, t))
-        graph_core.save_matrix(graph_core.permute(a, perm), out / f"sample_{t:03d}.csv")
+        rows, cols = sbm.sample_edges(spec, (args.seed, t))
+        graph_core.save_matrix(graph_core.from_edges(spec.n, perm[rows], perm[cols]),
+                               out / f"sample_{t:03d}.csv")
         graph_core.save_permutation(perm, out / f"permutation_{t:03d}.csv")
         graph_files.append(f"sample_{t:03d}.csv")
         perm_files.append(f"permutation_{t:03d}.csv")
@@ -135,19 +136,28 @@ def _scaled_spec(base: sbm.SbmSpec, n: int) -> sbm.SbmSpec:
     return sbm.SbmSpec(block_sizes=tuple(sizes), p=tuple(p), q=q)
 
 
+def _check_positive(flag: str, values: list[int]) -> None:
+    # a sweep over no values, or over a value below 1, is a usage error
+    if not values:
+        raise UsageError(f"{flag} needs at least one value")
+    for v in values:
+        if v < 1:
+            raise UsageError(f"{flag} must be >= 1, got {v}")
+
+
 def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tuple) -> float:
     """Sample one permuted realization, reconstruct, and score against P."""
-    a = sbm.sample(spec, sample_key)
+    rows, cols = sbm.sample_edges(spec, sample_key)
     perm = graph_core.philox((*sample_key, 1)).permutation(spec.n)
-    shuffled = graph_core.permute(a, perm)
-    # each n x n input is freed once dead, so at most two are alive at once
-    del a
-    result = barycentre.compute_barycentre([shuffled], M=M, seed=cluster_key)
-    del shuffled
-    # node i of the sample is input node perm[i]; gathering the leaf rows,
-    # then the leaf columns, builds mu in the sample's labelling
+    # node i of the sample is input node perm[i], so the relabelled edges
+    # scatter straight into the shuffled input, the one n x n array alive
+    result = barycentre.compute_barycentre([graph_core.from_edges(spec.n, perm[rows], perm[cols])],
+                                           M=M, seed=cluster_key)
+    # gathering the leaf rows, then the leaf columns, builds mu in the
+    # sample's labelling; P is read in block form, so mu is then the only
+    # n x n array
     leaf = result.leaf[perm]
-    return barycentre.mse(sbm.population_mean(spec), result.mu_blocks.take(leaf, 0).take(leaf, 1))
+    return barycentre.mse(sbm.population_blocks(spec), result.mu_blocks.take(leaf, 0).take(leaf, 1))
 
 
 def _write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -191,6 +201,8 @@ def _run_sweep(out: Path, x_name: str, points: list[tuple[int, sbm.SbmSpec, tupl
 
 def cmd_size_sweep(args) -> None:
     """MSE of single-sample reconstructions as the graph grows; log-log slope."""
+    _check_positive("--n-list", args.n_list)
+    _check_positive("--seeds", [args.seeds])
     base = sbm.load_spec(args.spec)
     out = Path(args.out)
     points = [(n, _scaled_spec(base, n), (args.seed, n)) for n in args.n_list]
@@ -212,6 +224,9 @@ def cmd_size_sweep(args) -> None:
 
 def cmd_block_sweep(args) -> None:
     """MSE of balanced-model reconstructions as the block count grows."""
+    _check_positive("--n", [args.n])
+    _check_positive("--m-list", args.m_list)
+    _check_positive("--seeds", [args.seeds])
     n = args.n
     p = min(1.0, 3 * math.log(n) ** 2 / n)
     q = min(p, 2 * math.log(n) / n)

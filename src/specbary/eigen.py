@@ -89,7 +89,11 @@ def _lanczos_top(e: graph_core.Entries, k: int, normalized: bool):
     Lanczos runs only when n >= 512, k <= n / 32 and the nonzero pattern is
     connected. A disconnected pattern (isolated nodes included) gives the
     top eigenvalue of a normalized adjacency one copy per component, which
-    one Krylov sequence may miss.
+    one Krylov sequence may miss. The stored pattern is read as a directed
+    graph, whose strong components are those of the undirected graph when
+    the pattern is symmetric, and never fewer; so scipy makes no transpose,
+    and a pattern that is asymmetric within the check's tolerance can only
+    take the dense path.
     """
     n = e.n
     if n < _PARTIAL_MIN_N or _PARTIAL_MAX_SHARE * k > n:
@@ -101,7 +105,7 @@ def _lanczos_top(e: graph_core.Entries, k: int, normalized: bool):
 
     csr = graph_core.normalized_adjacency_csr(e) if normalized else (e.values, e.cols, e.indptr)
     a = sparse.csr_matrix(csr, shape=(n, n))
-    if csgraph.connected_components(a, directed=False, return_labels=False) > 1:
+    if csgraph.connected_components(a, directed=True, connection="strong", return_labels=False) > 1:
         return None
     # one fixed stream for the start vector and for any restart vector ARPACK
     # asks for on breakdown, so equal inputs give equal bits

@@ -11,6 +11,9 @@ Entries). The eigen bodies and the Soules split search read a checked
 matrix only as its Entries, and normalized_adjacency_csr builds CSR arrays
 from them. Every degree is one np.bincount of each row's nonzeros in column
 order, so degrees(a) and Entries.degrees of a's entries have the same bits.
+A BlockMatrix holds a block-constant matrix, such as an SBM population
+mean, as its block values and node labels, and from_edges scatters an edge
+list into a dense 0/1 adjacency.
 """
 
 from dataclasses import dataclass
@@ -50,6 +53,37 @@ class Entries:
     def degrees(self) -> np.ndarray:
         """The row sums, each row's entries added in column order."""
         return np.bincount(self.rows, weights=self.values, minlength=self.n)
+
+
+@dataclass(frozen=True)
+class BlockMatrix:
+    """The n x n matrix whose (i, j) entry is values[labels[i], labels[j]],
+    held as its k x k values and one label per node.
+
+    A row slice, bm[i:j], is that strip of rows as a dense array, and
+    np.asarray(bm) is the whole matrix.
+    """
+
+    values: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.labels), len(self.labels))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.values.take(self.labels[rows], 0).take(self.labels, 1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
+
+
+def from_edges(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The n x n 0/1 adjacency with entries (rows[k], cols[k]) and
+    (cols[k], rows[k]) set for every k, made by one scatter."""
+    out = np.zeros((n, n))
+    out.put(np.concatenate([rows * n + cols, cols * n + rows]), 1.0)
+    return out
 
 
 def entries_at(n: int, flat: np.ndarray, values: np.ndarray) -> Entries:

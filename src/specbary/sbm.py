@@ -79,19 +79,19 @@ def load_spec(path: str | Path) -> SbmSpec:
     return spec
 
 
-def _block_rule(spec: SbmSpec) -> tuple[np.ndarray, np.ndarray]:
-    # the block label of each node, and the M x M edge probabilities between
-    # blocks: p_m on the diagonal, q elsewhere; P_ij = block_p[label_i, label_j]
+def population_blocks(spec: SbmSpec) -> graph_core.BlockMatrix:
+    """The population mean P in block form: the block label of each node and
+    the M x M edge probabilities between blocks, p_m on the diagonal and q
+    elsewhere, so that P_ij = values[labels[i], labels[j]]."""
     labels = np.repeat(np.arange(spec.M), spec.block_sizes)
     block_p = np.full((spec.M, spec.M), spec.q)
     np.fill_diagonal(block_p, spec.p)
-    return labels, block_p
+    return graph_core.BlockMatrix(block_p, labels)
 
 
 def population_mean(spec: SbmSpec) -> np.ndarray:
     """Entrywise expectation P: p_m on B_m x B_m (diagonal included), q elsewhere."""
-    labels, block_p = _block_rule(spec)
-    return block_p.take(labels, 0).take(labels, 1)
+    return population_blocks(spec)[:]
 
 
 def expected_degrees(spec: SbmSpec) -> np.ndarray:
@@ -139,21 +139,27 @@ def limit_eigenvalues(spec: SbmSpec) -> np.ndarray:
     return out
 
 
-def sample(spec: SbmSpec, seed) -> np.ndarray:
-    """One adjacency matrix: upper-triangle Bernoulli draws from P, symmetrized,
-    zero diagonal.
+def sample_edges(spec: SbmSpec, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of one sample, as the rows and columns (i < j) of its upper
+    triangle in row-major order.
 
     Node pair (i, j) is an edge when the (i, j) uniform of one row-major
     n x n draw lies below P_ij. The draw is taken in row strips, which
     consume the stream in the same order, and each strip is compared with its
-    rows of P, so no n x n float64 array is made but the result.
+    rows of P, so no n x n array is made.
     """
     n = spec.n
-    labels, block_p = _block_rule(spec)
+    P = population_blocks(spec)
     rng = graph_core.philox(seed)
     rows = max(1, _SAMPLE_STRIP // n)
-    upper = np.empty((n, n), dtype=bool)
+    flat = []
     for i in range(0, n, rows):
-        strip = rng.random((min(rows, n - i), n)) < block_p.take(labels[i : i + rows], 0).take(labels, 1)
-        upper[i : i + rows] = np.triu(strip, k=i + 1)
-    return (upper | upper.T).astype(float)
+        strip = rng.random((min(rows, n - i), n)) < P[i : i + rows]
+        flat.append(np.flatnonzero(np.triu(strip, k=i + 1)) + i * n)
+    return np.divmod(np.concatenate(flat), n)
+
+
+def sample(spec: SbmSpec, seed) -> np.ndarray:
+    """One adjacency matrix: upper-triangle Bernoulli draws from P, symmetrized,
+    zero diagonal; the edges of sample_edges scattered into an n x n array."""
+    return graph_core.from_edges(spec.n, *sample_edges(spec, seed))

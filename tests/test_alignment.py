@@ -179,6 +179,29 @@ def test_kmeans_matches_broadcast_reference_on_lattice(monkeypatch, max_iter, no
     assert max(fallback_rows) > 0  # the tie-break ran, not only the product
 
 
+def test_kmeans_seeding_rechecks_every_row_tied_at_the_farthest_distance(monkeypatch):
+    # three directions held by four rows each: after any first centre at
+    # least four rows tie at the largest distance, and seeding must take the
+    # first of them. Then one row against eight equal ones: once both are
+    # centres all nine rows tie at 0, and the recheck reads them in chunks
+    calls = []
+    real = al._farthest
+
+    def spy(points, rows, centers):
+        calls.append((len(rows), len(points) // len(centers)))
+        return real(points, rows, centers)
+
+    monkeypatch.setattr(al, "_farthest", spy)
+    spread = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]), 4, axis=0)
+    for k in (2, 3):
+        _assert_restarts_match_reference(spread, k, (5, k))
+    assert min(rows for rows, _ in calls) >= 4
+    calls.clear()
+    lopsided = np.vstack([[0.0, 1.0], np.repeat([[1.0, 0.0]], 8, axis=0)])
+    _assert_restarts_match_reference(lopsided, 3, 6)
+    assert any(rows > step for rows, step in calls)
+
+
 @st.composite
 def _one_decimal_points(draw) -> np.ndarray:
     # coordinates on a 0.1 grid make equidistant centres and tied rows common

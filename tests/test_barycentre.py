@@ -255,9 +255,22 @@ def test_mse_matches_fsum_reference_bit_for_bit(data, rows, cols, strip):
     b = np.array(pool)[data.draw(pick, label="b")].reshape(rows, cols)
     for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf]), max_size=2), label="plant"):
         a.flat[data.draw(st.integers(0, a.size - 1))] = value
+    # a block form of k x k pool values and one label per row, against a
+    # square b; its strips are built as mse reads them
+    k = data.draw(st.integers(1, 3), label="k")
+    values = np.array(pool)[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=k * k,
+                                               max_size=k * k), label="values")].reshape(k, k)
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows, max_size=rows),
+                                label="labels"))
+    if data.draw(st.booleans(), label="plant_block"):
+        values.flat[data.draw(st.integers(0, k * k - 1))] = data.draw(st.sampled_from([np.nan, np.inf]))
+    blocks = graph_core.BlockMatrix(values, labels)
+    square = np.array(pool)[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * rows,
+                                               max_size=rows * rows), label="square")].reshape(rows, rows)
     # small strips put row boundaries inside these small inputs
     with mock.patch.object(bc, "_MSE_STRIP", strip):
         assert _same_bits(bc.mse(a, b), reference_mse(a, b))
+        assert _same_bits(bc.mse(blocks, square), reference_mse(np.asarray(blocks), square))
 
 
 def test_mse_matches_fsum_reference_across_strips():
@@ -268,6 +281,14 @@ def test_mse_matches_fsum_reference_across_strips():
     assert _same_bits(bc.mse(a.ravel(), b.ravel()), reference_mse(a, b))
     tiny = rng.standard_normal((700, 300)) * 1e-160  # subnormal squares
     assert _same_bits(bc.mse(tiny, 0 * tiny), reference_mse(tiny, 0 * tiny))
+    # a block form whose 700-row strips end inside blocks, against the same
+    # kinds of values
+    blocks = graph_core.BlockMatrix(rng.standard_normal((5, 5)) * 10.0 ** rng.choice([-150, 0, 150], (5, 5)),
+                                    rng.integers(0, 5, 700))
+    square = rng.standard_normal((700, 700)) * 10.0 ** rng.choice([-160, -3, 0, 150], (700, 700))
+    assert _same_bits(bc.mse(blocks, square), reference_mse(np.asarray(blocks), square))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        bc.mse(blocks, a)
 
 
 def test_mse_non_finite_and_overflowing_sums_follow_fsum():
@@ -295,6 +316,16 @@ def test_mse_needs_no_n_by_n_scratch():
     tracemalloc.start()
     try:
         value = bc.mse(population, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
+    assert value == reference_mse(population, sample)
+    # in block form, P is never held whole either
+    blocks = sbm.population_blocks(paper_scaled(n, 32))
+    tracemalloc.start()
+    try:
+        value = bc.mse(blocks, sample)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

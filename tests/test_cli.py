@@ -254,6 +254,43 @@ def test_block_sweep_run_holds_at_most_two_n_by_n_arrays():
     assert value == expected
 
 
+def test_block_sweep_run_peaks_below_one_and_a_half_n_by_n_arrays():
+    # the sample is scattered straight into the shuffled input, and P is
+    # scored in block form, so one n x n array is alive at a time
+    n, M, key = 2048, 32, (79, 0)
+    spec = paper_scaled(n, M)
+    cli._one_mse_run(spec, M, key, (*key, 2))  # loads the solver modules
+    tracemalloc.start()
+    try:
+        cli._one_mse_run(spec, M, key, (*key, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("block-sweep", "--m-list", "0"), "--m-list"),
+    (("block-sweep", "--m-list", "8,-2"), "--m-list"),
+    (("block-sweep", "--m-list", ","), "--m-list"),
+    (("block-sweep", "--seeds", "0"), "--seeds"),
+    (("block-sweep", "--seeds", "-3"), "--seeds"),
+    (("block-sweep", "--n", "0"), "--n"),
+    (("size-sweep", "--n-list", "48,0"), "--n-list"),
+    (("size-sweep", "--n-list", ","), "--n-list"),
+    (("size-sweep", "--n-list", "48", "--seeds", "0"), "--seeds"),
+], ids=["m_zero", "m_negative", "m_empty", "seeds_zero", "seeds_negative", "n_zero",
+        "size_n_zero", "size_n_empty", "size_seeds_zero"])
+def test_sweeps_reject_bad_counts_as_usage_errors(tmp_path, spec_file, capsys, argv, flag):
+    # before the checks: a ZeroDivisionError traceback, nan medians with
+    # exit 0, a math domain error with exit 3, or an empty medians.csv
+    extra = ("--spec", spec_file) if argv[0] == "size-sweep" else ()
+    out = tmp_path / "sweep"
+    assert run(*argv, *extra, "--out", out) == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_of_empty_graphs_concentrates_at_one(tmp_path):
     src = tmp_path / "src"
     src.mkdir()

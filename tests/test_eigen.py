@@ -3,9 +3,9 @@ and the Lanczos path for the largest eigenvalues against the dense one."""
 
 import numpy as np
 import pytest
-from helpers import PARTIAL_PATH_CASES, partial_path_case
+from helpers import PARTIAL_PATH_CASES, paper_scaled, partial_path_case
 
-from specbary import eigen
+from specbary import eigen, sbm
 
 
 def test_identity_spectrum():
@@ -81,6 +81,23 @@ def test_top_eigen_fall_back_to_dense_without_convergence(monkeypatch):
     got = eigen.top_eigenpairs(a_hat, M)
     assert np.array_equal(got.values, full.values[::-1][:M])
     assert np.array_equal(got.vectors, full.vectors[:, ::-1][:, :M])
+
+
+def test_top_eigen_pattern_connected_one_way_only_falls_back_to_dense(eigsh_calls):
+    # two components joined by one entry, far inside the symmetry tolerance,
+    # that has no mirror: connected as an undirected pattern, but not
+    # strongly, so the dense path reads it
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    a = np.kron(np.eye(2), sbm.sample(paper_scaled(512, 2), (61, 3)))
+    a[0, -1] = 1e-14
+    assert csgraph.connected_components(sparse.csr_matrix(a), directed=False, return_labels=False) == 1
+    assert np.array_equal(eigen.top_eigenvalues(a, 4), eigen.sym_eig_values(a)[::-1][:4])
+    got = eigen.top_eigenpairs(a, 4)
+    full = eigen.sym_eig(a)
+    assert np.array_equal(got.vectors, full.vectors[:, ::-1][:, :4])
+    assert eigsh_calls == []
 
 
 def test_top_eigenpairs_small_input_is_dense_reversed():

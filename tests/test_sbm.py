@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import four_block_spec, paper_scaled, reference_population_mean, reference_sample
 
-from specbary import sbm
+from specbary import graph_core, sbm
 
 
 def test_spec_validation():
@@ -170,6 +170,24 @@ def test_sample_mean_concentrates_on_population():
 def test_sample_matches_one_draw_reference_bit_for_bit(spec):
     for t in range(2):
         assert np.array_equal(sbm.sample(spec, (7, t)), reference_sample(spec, (7, t)))
+
+
+@pytest.mark.parametrize("spec", [
+    sbm.SbmSpec(block_sizes=(1,), p=(0.5,), q=0.5),
+    sbm.SbmSpec(block_sizes=(3, 5), p=(1.0, 0.5), q=0.0),
+    sbm.SbmSpec(block_sizes=(7,), p=(1.0,), q=0.0),
+    four_block_spec(),
+    sbm.balanced(2100, 7, 0.05, 0.01),  # the last row strip is partial
+], ids=["one_node", "sure_and_no_edges", "complete", "four_block", "n2100"])
+def test_relabelled_edges_scatter_to_the_permuted_sample(spec):
+    for t in range(2):
+        rows, cols = sbm.sample_edges(spec, (7, t))
+        flat = rows * spec.n + cols
+        assert (rows < cols).all() and (np.diff(flat) > 0).all()
+        perm = graph_core.philox((7, t, 1)).permutation(spec.n)
+        got = graph_core.from_edges(spec.n, perm[rows], perm[cols])
+        want = graph_core.permute(sbm.sample(spec, (7, t)), perm)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sample_makes_no_n_by_n_float_scratch():
