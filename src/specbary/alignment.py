@@ -79,24 +79,21 @@ def _assign(points: np.ndarray, centers: np.ndarray, dist: np.ndarray) -> np.nda
     """The labels of _broadcast_argmin, from one n x k matrix product written
     into the n x k scratch dist, which is left overwritten.
 
-    Only rows whose two nearest centres lie within _TIE_MARGIN of each other
-    go through _broadcast_argmin.
+    Only rows with another centre within _TIE_MARGIN of their nearest go
+    through _broadcast_argmin.
     """
-    # |x - c|^2 less the per-row constant |x|^2, which moves no argmin or gap
-    np.matmul(points, centers.T, out=dist)
-    dist *= 2.0
+    # |x - c|^2 less the per-row constant |x|^2, which moves no argmin or
+    # gap; 2 c is exact, so x.(2c) is 2 x.c
+    np.matmul(points, 2.0 * centers.T, out=dist)
     np.subtract((centers**2).sum(axis=1), dist, out=dist)
     labels = np.argmin(dist, axis=1)
     if centers.shape[0] > 1:
-        # the two smallest values of each row: the argmin's, then the least
-        # once that entry is masked (equal to it when the minimum repeats);
-        # argmin and a gather take that least faster than a min reduction
-        rows = np.arange(len(labels))
-        first = dist[rows, labels]
-        dist[rows, labels] = np.inf
-        second = dist[rows, np.argmin(dist, axis=1)]
-        near = np.flatnonzero(second - first <= _TIE_MARGIN)
-        labels[near] = _broadcast_argmin(points[near], centers)
+        # every row's minimum is within the margin of itself, so more than n
+        # such entries means some row has a second one
+        near = dist <= (dist[np.arange(len(labels)), labels] + _TIE_MARGIN)[:, None]
+        if np.count_nonzero(near) > len(labels):
+            rows = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+            labels[rows] = _broadcast_argmin(points[rows], centers)
     return labels
 
 

@@ -33,6 +33,7 @@ Stages of compute_barycentre:
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -258,33 +259,55 @@ def reconstruct_barycentre(lap_blocks: np.ndarray, degrees: BlockDegrees) -> np.
     return -np.sqrt(np.outer(degrees.values, degrees.values)) * lap_blocks
 
 
-def mse(a: np.ndarray | graph_core.BlockMatrix, b: np.ndarray) -> float:
+def mse(a: np.ndarray | graph_core.BlockMatrix, b: np.ndarray | graph_core.BlockMatrix) -> float:
     """Mean squared entrywise difference, 1/n^2 sum |a_ij - b_ij|^2.
 
     The sum of squares is exact and rounded once, so the value has the bits
     of math.fsum over the squares and is exactly invariant under simultaneous
-    permutation of both arguments. The inputs are read in strips; no
-    full-size difference array is made. a may be a graph_core.BlockMatrix,
-    whose strips are built as they are read, so the value has the bits that
-    np.asarray(a) gives and a is never held as an n x n array.
+    permutation of both arguments. Either argument may be a
+    graph_core.BlockMatrix; the value has the bits that np.asarray of it
+    gives, and it is never held as an n x n array.
+
+    Dense inputs are read in row strips, with a block form's strips built as
+    they are read; no full-size difference array is made. When both are
+    block forms, nodes are grouped into joint cells (label of a, label of
+    b): a - b is constant on each pair of cells, so each cell pair's square
+    (the float a strip would hold) is counted once, weighted by the product
+    of the two cell sizes, over strips of row cells. Block forms of more
+    than 2^26 nodes raise ValueError.
 
     Each square is sig * 2^(e - 1075) for the integer significand sig and
     exponent field e of its bit pattern (e = 1 for subnormals). Per strip,
-    np.bincount adds the significands per exponent in two halves of at most
-    27 bits, so every float64 partial sum is an exact integer; the bins are
-    joined in one Python integer. As with fsum, the result is nan if any
-    square is nan, else inf if any is inf, and an exact sum past the float
-    range raises OverflowError.
+    np.bincount adds the (weighted) significands per exponent in pieces
+    narrow enough that every float64 partial sum is an exact integer below
+    2^53; the bins are joined in one Python integer. As with fsum, the
+    result is nan if any square is nan, else inf if any is inf, and an
+    exact sum past the float range raises OverflowError.
     """
-    if not isinstance(a, graph_core.BlockMatrix):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = (x if isinstance(x, graph_core.BlockMatrix) else np.atleast_1d(np.asarray(x, dtype=float))
+            for x in (a, b))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    rows = max(1, _MSE_STRIP // max(1, b[0].size)) if len(b) else 1
+    size = math.prod(a.shape)
+    counts = None
+    if isinstance(a, graph_core.BlockMatrix) and isinstance(b, graph_core.BlockMatrix):
+        ka, kb = len(a.values), len(b.values)
+        counts = np.bincount(np.ravel_multi_index((a.labels, b.labels), (ka, kb)), minlength=ka * kb)
+        cells = np.flatnonzero(counts)
+        counts = counts[cells].astype(float)
+        # the matrices over cells: cell (ka_i, kb_i) holds label ka_i of a and kb_i of b
+        a, b = (graph_core.BlockMatrix(x.values, labels) for x, labels in zip((a, b), np.divmod(cells, kb)))
+    row_size = math.prod(b.shape[1:])
+    rows = max(1, _MSE_STRIP // max(1, row_size))
+    # a strip adds significand pieces of k bits with total weight at most
+    # n^2 in block form (the cell sizes multiply), or its size otherwise
+    weight = rows * row_size if counts is None else size
+    k = 53 - (weight - 1).bit_length()
+    if k < 1:
+        raise ValueError(f"{size} entries are too many to sum exactly")
     total = 0  # the exact sum of squares in units of 2^-1075
     special = 0.0  # the sum of the nan and inf squares
-    for i in range(0, len(b), rows):
+    for i in range(0, b.shape[0], rows):
         sq = (a[i : i + rows] - b[i : i + rows]).reshape(-1)
         np.multiply(sq, sq, out=sq)
         bits = sq.view(np.uint64)
@@ -295,12 +318,14 @@ def mse(a: np.ndarray | graph_core.BlockMatrix, b: np.ndarray) -> float:
             continue
         sig = (bits & np.uint64(2**52 - 1)) | ((exp > 0).astype(np.uint64) << np.uint64(52))
         np.maximum(exp, 1, out=exp)
-        hi = np.bincount(exp, weights=sig >> np.uint64(26), minlength=2047)
-        lo = np.bincount(exp, weights=sig & np.uint64(2**26 - 1), minlength=2047)
-        for e in np.flatnonzero(hi + lo):
-            total += ((int(hi[e]) << 26) + int(lo[e])) << int(e)
+        w = None if counts is None else np.multiply.outer(counts[i : i + rows], counts).reshape(-1)
+        for shift in range(0, 53, k):
+            piece = (sig >> np.uint64(shift)) & np.uint64((1 << k) - 1)
+            bins = np.bincount(exp, weights=piece if w is None else piece * w, minlength=2047)
+            for e in np.flatnonzero(bins):
+                total += int(bins[e]) << int(e + shift)
     # int / int rounds correctly and raises OverflowError past the float range
-    return (special if special else total / (1 << 1075)) / b.size
+    return (special if special else total / (1 << 1075)) / size
 
 
 def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int = 0) -> BarycentreResult:

@@ -61,8 +61,7 @@ def cmd_sample(args) -> None:
     Sample t is drawn from the stream keyed (seed, t) and the relabelling
     from (seed, 0, 1); every sample gets a copy of the permutation file.
     """
-    if args.T < 1:
-        raise UsageError(f"--T must be >= 1, got {args.T}")
+    _check_positive("--T", [args.T])
     spec = sbm.load_spec(args.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -97,6 +96,9 @@ def cmd_barycentre(args) -> None:
     """Run the pipeline on a directory of graphs and export the result."""
     if (args.M is None) == (not args.auto_M):
         raise UsageError("exactly one of --M and --auto-M is required")
+    if args.M is not None:
+        # M above n is a data error, found once the graphs are loaded
+        _check_positive("--M", [args.M])
     in_dir = Path(args.in_dir)
     graphs, population, permutations = _load_graph_dir(in_dir)
     result = barycentre.compute_barycentre(graphs, M=args.M, seed=args.seed)
@@ -108,8 +110,7 @@ def cmd_barycentre(args) -> None:
         else:
             # node i of the population is input node permutations[0][i]
             leaf = result.leaf[permutations[0]] if permutations else result.leaf
-            mu = result.mu_blocks.take(leaf, 0).take(leaf, 1)
-            extra["mse"] = barycentre.mse(population, mu)
+            extra["mse"] = barycentre.mse(population, graph_core.BlockMatrix(result.mu_blocks, leaf))
             log.info("mse against population: %.6e", extra["mse"])
 
     out = Path(args.out)
@@ -137,7 +138,7 @@ def _scaled_spec(base: sbm.SbmSpec, n: int) -> sbm.SbmSpec:
 
 
 def _check_positive(flag: str, values: list[int]) -> None:
-    # a sweep over no values, or over a value below 1, is a usage error
+    # a flag or sweep list with no value, or with a value below 1, is a usage error
     if not values:
         raise UsageError(f"{flag} needs at least one value")
     for v in values:
@@ -153,11 +154,9 @@ def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tupl
     # scatter straight into the shuffled input, the one n x n array alive
     result = barycentre.compute_barycentre([graph_core.from_edges(spec.n, perm[rows], perm[cols])],
                                            M=M, seed=cluster_key)
-    # gathering the leaf rows, then the leaf columns, builds mu in the
-    # sample's labelling; P is read in block form, so mu is then the only
-    # n x n array
-    leaf = result.leaf[perm]
-    return barycentre.mse(sbm.population_blocks(spec), result.mu_blocks.take(leaf, 0).take(leaf, 1))
+    # mu in the sample's labelling, and P, are both scored in block form
+    return barycentre.mse(sbm.population_blocks(spec),
+                          graph_core.BlockMatrix(result.mu_blocks, result.leaf[perm]))
 
 
 def _write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -249,6 +248,7 @@ plot "spectrum.csv" skip 1 using (($1+$2)/2):3 with boxes title "pooled spectrum
 
 def cmd_spectrum(args) -> None:
     """Pooled normalized-Laplacian eigenvalue histogram over [0, 2]."""
+    _check_positive("--bins", [args.bins])
     graphs, _, _ = _load_graph_dir(Path(args.in_dir))
     # one check per input graph, as in compute_barycentre
     pooled = np.concatenate([
@@ -269,6 +269,7 @@ def cmd_spectrum(args) -> None:
 
 def cmd_ingest(args) -> None:
     """Parse a contact file and write windowed snapshot graphs."""
+    _check_positive("--width", [args.width])
     contacts = ingest.load_contacts(args.contacts)
     series = ingest.window_graphs(contacts, args.start, args.end, args.width)
     out = Path(args.out)

@@ -144,19 +144,38 @@ def sample_edges(spec: SbmSpec, seed) -> tuple[np.ndarray, np.ndarray]:
     triangle in row-major order.
 
     Node pair (i, j) is an edge when the (i, j) uniform of one row-major
-    n x n draw lies below P_ij. The draw is taken in row strips, which
-    consume the stream in the same order, and each strip is compared with its
-    rows of P, so no n x n array is made.
+    n x n draw lies below P_ij. The draw is taken in row strips into one
+    reused buffer, which consumes the stream in the same order. The rows of
+    each block in a strip are compared with that block's row of P, gathered
+    once per block, and the hits on or below the diagonal are dropped, so
+    no n x n array is made.
     """
     n = spec.n
     P = population_blocks(spec)
     rng = graph_core.philox(seed)
     rows = max(1, _SAMPLE_STRIP // n)
-    flat = []
+    draw = np.empty((rows, n))
+    hit = np.empty((rows, n), dtype=bool)
+    ends = np.cumsum(spec.block_sizes)
+    m, p_row = 0, P.values[0].take(P.labels)
+    edge_rows, edge_cols = [], []
     for i in range(0, n, rows):
-        strip = rng.random((min(rows, n - i), n)) < P[i : i + rows]
-        flat.append(np.flatnonzero(np.triu(strip, k=i + 1)) + i * n)
-    return np.divmod(np.concatenate(flat), n)
+        stop = min(i + rows, n)
+        rng.random(out=draw[: stop - i])
+        s = i
+        while s < stop:
+            if s == ends[m]:
+                m += 1
+                p_row = P.values[m].take(P.labels)
+            e = min(ends[m], stop)
+            np.less(draw[s - i : e - i], p_row, out=hit[s - i : e - i])
+            s = e
+        r, c = np.divmod(np.flatnonzero(hit[: stop - i]), n)
+        r += i
+        upper = c > r
+        edge_rows.append(r[upper])
+        edge_cols.append(c[upper])
+    return np.concatenate(edge_rows), np.concatenate(edge_cols)
 
 
 def sample(spec: SbmSpec, seed) -> np.ndarray:

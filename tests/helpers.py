@@ -4,8 +4,9 @@ must reproduce, the summed-area-table split search and the fsum mean squared
 difference that soules._best_soules_basis and barycentre.mse must reproduce,
 the inputs on which the Lanczos and dense eigensolver paths are compared, the
 dense-built normalized adjacencies whose spectrum heads and embedding the
-pipeline must reproduce, the whole-matrix symmetry decision and the full-draw
-SBM sampler that graph_core.check_symmetric and sbm.sample must reproduce,
+pipeline must reproduce, the whole-matrix symmetry decision, the full-draw SBM sampler and the
+fresh-strip edge sampler that graph_core.check_symmetric, sbm.sample and
+sbm.sample_edges must reproduce,
 the broadcast k-means restart that alignment._kmeans_once must reproduce, the
 whole-matrix degree scan that graph_core.degrees must reproduce, and the
 per-line contact parser that ingest.parse_contacts must reproduce."""
@@ -262,6 +263,22 @@ def reference_sample(spec: sbm.SbmSpec, seed) -> np.ndarray:
     u = graph_core.philox(seed).random((spec.n, spec.n))
     upper = np.triu(u < reference_population_mean(spec), k=1)
     return (upper | upper.T).astype(float)
+
+
+def reference_sample_edges(spec: sbm.SbmSpec, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The strip sampler sbm.sample_edges replaced: each strip's uniforms in
+    a fresh array, compared with a fresh strip of P and cut to its upper
+    triangle by np.triu, the reference whose edges it gives. Reads
+    sbm._SAMPLE_STRIP at call time."""
+    n = spec.n
+    P = sbm.population_blocks(spec)
+    rng = graph_core.philox(seed)
+    rows = max(1, sbm._SAMPLE_STRIP // n)
+    flat = []
+    for i in range(0, n, rows):
+        strip = rng.random((min(rows, n - i), n)) < P[i : i + rows]
+        flat.append(np.flatnonzero(np.triu(strip, k=i + 1)) + i * n)
+    return np.divmod(np.concatenate(flat), n)
 
 
 def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):

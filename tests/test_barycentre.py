@@ -273,6 +273,33 @@ def test_mse_matches_fsum_reference_bit_for_bit(data, rows, cols, strip):
         assert _same_bits(bc.mse(blocks, square), reference_mse(np.asarray(blocks), square))
 
 
+@settings(max_examples=300)
+@given(data=st.data(), n=st.integers(1, 40), strip=st.integers(1, 40))
+def test_mse_of_two_block_forms_matches_dense_bit_for_bit(data, n, strip):
+    # a few distinct values, reused, so cells share exponent bins; values
+    # from the block-sweep scale (1e-3 to 1) are non-dyadic
+    pool = data.draw(st.lists(_MSE_ENTRY | st.floats(1e-3, 1.0), min_size=1, max_size=6), label="pool")
+
+    def block_form(name):
+        k = data.draw(st.integers(1, 4), label=f"{name}_k")
+        values = np.array(pool)[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=k * k,
+                                                   max_size=k * k), label=f"{name}_values")]
+        for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2),
+                               label=f"{name}_plant"):
+            values[data.draw(st.integers(0, k * k - 1))] = value
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label=f"{name}_labels")
+        return graph_core.BlockMatrix(values.reshape(k, k), np.array(labels))
+
+    a, b = block_form("a"), block_form("b")
+    # small strips split the row cells, and the dense rows, into several
+    # strips; inf - inf is nan on every path
+    with mock.patch.object(bc, "_MSE_STRIP", strip), np.errstate(invalid="ignore"):
+        value = bc.mse(a, b)
+        assert _same_bits(value, bc.mse(np.asarray(a), np.asarray(b)))
+        assert _same_bits(value, bc.mse(np.asarray(a), b))
+        assert _same_bits(value, reference_mse(a, b))
+
+
 def test_mse_matches_fsum_reference_across_strips():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((700, 300)) * 10.0 ** rng.choice([-150, -3, 0, 150], (700, 300))
@@ -307,6 +334,17 @@ def test_mse_non_finite_and_overflowing_sums_follow_fsum():
         reference_mse(big, np.zeros((2, 2)))
     with pytest.raises(OverflowError):
         bc.mse(big, np.zeros((2, 2)))
+    # the same rules when both arguments are block forms
+    zero = graph_core.BlockMatrix(np.zeros((1, 1)), np.zeros(3, dtype=int))
+    labels = np.array([0, 1, 1])
+    with pytest.raises(OverflowError):
+        bc.mse(graph_core.BlockMatrix(np.full((2, 2), 1.3e154), labels), zero)
+    for value, expected in ((np.nan, np.nan), (np.inf, np.inf), (-np.inf, np.inf)):
+        # the finite squares alone would overflow; nan, then inf, decide
+        # first, as on the dense strips (fsum raises here)
+        planted = graph_core.BlockMatrix(np.array([[1.3e154, value], [1.3e154, 1.3e154]]), labels)
+        assert _same_bits(bc.mse(planted, zero), expected)
+        assert _same_bits(bc.mse(np.asarray(planted), np.asarray(zero)), expected)
 
 
 def test_mse_needs_no_n_by_n_scratch():
@@ -331,6 +369,24 @@ def test_mse_needs_no_n_by_n_scratch():
         tracemalloc.stop()
     assert peak < 0.5 * 8 * n * n
     assert value == reference_mse(population, sample)
+    # with both in block form (32 labels each, so up to 1024 joint cells)
+    # only strips of cell pairs are made, so the peak does not grow with n^2
+    labels = np.random.default_rng(74).integers(0, 32, n)
+    values = np.random.default_rng(75).random((32, 32))
+    peaks = []
+    for size in (n, 4 * n):
+        mu = graph_core.BlockMatrix(values, np.tile(labels, size // n))
+        blocks = sbm.population_blocks(paper_scaled(size, 32))
+        tracemalloc.start()
+        try:
+            value = bc.mse(blocks, mu)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if size == n:
+            assert value == reference_mse(population, mu)
+    assert peaks[0] < 0.15 * 8 * n * n
+    assert peaks[1] < peaks[0] + 64 * 3 * n
 
 
 def test_pipeline_fixed_point_on_population_copies():

@@ -291,6 +291,47 @@ def test_sweeps_reject_bad_counts_as_usage_errors(tmp_path, spec_file, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("spectrum", "--bins", "0"), "--bins"),
+    (("ingest", "--width", "0"), "--width"),
+    (("barycentre", "--M", "0"), "--M"),
+], ids=["bins_zero", "width_zero", "M_zero"])
+def test_out_of_range_flags_are_usage_errors(tmp_path, spec_file, capsys, argv, flag):
+    # before the checks each exited 3, as a data error
+    src = tmp_path / "src"
+    assert run("sample", "--spec", spec_file, "--out", src) == 0
+    contacts = tmp_path / "contacts.txt"
+    contacts.write_text("10 1 2\n")
+    inputs = ("--contacts", contacts) if argv[0] == "ingest" else ("--in", src)
+    out = tmp_path / "o"
+    assert run(*argv, *inputs, "--out", out) == 2
+    assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_barycentre_M_above_n_is_data_error(tmp_path, spec_file):
+    # n is known only once the graphs are loaded
+    src = tmp_path / "src"
+    assert run("sample", "--spec", spec_file, "--out", src) == 0
+    assert run("barycentre", "--in", src, "--M", 17, "--out", tmp_path / "o") == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("block-sweep", "--n", 128, "--m-list", "2,8"),
+    ("size-sweep", "--n-list", "32,48"),
+], ids=["block_sweep", "size_sweep"])
+def test_sweeps_write_identical_bytes_for_one_seed(tmp_path, spec_file, argv):
+    extra = ("--spec", spec_file) if argv[0] == "size-sweep" else ()
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(*argv, *extra, "--seeds", 2, "--seed", 3, "--gnuplot", "--out", out) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"sweep.csv", "medians.csv", "manifest.json", "plot.gp"} <= set(names)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_spectrum_of_empty_graphs_concentrates_at_one(tmp_path):
     src = tmp_path / "src"
     src.mkdir()

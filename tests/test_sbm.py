@@ -1,10 +1,14 @@
 """Block-model specs, population quantities, limit spectra, and sampling."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import four_block_spec, paper_scaled, reference_population_mean, reference_sample
+from helpers import (four_block_spec, paper_scaled, reference_population_mean, reference_sample,
+                     reference_sample_edges)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbary import graph_core, sbm
 
@@ -188,6 +192,27 @@ def test_relabelled_edges_scatter_to_the_permuted_sample(spec):
         got = graph_core.from_edges(spec.n, perm[rows], perm[cols])
         want = graph_core.permute(sbm.sample(spec, (7, t)), perm)
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _specs(draw):
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    q = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    p = draw(st.lists(st.sampled_from([q, 1.0]) | st.floats(q, 1.0),
+                      min_size=len(sizes), max_size=len(sizes)))
+    return sbm.SbmSpec(block_sizes=tuple(sizes), p=tuple(p), q=q)
+
+
+@settings(max_examples=200)
+@given(spec=_specs(), strip=st.integers(1, 400), seed=st.integers(0, 2**32 - 1) | st.tuples(st.integers(0, 9)))
+def test_sample_edges_match_fresh_strip_reference(spec, strip, seed):
+    # small strips split blocks across strips and leave a partial last strip
+    # whenever n is not a multiple of the strip's rows
+    with mock.patch.object(sbm, "_SAMPLE_STRIP", strip):
+        got = sbm.sample_edges(spec, seed)
+        want = reference_sample_edges(spec, seed)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_sample_makes_no_n_by_n_float_scratch():
