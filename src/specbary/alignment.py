@@ -8,6 +8,10 @@ by descending volume.
 """
 
 import logging
+import os
+import threading
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +26,12 @@ KMEANS_MAX_ITER = 300
 ZERO_ROW_EPS = 1e-12
 _BULK_DELTA = 0.1
 _MIN_GAP = 0.05
+# n * M from which cluster_nodes runs its restarts on threads, the most
+# threads it starts, and the largest m * n * k that OpenBLAS multiplies on
+# one thread (see cluster_nodes)
+_THREADED_MIN_SIZE = 2**15
+_MAX_WORKERS = 2
+_BLAS_ONE_THREAD_SIZE = 2**18
 
 
 class ClusteringError(RuntimeError):
@@ -68,45 +78,63 @@ def _normalize_rows(points: np.ndarray) -> np.ndarray:
 _TIE_MARGIN = 1e-9
 
 
+def _broadcast_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """|x - c|^2 of every row and centre, summed over an n x k x d broadcast
+    that is squared in place."""
+    d2 = points[:, None, :] - centers[None, :, :]
+    np.square(d2, out=d2)
+    return d2.sum(axis=2)
+
+
 def _broadcast_argmin(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of each row's nearest centre by |x - c|^2 summed over an
     n x k x d broadcast; argmin takes the smallest index on ties."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    return np.argmin(_broadcast_sq_dist(points, centers), axis=1)
 
 
-def _assign(points: np.ndarray, centers: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def _assign(points: np.ndarray, centers: np.ndarray, dist: np.ndarray,
+            rows: int | None = None) -> np.ndarray:
     """The labels of _broadcast_argmin, from one n x k matrix product written
-    into the n x k scratch dist, which is left overwritten.
+    into the n x k scratch dist, which is left overwritten. With rows given,
+    the product is taken in row blocks of at most that many rows.
 
     Only rows with another centre within _TIE_MARGIN of their nearest go
     through _broadcast_argmin.
     """
     # |x - c|^2 less the per-row constant |x|^2, which moves no argmin or
     # gap; 2 c is exact, so x.(2c) is 2 x.c
-    np.matmul(points, 2.0 * centers.T, out=dist)
+    two_ct = 2.0 * centers.T
+    step = rows or len(points)
+    for i in range(0, len(points), step):
+        np.matmul(points[i : i + step], two_ct, out=dist[i : i + step])
     np.subtract((centers**2).sum(axis=1), dist, out=dist)
     labels = np.argmin(dist, axis=1)
     if centers.shape[0] > 1:
         # every row's minimum is within the margin of itself, so more than n
-        # such entries means some row has a second one
-        near = dist <= (dist[np.arange(len(labels)), labels] + _TIE_MARGIN)[:, None]
+        # such entries means some row has a second one. The margin is moved
+        # into dist in place, as x - y <= 0 exactly when x <= y, so that the
+        # broadcast and the n x k mask are not alive at once
+        dist -= (dist[np.arange(len(labels)), labels] + _TIE_MARGIN)[:, None]
+        near = dist <= 0.0
         if np.count_nonzero(near) > len(labels):
-            rows = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-            labels[rows] = _broadcast_argmin(points[rows], centers)
+            tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+            labels[tied] = _broadcast_argmin(points[tied], centers)
     return labels
 
 
-def _centroids(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _centroids(points: np.ndarray, labels: np.ndarray, counts: np.ndarray,
+               bins: np.ndarray) -> np.ndarray:
     """Mean of each cluster's rows with the bits of
-    points[labels == c].mean(axis=0); every cluster must be non-empty."""
+    points[labels == c].mean(axis=0); every cluster must be non-empty. bins
+    is an n x d intp scratch that is overwritten."""
     k, d = len(counts), points.shape[1]
     if d == 1:
         # numpy sums a contiguous column pairwise, not in row order
         return np.array([points[labels == c].mean(axis=0) for c in range(k)])
     # for d >= 2 numpy adds the rows in order, as one bincount over the
     # (label, column) bins of the flattened rows does
-    bins = (labels * d)[:, None] + np.arange(d)
+    bins[...] = (labels * d)[:, None]
+    bins += np.arange(d)
     sums = np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * d)
     return sums.reshape(k, d) / counts[:, None]
 
@@ -128,7 +156,7 @@ def _farthest(points: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> int:
     best, best_row = -np.inf, -1
     for i in range(0, len(rows), step):
         chunk = rows[i : i + step]
-        d2 = ((points[chunk][:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        d2 = _broadcast_sq_dist(points[chunk], centers).min(axis=1)
         j = int(np.argmax(d2))
         if d2[j] > best:
             best, best_row = d2[j], int(chunk[j])
@@ -142,18 +170,22 @@ class _Restart(NamedTuple):
     capped: bool  # stopped at KMEANS_MAX_ITER without converging
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
-                 scratch: np.ndarray | None = None) -> _Restart:
-    """One seeded restart. scratch, when given, is a float array of at least
-    n * max(k, d) entries that is overwritten; restarts can share one."""
+def _kmeans_once(points: np.ndarray, k: int, first: int, scratch: np.ndarray | None = None,
+                 rows: int | None = None) -> _Restart:
+    """One restart seeded from row first. scratch, when given, is a float
+    array of at least n * max(k, d) entries that is overwritten; restarts in
+    one thread can share one. With rows given, every matrix product is taken
+    in row blocks of at most that many rows."""
     n, d = points.shape
     if scratch is None:
         scratch = np.empty(n * max(k, d))
     dist = scratch[: n * k].reshape(n, k)
     diff = scratch[: n * d].reshape(n, d)
+    bins = scratch.view(np.intp)[: n * d].reshape(n, d)
+    step = rows or n
 
     centers = np.empty((k, d))
-    centers[0] = points[int(rng.integers(n))]
+    centers[0] = points[first]
     # farthest-point seeding: each next centre is the row farthest from its
     # nearest centre, the first on ties. The running minimum of the product
     # form |x|^2 + |c|^2 - 2 x.c lies within _TIE_MARGIN / 2 of the exact
@@ -162,23 +194,32 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
     # measured exactly
     sq_norms = np.multiply(points, points, out=diff).sum(axis=1)
     nearest = np.full(n, np.inf)
+    form = np.empty(n)
     for c in range(1, k):
         prev = centers[c - 1]
-        np.minimum(nearest, sq_norms + (prev @ prev - 2.0 * (points @ prev)), out=nearest)
-        rows = np.flatnonzero(nearest >= nearest.max() - 2 * _TIE_MARGIN)
-        centers[c] = points[_farthest(points, rows, centers[:c])]
+        for i in range(0, n, step):
+            np.matmul(points[i : i + step], prev, out=form[i : i + step])
+        # sq_norms + (prev @ prev - 2.0 * (points @ prev)), in place
+        form *= 2.0
+        np.subtract(prev @ prev, form, out=form)
+        form += sq_norms
+        np.minimum(nearest, form, out=nearest)
+        near_max = np.flatnonzero(nearest >= nearest.max() - 2 * _TIE_MARGIN)
+        centers[c] = points[_farthest(points, near_max, centers[:c])]
+    # freed before the Lloyd loop, whose peak they would add to
+    del sq_norms, nearest, form
 
     labels = np.full(n, -1)
     capped = False
     for iterations in range(1, KMEANS_MAX_ITER + 1):
-        new_labels = _assign(points, centers, dist)
+        new_labels = _assign(points, centers, dist, step)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
             return _Restart(None, np.inf, iterations, False)
         if (new_labels == labels).all():
             break
         labels, assigned = new_labels, centers
-        centers = _centroids(points, labels, counts)
+        centers = _centroids(points, labels, counts, bins)
     else:
         # out of iterations: the labels came from the centres before the update
         centers, capped = assigned, True
@@ -186,6 +227,49 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator,
     np.take(centers, labels, axis=0, out=diff, mode="clip")
     inertia = float(_sq_dist(points, diff, diff).sum())
     return _Restart(labels, inertia, iterations, capped)
+
+
+class _Tally(NamedTuple):
+    best: _Restart | None  # None when every restart lost a cluster
+    best_index: int
+    lost: int
+    iterations: int
+    capped: int
+
+
+def _run_restarts(points: np.ndarray, k: int, restarts: Iterator[tuple[int, int]],
+                  rows: int | None) -> _Tally:
+    """Run the (restart index, first row) restarts on one scratch array and
+    keep the best by (inertia, restart index), as the serial loop does."""
+    scratch = np.empty(points.shape[0] * max(k, points.shape[1]))
+    best, best_index, lost, iterations, capped = None, -1, 0, 0, 0
+    for index, first in restarts:
+        run = _kmeans_once(points, k, first, scratch, rows)
+        iterations += run.iterations
+        capped += run.capped
+        if run.labels is None:
+            lost += 1
+        elif best is None or (run.inertia, index) < (best.inertia, best_index):
+            best, best_index = run, index
+    return _Tally(best, best_index, lost, iterations, capped)
+
+
+def _claim(pending: Iterator, lock: threading.Lock) -> Iterator:
+    """The items of pending, each taken under lock, so that several threads
+    can share it and each item goes to one of them."""
+    while True:
+        with lock:
+            item = next(pending, None)
+        if item is None:
+            return
+        yield item
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cluster_nodes(
@@ -197,11 +281,30 @@ def cluster_nodes(
     """k-means partition of the embedded nodes into M clusters.
 
     Rows are normalized to unit length first (near-zero rows stay at the
-    origin). The best of KMEANS_RESTARTS seeded restarts by inertia wins;
-    restarts that lose a cluster are discarded, and ClusteringError is raised
-    if every restart does. The counts of kept and lost restarts, the best
-    inertia, the Lloyd iterations of all restarts together and the number of
-    restarts stopped at KMEANS_MAX_ITER are logged at INFO.
+    origin). The best of KMEANS_RESTARTS seeded restarts by inertia wins,
+    the first on ties; restarts that lose a cluster are discarded, and
+    ClusteringError is raised if every restart does. The counts of kept and
+    lost restarts, the best inertia, the Lloyd iterations of all restarts
+    together and the number of restarts stopped at KMEANS_MAX_ITER are
+    logged at INFO.
+
+    Restart r starts from the r-th draw of the seed's Philox stream, all
+    drawn before any restart runs. When n * M >= 2^15 and the process may
+    use more than one CPU, the restarts run on a pool of threads, one per
+    CPU (os.sched_getaffinity) up to _MAX_WORKERS = 2 and never more than
+    the restarts. Below that size the pool costs more than it saves, and the
+    restarts run in a loop in the calling thread. Each worker takes restarts
+    one at a time, owns one n * max(M, d) float scratch array, which also
+    holds the centroid bins, and keeps its own tallies and its best restart
+    by (inertia, restart index); the fold returns the serial loop's winner,
+    volumes and INFO line bit for bit. The scratch is why the pool stops at
+    two workers: each one adds n * max(M, d) floats to the peak, which two
+    keep within 4 n * M floats at n = 2048, M = d = 32. A worker takes every
+    matrix product in row blocks of at most 2^18 / (M d) rows, because
+    OpenBLAS runs a dgemm of m * n * k <= 2^18 on one thread: bigger
+    products start BLAS threads of their own, and the workers contend for
+    the CPUs. The labels do not depend on how a product rounds (see
+    _assign).
 
     Args:
       embedding: (n, d) matrix of node coordinates.
@@ -218,29 +321,34 @@ def cluster_nodes(
         raise ValueError(f"embedding must be 2-d, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise ValueError("embedding has non-finite entries")
-    n = points.shape[0]
+    n, d = points.shape
     if not 1 <= M <= n:
         raise ValueError(f"M={M} outside 1..{n}")
     points = _normalize_rows(points)
 
     rng = graph_core.philox(seed)
-    scratch = np.empty(n * max(M, points.shape[1]))
-    best, lost, iterations, capped = None, 0, 0, 0
-    for _ in range(KMEANS_RESTARTS):
-        run = _kmeans_once(points, M, rng, scratch)
-        iterations += run.iterations
-        capped += run.capped
-        if run.labels is None:
-            lost += 1
-        elif best is None or run.inertia < best.inertia:
-            best = run
-    if best is None:
+    # restart r seeds from the r-th draw, as when each restart drew its own
+    firsts = [int(rng.integers(n)) for _ in range(KMEANS_RESTARTS)]
+    workers = min(_cpu_count(), _MAX_WORKERS, KMEANS_RESTARTS)
+    if workers > 1 and n * M >= _THREADED_MIN_SIZE:
+        pending, lock = enumerate(firsts), threading.Lock()
+        rows = max(1, _BLAS_ONE_THREAD_SIZE // (M * d))
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(_run_restarts, points, M, _claim(pending, lock), rows)
+                       for _ in range(workers)]
+            tallies = [future.result() for future in futures]
+    else:
+        tallies = [_run_restarts(points, M, enumerate(firsts), None)]
+    kept = [t for t in tallies if t.best is not None]
+    if not kept:
         raise ClusteringError(f"k-means lost a cluster in all {KMEANS_RESTARTS} restarts")
+    best = min(kept, key=lambda t: (t.best.inertia, t.best_index)).best
+    lost = sum(t.lost for t in tallies)
     log.info(
         "k-means M=%d: %d of %d restarts kept, %d lost a cluster, best inertia %.6g, "
         "%d Lloyd iterations in all, %d restarts stopped at the %d-iteration cap",
         M, KMEANS_RESTARTS - lost, KMEANS_RESTARTS, lost, best.inertia,
-        iterations, capped, KMEANS_MAX_ITER,
+        sum(t.iterations for t in tallies), sum(t.capped for t in tallies), KMEANS_MAX_ITER,
     )
 
     labels = best.labels + 1

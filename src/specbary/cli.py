@@ -227,6 +227,9 @@ def cmd_block_sweep(args) -> None:
     _check_positive("--m-list", args.m_list)
     _check_positive("--seeds", [args.seeds])
     n = args.n
+    for M in args.m_list:
+        if n % M:
+            raise UsageError(f"--m-list value {M} does not divide --n {n}")
     p = min(1.0, 3 * math.log(n) ** 2 / n)
     q = min(p, 2 * math.log(n) / n)
     out = Path(args.out)

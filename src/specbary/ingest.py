@@ -354,17 +354,20 @@ def synthetic_school_day(seed: int = 0) -> str:
     recess = np.where(same_class, _WITHIN_TICK, _RECESS_CROSS_TICK)
     recess_ranges = list(_RECESS.values())
 
+    # each pair's " i j class_i class_j" is built once; a hit puts its tick
+    # in front
+    id_text, class_text = ids.tolist(), [_CLASS_NAMES[c] for c in labels.tolist()]
+    tails = [f" {id_text[a]} {id_text[b]} {class_text[a]} {class_text[b]}"
+             for a, b in zip(pair_i.tolist(), pair_j.tolist())]
+    draws = np.empty(len(tails))
     lines = ["# synthetic school-day surrogate: t i j class_i class_j"]
     periods = ((MORNING_START, MORNING_END), (AFTERNOON_START, AFTERNOON_END))
     for period_start, period_end in periods:
         for t in range(period_start, period_end, TICK_SECONDS):
             in_recess = any(a <= t < b for a, b in recess_ranges)
             prob = recess if in_recess else base
-            hit = np.flatnonzero(rng.random(len(prob)) < prob)
-            for k in hit:
-                a, b = pair_i[k], pair_j[k]
-                lines.append(
-                    f"{t} {ids[a]} {ids[b]} {_CLASS_NAMES[labels[a]]} {_CLASS_NAMES[labels[b]]}"
-                )
+            tick = str(t)
+            rng.random(out=draws)
+            lines += [tick + tails[k] for k in np.flatnonzero(draws < prob).tolist()]
     lines.append("")
     return "\n".join(lines)

@@ -8,8 +8,10 @@ pipeline must reproduce, the whole-matrix symmetry decision, the full-draw SBM s
 fresh-strip edge sampler that graph_core.check_symmetric, sbm.sample and
 sbm.sample_edges must reproduce,
 the broadcast k-means restart that alignment._kmeans_once must reproduce, the
-whole-matrix degree scan that graph_core.degrees must reproduce, and the
-per-line contact parser that ingest.parse_contacts must reproduce."""
+whole-matrix degree scan that graph_core.degrees must reproduce, the
+per-line contact parser that ingest.parse_contacts must reproduce, and the
+per-hit school-day generator that ingest.synthetic_school_day must
+reproduce."""
 
 import math
 
@@ -360,3 +362,33 @@ def reference_window_graphs(rows: list[tuple], start: int, end: int,
         graphs[w][index[i], index[j]] = 1.0
         graphs[w][index[j], index[i]] = 1.0
     return graphs
+
+
+def reference_synthetic_school_day(seed: int = 0) -> str:
+    """The per-hit f-string generator ingest.synthetic_school_day replaced,
+    frozen: the reference whose text it gives byte for byte."""
+    rng = graph_core.philox(seed)
+    sizes, names = ingest._CLASS_SIZES, ingest._CLASS_NAMES
+    n = sum(sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    ids = rng.permutation(np.arange(1000, 1000 + n))
+
+    pair_i, pair_j = np.triu_indices(n, k=1)
+    same_class = labels[pair_i] == labels[pair_j]
+    base = np.where(same_class, ingest._WITHIN_TICK, ingest._CROSS_TICK)
+    recess = np.where(same_class, ingest._WITHIN_TICK, ingest._RECESS_CROSS_TICK)
+    recess_ranges = list(ingest._RECESS.values())
+
+    lines = ["# synthetic school-day surrogate: t i j class_i class_j"]
+    periods = ((ingest.MORNING_START, ingest.MORNING_END),
+               (ingest.AFTERNOON_START, ingest.AFTERNOON_END))
+    for period_start, period_end in periods:
+        for t in range(period_start, period_end, ingest.TICK_SECONDS):
+            in_recess = any(a <= t < b for a, b in recess_ranges)
+            prob = recess if in_recess else base
+            hit = np.flatnonzero(rng.random(len(prob)) < prob)
+            for k in hit:
+                a, b = pair_i[k], pair_j[k]
+                lines.append(f"{t} {ids[a]} {ids[b]} {names[labels[a]]} {names[labels[b]]}")
+    lines.append("")
+    return "\n".join(lines)

@@ -1,6 +1,8 @@
 """Spectral embedding, clustering, canonical node order, community count."""
 
 import logging
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -126,7 +128,7 @@ def _lattice_points(normalize: bool) -> np.ndarray:
 def _assert_restarts_match_reference(points: np.ndarray, k: int, key) -> None:
     fast_rng, ref_rng = gc.philox(key), gc.philox(key)
     for _ in range(al.KMEANS_RESTARTS):
-        got = al._kmeans_once(points, k, fast_rng)
+        got = al._kmeans_once(points, k, int(fast_rng.integers(len(points))))
         want = reference_kmeans_once(points, k, ref_rng)
         assert (got.labels is None) == (want is None)
         if want is not None:
@@ -159,6 +161,97 @@ def test_cluster_nodes_peak_memory_at_wide_k():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * n * M * 8
+
+
+def _threaded_cluster_nodes(monkeypatch, caplog, points, M, workers, max_workers=al._MAX_WORKERS):
+    """cluster_nodes as on a host with the given CPU count: the assignment,
+    the INFO line, and the row-block size each _run_restarts call got."""
+    monkeypatch.setattr(al, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(al, "_MAX_WORKERS", max_workers)
+    calls = []
+    real = al._run_restarts
+
+    def spy(points, k, restarts, rows):
+        calls.append((threading.current_thread() is threading.main_thread(), rows))
+        return real(points, k, restarts, rows)
+
+    monkeypatch.setattr(al, "_run_restarts", spy)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="specbary.alignment"):
+        got = al.cluster_nodes(points, M, seed=4, degrees=np.arange(len(points)) % 7 + 1.0)
+    (record,) = [r for r in caplog.records if r.name == "specbary.alignment"]
+    return got, record.getMessage(), calls
+
+
+@pytest.mark.parametrize("M", [16, 32])
+def test_cluster_nodes_threads_match_the_serial_loop(monkeypatch, caplog, M):
+    # n * M >= 2^15: two workers run the restarts, one runs today's loop
+    n = 2048
+    points = _sbm_points(n, M)
+    serial, serial_line, serial_calls = _threaded_cluster_nodes(monkeypatch, caplog, points, M, 1)
+    assert serial_calls == [(True, None)]
+    threaded, threaded_line, calls = _threaded_cluster_nodes(monkeypatch, caplog, points, M, 2)
+    assert calls == [(False, 2**18 // (M * M))] * 2
+    assert np.array_equal(threaded.labels, serial.labels)
+    assert np.array_equal(threaded.volumes, serial.volumes)
+    assert threaded_line == serial_line
+
+
+def test_cluster_nodes_threads_below_the_size_threshold_run_serially(monkeypatch, caplog):
+    # n * M = 2^15 - 256: the pool would cost more than it saves
+    _, _, calls = _threaded_cluster_nodes(monkeypatch, caplog, _sbm_points(2032, 16), 16, 2)
+    assert calls == [(True, None)]
+
+
+def test_cluster_nodes_more_workers_than_cpus_share_the_restarts(monkeypatch, caplog):
+    # four workers on this host's CPUs with a short switch interval: a
+    # restart run twice or lost between workers changes the iteration count
+    # in the INFO line or the winner
+    points = _sbm_points(2048, 16)
+    serial, serial_line, _ = _threaded_cluster_nodes(monkeypatch, caplog, points, 16, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded, line, calls = _threaded_cluster_nodes(monkeypatch, caplog, points, 16, 4, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 4
+    assert line == serial_line
+    assert np.array_equal(threaded.labels, serial.labels)
+
+
+def test_threaded_restarts_match_broadcast_reference(monkeypatch):
+    # every restart of a threaded run, matched to its seed row, against the
+    # reference restart that drew the same row; the winner is the reference's
+    # least inertia, the first restart on ties
+    n, M, seed = 2048, 16, 12
+    points = _sbm_points(n, M)
+    monkeypatch.setattr(al, "_cpu_count", lambda: 2)
+    runs, threads = {}, set()
+    real = al._kmeans_once
+
+    def spy(points, k, first, *rest):
+        threads.add(threading.current_thread() is threading.main_thread())
+        runs[first] = real(points, k, first, *rest)
+        return runs[first]
+
+    monkeypatch.setattr(al, "_kmeans_once", spy)
+    got = al.cluster_nodes(points, M, seed=seed)
+    assert threads == {False}
+
+    inner = al._normalize_rows(points)
+    ref_rng, draws = gc.philox(seed), gc.philox(seed)
+    kept = []
+    for _ in range(al.KMEANS_RESTARTS):
+        run = runs[int(draws.integers(n))]
+        want = reference_kmeans_once(inner, M, ref_rng)
+        assert (run.labels is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(run.labels, want[0])
+            assert run.inertia == want[1]
+            kept.append(want)
+    best = min(range(len(kept)), key=lambda i: (kept[i][1], i))
+    assert np.array_equal(got.labels, kept[best][0] + 1)
 
 
 @pytest.mark.parametrize("normalize", [False, True])

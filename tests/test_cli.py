@@ -291,6 +291,18 @@ def test_sweeps_reject_bad_counts_as_usage_errors(tmp_path, spec_file, capsys, a
     assert not out.exists()
 
 
+def test_block_sweep_m_not_dividing_n_is_usage_error(tmp_path, capsys, monkeypatch):
+    # before the check: exit 3 with "n=1000 is not divisible by M=3", naming
+    # neither flag, after the M = 8 run had finished
+    runs = []
+    monkeypatch.setattr(cli, "_one_mse_run", lambda *args: runs.append(args) or 0.0)
+    out = tmp_path / "sweep"
+    assert run("block-sweep", "--n", 1000, "--m-list", "8,3", "--out", out) == 2
+    assert "error: --m-list value 3 does not divide --n 1000" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("spectrum", "--bins", "0"), "--bins"),
     (("ingest", "--width", "0"), "--width"),

@@ -8,7 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import reference_parse_contacts, reference_window_graphs
+from helpers import (reference_parse_contacts, reference_synthetic_school_day,
+                     reference_window_graphs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -400,6 +401,11 @@ def test_surrogate_day_is_deterministic_and_parses():
     table = _table(text)
     assert len(np.union1d(table.i, table.j)) == 232
     assert (table.t[:200] % ingest.TICK_SECONDS == 0).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_surrogate_day_matches_the_per_hit_generator(seed):
+    assert ingest.synthetic_school_day(seed) == reference_synthetic_school_day(seed)
 
 
 def test_surrogate_day_window_counts():
