@@ -9,10 +9,10 @@ by descending volume.
 
 import logging
 import os
-import threading
-from collections.abc import Iterator
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,7 @@ _MIN_GAP = 0.05
 # n * M from which cluster_nodes runs its restarts on threads, the most
 # threads it starts, and the largest m * n * k that OpenBLAS multiplies on
 # one thread (see cluster_nodes)
-_THREADED_MIN_SIZE = 2**15
+_THREADED_MIN_SIZE = 2**16
 _MAX_WORKERS = 2
 _BLAS_ONE_THREAD_SIZE = 2**18
 
@@ -170,49 +170,47 @@ class _Restart(NamedTuple):
     capped: bool  # stopped at KMEANS_MAX_ITER without converging
 
 
-def _kmeans_once(points: np.ndarray, k: int, first: int, scratch: np.ndarray | None = None,
-                 rows: int | None = None) -> _Restart:
-    """One restart seeded from row first. scratch, when given, is a float
-    array of at least n * max(k, d) entries that is overwritten; restarts in
-    one thread can share one. With rows given, every matrix product is taken
-    in row blocks of at most that many rows."""
+def _seed_rows(points: np.ndarray, k: int, first: int, scratch: np.ndarray) -> np.ndarray:
+    """The rows of k farthest-point seeds, the first being row first: each
+    next seed is the row farthest from its nearest seed, the first on ties.
+    scratch is a float array of at least n * d entries that is overwritten."""
     n, d = points.shape
-    if scratch is None:
-        scratch = np.empty(n * max(k, d))
-    dist = scratch[: n * k].reshape(n, k)
-    diff = scratch[: n * d].reshape(n, d)
-    bins = scratch.view(np.intp)[: n * d].reshape(n, d)
-    step = rows or n
-
-    centers = np.empty((k, d))
-    centers[0] = points[first]
-    # farthest-point seeding: each next centre is the row farthest from its
-    # nearest centre, the first on ties. The running minimum of the product
-    # form |x|^2 + |c|^2 - 2 x.c lies within _TIE_MARGIN / 2 of the exact
-    # distance, so the farthest rows and all their ties lie within
-    # _TIE_MARGIN of its maximum; only the rows within 2 * _TIE_MARGIN are
-    # measured exactly
-    sq_norms = np.multiply(points, points, out=diff).sum(axis=1)
+    seeds = np.empty(k, dtype=np.intp)
+    seeds[0] = first
+    # The running minimum of the product form |x|^2 + |c|^2 - 2 x.c lies
+    # within _TIE_MARGIN / 2 of the exact distance, so the farthest rows and
+    # all their ties lie within _TIE_MARGIN of its maximum; only the rows
+    # within 2 * _TIE_MARGIN are measured exactly
+    sq_norms = np.multiply(points, points, out=scratch[: n * d].reshape(n, d)).sum(axis=1)
     nearest = np.full(n, np.inf)
     form = np.empty(n)
     for c in range(1, k):
-        prev = centers[c - 1]
-        for i in range(0, n, step):
-            np.matmul(points[i : i + step], prev, out=form[i : i + step])
+        prev = points[seeds[c - 1]]
         # sq_norms + (prev @ prev - 2.0 * (points @ prev)), in place
+        np.matmul(points, prev, out=form)
         form *= 2.0
         np.subtract(prev @ prev, form, out=form)
         form += sq_norms
         np.minimum(nearest, form, out=nearest)
         near_max = np.flatnonzero(nearest >= nearest.max() - 2 * _TIE_MARGIN)
-        centers[c] = points[_farthest(points, near_max, centers[:c])]
-    # freed before the Lloyd loop, whose peak they would add to
-    del sq_norms, nearest, form
+        seeds[c] = _farthest(points, near_max, points[seeds[:c]])
+    return seeds
 
+
+def _lloyd(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray,
+           rows: int | None = None) -> _Restart:
+    """Lloyd's iterations from the given k centres. scratch is a float array of at least n * max(k, d) entries that is
+    overwritten; restarts in one thread can share one. With rows given,
+    every matrix product is taken in row blocks of at most that many rows."""
+    n, d = points.shape
+    k = len(centers)
+    dist = scratch[: n * k].reshape(n, k)
+    diff = scratch[: n * d].reshape(n, d)
+    bins = scratch.view(np.intp)[: n * d].reshape(n, d)
     labels = np.full(n, -1)
     capped = False
     for iterations in range(1, KMEANS_MAX_ITER + 1):
-        new_labels = _assign(points, centers, dist, step)
+        new_labels = _assign(points, centers, dist, rows)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
             return _Restart(None, np.inf, iterations, False)
@@ -237,14 +235,13 @@ class _Tally(NamedTuple):
     capped: int
 
 
-def _run_restarts(points: np.ndarray, k: int, restarts: Iterator[tuple[int, int]],
-                  rows: int | None) -> _Tally:
-    """Run the (restart index, first row) restarts on one scratch array and
+def _run_restarts(points: np.ndarray, restarts: Iterable[tuple[int, np.ndarray]],
+                  scratch: np.ndarray, rows: int | None) -> _Tally:
+    """Run the (restart index, seed rows) restarts on one scratch array and
     keep the best by (inertia, restart index), as the serial loop does."""
-    scratch = np.empty(points.shape[0] * max(k, points.shape[1]))
     best, best_index, lost, iterations, capped = None, -1, 0, 0, 0
-    for index, first in restarts:
-        run = _kmeans_once(points, k, first, scratch, rows)
+    for index, seeds in restarts:
+        run = _lloyd(points, points[seeds], scratch, rows)
         iterations += run.iterations
         capped += run.capped
         if run.labels is None:
@@ -252,17 +249,6 @@ def _run_restarts(points: np.ndarray, k: int, restarts: Iterator[tuple[int, int]
         elif best is None or (run.inertia, index) < (best.inertia, best_index):
             best, best_index = run, index
     return _Tally(best, best_index, lost, iterations, capped)
-
-
-def _claim(pending: Iterator, lock: threading.Lock) -> Iterator:
-    """The items of pending, each taken under lock, so that several threads
-    can share it and each item goes to one of them."""
-    while True:
-        with lock:
-            item = next(pending, None)
-        if item is None:
-            return
-        yield item
 
 
 def _cpu_count() -> int:
@@ -288,23 +274,25 @@ def cluster_nodes(
     together and the number of restarts stopped at KMEANS_MAX_ITER are
     logged at INFO.
 
-    Restart r starts from the r-th draw of the seed's Philox stream, all
-    drawn before any restart runs. When n * M >= 2^15 and the process may
-    use more than one CPU, the restarts run on a pool of threads, one per
-    CPU (os.sched_getaffinity) up to _MAX_WORKERS = 2 and never more than
-    the restarts. Below that size the pool costs more than it saves, and the
-    restarts run in a loop in the calling thread. Each worker takes restarts
-    one at a time, owns one n * max(M, d) float scratch array, which also
-    holds the centroid bins, and keeps its own tallies and its best restart
-    by (inertia, restart index); the fold returns the serial loop's winner,
-    volumes and INFO line bit for bit. The scratch is why the pool stops at
-    two workers: each one adds n * max(M, d) floats to the peak, which two
-    keep within 4 n * M floats at n = 2048, M = d = 32. A worker takes every
-    matrix product in row blocks of at most 2^18 / (M d) rows, because
-    OpenBLAS runs a dgemm of m * n * k <= 2^18 on one thread: bigger
-    products start BLAS threads of their own, and the workers contend for
-    the CPUs. The labels do not depend on how a product rounds (see
-    _assign).
+    Restart r seeds from the r-th draw of the seed's Philox stream. Every
+    restart is seeded first, in the calling thread: seeding is many small
+    products, and run on two threads at once they fight for the GIL (a
+    seeding took 2 ms alone and 11 ms per pair side by side at n = 2048,
+    M = 32). When n * M >= 2^16 and the process may use more than one CPU
+    (os.sched_getaffinity), the Lloyd iterations then run on a pool of
+    threads, one per CPU up to _MAX_WORKERS = 2; worker w takes restarts
+    w, w + workers, ... Below 2^16 the pool saves nothing, and the restarts
+    run in the calling thread. Each worker owns one n * max(M, d) float
+    scratch array, which also holds the centroid bins, and keeps its own
+    tallies and its best restart by (inertia, restart index); the fold
+    returns the serial loop's winner, volumes and INFO line bit for bit.
+    The scratch is why the pool stops at two workers: each one adds
+    n * max(M, d) floats to the peak, which two keep within 4 n * M floats
+    at n = 2048, M = d = 32. A worker takes every matrix product in row
+    blocks of at most 2^18 / (M d) rows, because OpenBLAS runs a dgemm of
+    m * n * k <= 2^18 on one thread: bigger products start BLAS threads of
+    their own, and the workers contend for the CPUs. The labels do not
+    depend on how a product rounds (see _assign).
 
     Args:
       embedding: (n, d) matrix of node coordinates.
@@ -327,18 +315,20 @@ def cluster_nodes(
     points = _normalize_rows(points)
 
     rng = graph_core.philox(seed)
+    scratch = np.empty(n * max(M, d))
     # restart r seeds from the r-th draw, as when each restart drew its own
-    firsts = [int(rng.integers(n)) for _ in range(KMEANS_RESTARTS)]
-    workers = min(_cpu_count(), _MAX_WORKERS, KMEANS_RESTARTS)
+    seeds = [_seed_rows(points, M, int(rng.integers(n)), scratch) for _ in range(KMEANS_RESTARTS)]
+    workers = min(_cpu_count(), _MAX_WORKERS)
     if workers > 1 and n * M >= _THREADED_MIN_SIZE:
-        pending, lock = enumerate(firsts), threading.Lock()
         rows = max(1, _BLAS_ONE_THREAD_SIZE // (M * d))
+        scratches = [scratch] + [np.empty_like(scratch) for _ in range(workers - 1)]
         with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(_run_restarts, points, M, _claim(pending, lock), rows)
-                       for _ in range(workers)]
+            # worker w runs restarts w, w + workers, ...
+            futures = [pool.submit(_run_restarts, points, islice(enumerate(seeds), w, None, workers),
+                                   scratches[w], rows) for w in range(workers)]
             tallies = [future.result() for future in futures]
     else:
-        tallies = [_run_restarts(points, M, enumerate(firsts), None)]
+        tallies = [_run_restarts(points, enumerate(seeds), scratch, None)]
     kept = [t for t in tallies if t.best is not None]
     if not kept:
         raise ClusteringError(f"k-means lost a cluster in all {KMEANS_RESTARTS} restarts")

@@ -7,8 +7,8 @@ dense-built normalized adjacencies whose spectrum heads and embedding the
 pipeline must reproduce, the whole-matrix symmetry decision, the full-draw SBM sampler and the
 fresh-strip edge sampler that graph_core.check_symmetric, sbm.sample and
 sbm.sample_edges must reproduce,
-the broadcast k-means restart that alignment._kmeans_once must reproduce, the
-whole-matrix degree scan that graph_core.degrees must reproduce, the
+the broadcast k-means restart that alignment._seed_rows and alignment._lloyd
+must reproduce, the whole-matrix degree scan that graph_core.degrees must reproduce, the
 per-line contact parser that ingest.parse_contacts must reproduce, and the
 per-hit school-day generator that ingest.synthetic_school_day must
 reproduce."""
@@ -285,8 +285,8 @@ def reference_sample_edges(spec: sbm.SbmSpec, seed) -> tuple[np.ndarray, np.ndar
 
 def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     """One k-means restart with distances from an n x k x d broadcast: the
-    reference whose labels and inertia alignment._kmeans_once gives bit for
-    bit. Reads alignment.KMEANS_MAX_ITER at call time."""
+    reference whose labels and inertia alignment._seed_rows followed by
+    alignment._lloyd give bit for bit. Reads alignment.KMEANS_MAX_ITER at call time."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(n))]

@@ -1,7 +1,6 @@
 """Spectral embedding, clustering, canonical node order, community count."""
 
 import logging
-import sys
 import threading
 import tracemalloc
 
@@ -125,10 +124,16 @@ def _lattice_points(normalize: bool) -> np.ndarray:
     return al._normalize_rows(points) if normalize else points
 
 
+def _kmeans_once(points: np.ndarray, k: int, first: int):
+    # one restart as cluster_nodes runs it: seeding, then Lloyd's iterations
+    scratch = np.empty(len(points) * max(k, points.shape[1]))
+    return al._lloyd(points, points[al._seed_rows(points, k, first, scratch)], scratch)
+
+
 def _assert_restarts_match_reference(points: np.ndarray, k: int, key) -> None:
     fast_rng, ref_rng = gc.philox(key), gc.philox(key)
     for _ in range(al.KMEANS_RESTARTS):
-        got = al._kmeans_once(points, k, int(fast_rng.integers(len(points))))
+        got = _kmeans_once(points, k, int(fast_rng.integers(len(points))))
         want = reference_kmeans_once(points, k, ref_rng)
         assert (got.labels is None) == (want is None)
         if want is not None:
@@ -171,9 +176,9 @@ def _threaded_cluster_nodes(monkeypatch, caplog, points, M, workers, max_workers
     calls = []
     real = al._run_restarts
 
-    def spy(points, k, restarts, rows):
+    def spy(points, restarts, scratch, rows):
         calls.append((threading.current_thread() is threading.main_thread(), rows))
-        return real(points, k, restarts, rows)
+        return real(points, restarts, scratch, rows)
 
     monkeypatch.setattr(al, "_run_restarts", spy)
     caplog.clear()
@@ -183,10 +188,9 @@ def _threaded_cluster_nodes(monkeypatch, caplog, points, M, workers, max_workers
     return got, record.getMessage(), calls
 
 
-@pytest.mark.parametrize("M", [16, 32])
-def test_cluster_nodes_threads_match_the_serial_loop(monkeypatch, caplog, M):
-    # n * M >= 2^15: two workers run the restarts, one runs today's loop
-    n = 2048
+@pytest.mark.parametrize(("n", "M"), [(2048, 32), (1024, 64)])
+def test_cluster_nodes_threads_match_the_serial_loop(monkeypatch, caplog, n, M):
+    # n * M >= 2^16: two workers run the restarts, one runs the serial loop
     points = _sbm_points(n, M)
     serial, serial_line, serial_calls = _threaded_cluster_nodes(monkeypatch, caplog, points, M, 1)
     assert serial_calls == [(True, None)]
@@ -198,52 +202,53 @@ def test_cluster_nodes_threads_match_the_serial_loop(monkeypatch, caplog, M):
 
 
 def test_cluster_nodes_threads_below_the_size_threshold_run_serially(monkeypatch, caplog):
-    # n * M = 2^15 - 256: the pool would cost more than it saves
-    _, _, calls = _threaded_cluster_nodes(monkeypatch, caplog, _sbm_points(2032, 16), 16, 2)
+    # n * M = 2^16 - 1024: the pool saves no time below 2^16
+    _, _, calls = _threaded_cluster_nodes(monkeypatch, caplog, _sbm_points(2016, 32), 32, 2)
     assert calls == [(True, None)]
 
 
 def test_cluster_nodes_more_workers_than_cpus_share_the_restarts(monkeypatch, caplog):
-    # four workers on this host's CPUs with a short switch interval: a
-    # restart run twice or lost between workers changes the iteration count
-    # in the INFO line or the winner
-    points = _sbm_points(2048, 16)
-    serial, serial_line, _ = _threaded_cluster_nodes(monkeypatch, caplog, points, 16, 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded, line, calls = _threaded_cluster_nodes(monkeypatch, caplog, points, 16, 4, 4)
-    finally:
-        sys.setswitchinterval(interval)
+    # four workers, five restarts each: a restart run twice or left out
+    # changes the iteration count in the INFO line or the winner
+    points = _sbm_points(2048, 32)
+    serial, serial_line, _ = _threaded_cluster_nodes(monkeypatch, caplog, points, 32, 1)
+    threaded, line, calls = _threaded_cluster_nodes(monkeypatch, caplog, points, 32, 4, 4)
     assert len(calls) == 4
     assert line == serial_line
     assert np.array_equal(threaded.labels, serial.labels)
 
 
 def test_threaded_restarts_match_broadcast_reference(monkeypatch):
-    # every restart of a threaded run, matched to its seed row, against the
-    # reference restart that drew the same row; the winner is the reference's
-    # least inertia, the first restart on ties
-    n, M, seed = 2048, 16, 12
+    # every restart of a threaded run, matched to its seed rows, against the
+    # reference restart that drew the same first row; the winner is the
+    # reference's least inertia, the first restart on ties
+    n, M, seed = 2048, 32, 12
     points = _sbm_points(n, M)
     monkeypatch.setattr(al, "_cpu_count", lambda: 2)
-    runs, threads = {}, set()
-    real = al._kmeans_once
+    seeds, runs, threads = [], {}, set()
+    real_seed, real_lloyd = al._seed_rows, al._lloyd
 
-    def spy(points, k, first, *rest):
+    def seed_spy(*args):
+        seeds.append(real_seed(*args))
+        return seeds[-1]
+
+    def lloyd_spy(points, centers, *rest):
         threads.add(threading.current_thread() is threading.main_thread())
-        runs[first] = real(points, k, first, *rest)
-        return runs[first]
+        key = centers.tobytes()
+        runs[key] = real_lloyd(points, centers, *rest)
+        return runs[key]
 
-    monkeypatch.setattr(al, "_kmeans_once", spy)
+    monkeypatch.setattr(al, "_seed_rows", seed_spy)
+    monkeypatch.setattr(al, "_lloyd", lloyd_spy)
     got = al.cluster_nodes(points, M, seed=seed)
     assert threads == {False}
+    assert len(seeds) == al.KMEANS_RESTARTS
 
     inner = al._normalize_rows(points)
-    ref_rng, draws = gc.philox(seed), gc.philox(seed)
+    ref_rng = gc.philox(seed)
     kept = []
-    for _ in range(al.KMEANS_RESTARTS):
-        run = runs[int(draws.integers(n))]
+    for rows in seeds:
+        run = runs[inner[rows].tobytes()]
         want = reference_kmeans_once(inner, M, ref_rng)
         assert (run.labels is None) == (want is None)
         if want is not None:
@@ -321,14 +326,14 @@ def _kmeans_log_message(monkeypatch, caplog) -> str:
     # two assignment steps; every fourth restart is made to lose a cluster
     points = np.repeat(np.array([[1.0, 0.0], [0.0, 1.0]]), 3, axis=0)
     calls = []
-    real = al._kmeans_once
+    real = al._lloyd
 
     def every_fourth_lost(*args):
         calls.append(args[1])
         result = real(*args)
         return result._replace(labels=None) if len(calls) % 4 == 0 else result
 
-    monkeypatch.setattr(al, "_kmeans_once", every_fourth_lost)
+    monkeypatch.setattr(al, "_lloyd", every_fourth_lost)
     with caplog.at_level(logging.INFO, logger="specbary.alignment"):
         al.cluster_nodes(points, 2, seed=0)
     (record,) = [r for r in caplog.records if r.name == "specbary.alignment"]
