@@ -199,9 +199,10 @@ def _seed_rows(points: np.ndarray, k: int, first: int, scratch: np.ndarray) -> n
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray,
            rows: int | None = None) -> _Restart:
-    """Lloyd's iterations from the given k centres. scratch is a float array of at least n * max(k, d) entries that is
-    overwritten; restarts in one thread can share one. With rows given,
-    every matrix product is taken in row blocks of at most that many rows."""
+    """Lloyd's iterations from the given k centres. scratch is a float
+    array of at least n * max(k, d) entries that is overwritten; restarts in
+    one thread can share one. With rows given, every matrix product is taken
+    in row blocks of at most that many rows."""
     n, d = points.shape
     k = len(centers)
     dist = scratch[: n * k].reshape(n, k)
@@ -323,9 +324,11 @@ def cluster_nodes(
         rows = max(1, _BLAS_ONE_THREAD_SIZE // (M * d))
         scratches = [scratch] + [np.empty_like(scratch) for _ in range(workers - 1)]
         with ThreadPoolExecutor(workers) as pool:
-            # worker w runs restarts w, w + workers, ...
-            futures = [pool.submit(_run_restarts, points, islice(enumerate(seeds), w, None, workers),
-                                   scratches[w], rows) for w in range(workers)]
+            # worker w runs restarts w, w + workers, ...; the fold below does not
+            # depend on which worker ran a restart
+            futures = [pool.submit(_run_restarts, points,
+                                   islice(enumerate(seeds), w, None, workers), scratches[w], rows)
+                       for w in range(workers)]
             tallies = [future.result() for future in futures]
     else:
         tallies = [_run_restarts(points, enumerate(seeds), scratch, None)]
