@@ -11,11 +11,12 @@ computed.
 
 Stages of compute_barycentre:
   1. one check of each input graph, which finds its nonzero entries;
-     after it only those entries are read. The mean Laplacian spectrum (its
-     head of M values when M is given, by Lanczos on CSR arrays built from
-     each graph's entries; a single graph's head comes from the eigensolve
-     of the embedding in stage 2), and the sample mean adjacency as entries,
-     merged from the graphs' entries with no n x n array,
+     after it only those entries are read, and each normalization is
+     graph_core.normalized_entries of them. The mean Laplacian spectrum (its
+     head of M values when M is given, by Lanczos on the CSR arrays of each
+     graph's normalized entries; a single graph's head comes from the
+     eigensolve of the embedding in stage 2), and the sample mean adjacency
+     as entries, merged from the graphs' entries with no n x n array,
   2. alignment: spectral embedding, k-means, canonical block ordering,
   3. greedy Soules basis on the aligned mean adjacency, read as the mean's
      entries with their rows and columns relabelled, first M columns; the
@@ -102,11 +103,11 @@ class BarycentreResult:
 
     @cached_property
     def mu_hat(self) -> np.ndarray:
-        return self.mu_blocks.take(self.leaf, 0).take(self.leaf, 1)
+        return graph_core.BlockMatrix(self.mu_blocks, self.leaf)[:]
 
     @cached_property
     def laplacian_hat(self) -> np.ndarray:
-        lap = self.lap_blocks.take(self.leaf, 0).take(self.leaf, 1)
+        lap = graph_core.BlockMatrix(self.lap_blocks, self.leaf)[:]
         lap[np.diag_indices(len(self.leaf))] += 1.0
         return lap
 
@@ -369,12 +370,12 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
         # the smallest normalized-Laplacian eigenvalues are one minus the
         # largest of the normalized adjacency
         mean_vals = sample_mean_eigenvalues(
-            [1.0 - eigen._top_eigenvalues(e, M, normalized=True) for e in entries])
+            [1.0 - eigen._top_eigenvalues(graph_core.normalized_entries(e), M) for e in entries])
 
     mean = _sample_mean_entries(entries)
     del entries
     # alignment.spectral_embed of the normalized mean, without re-checking it
-    top = eigen._top_eigenpairs(mean, M, normalized=True)
+    top = eigen._top_eigenpairs(graph_core.normalized_entries(mean), M)
     if mean_vals is None:
         # one graph is its own mean, so the embedding's eigensolve gives its head
         mean_vals = sample_mean_eigenvalues([1.0 - top.values])

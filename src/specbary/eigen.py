@@ -11,15 +11,13 @@ converge, they fall back to the dense solvers.
 
 Each public function checks its argument with graph_core's one symmetry
 check. top_eigenvalues and top_eigenpairs hand the entries the check finds
-(a graph_core.Entries) to their private bodies; compute_barycentre calls
-those bodies directly, with the entries of the input graphs it has checked
-and of their mean and normalized=True, so the bodies then find eigenpairs
-of the normalized adjacency, whose degrees they take from the entries.
-Lanczos reads CSR arrays built from the entries
-(graph_core.normalized_adjacency_csr for a normalized adjacency); only the
-dense solver builds an n x n matrix, from the entries, which hold +0.0
-where an input held -0.0. For a full spectrum of a checked
-graph compute_barycentre and the spectrum command call np.linalg.eigvalsh.
+(a graph_core.Entries) to their private bodies, which read a matrix only
+as its Entries; compute_barycentre calls those bodies directly with
+graph_core.normalized_entries of the input graphs it has checked and of
+their mean. Lanczos reads the entries' CSR arrays; only the dense solver
+builds an n x n matrix, from the entries, which hold +0.0 where an input
+held -0.0. For a full spectrum of a checked graph compute_barycentre and
+the spectrum command call np.linalg.eigvalsh.
 """
 
 from dataclasses import dataclass
@@ -78,13 +76,12 @@ def sym_eig_values(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(graph_core.check_symmetric(s))
 
 
-def _lanczos_top(e: graph_core.Entries, k: int, normalized: bool):
+def _lanczos_top(e: graph_core.Entries, k: int):
     """The k largest eigenpairs by Lanczos, largest first, or None when the
     dense path must be used instead.
 
     They are the eigenpairs of the matrix with entries e, read as its CSR
-    arrays; when normalized, of its normalized adjacency, read from the CSR
-    arrays of graph_core.normalized_adjacency_csr.
+    arrays (e.values, e.cols, e.indptr).
 
     Lanczos runs only when n >= 512, k <= n / 32 and the nonzero pattern is
     connected. A disconnected pattern (isolated nodes included) gives the
@@ -103,8 +100,7 @@ def _lanczos_top(e: graph_core.Entries, k: int, normalized: bool):
     from scipy.sparse import csgraph
     from scipy.sparse import linalg as splinalg
 
-    csr = graph_core.normalized_adjacency_csr(e) if normalized else (e.values, e.cols, e.indptr)
-    a = sparse.csr_matrix(csr, shape=(n, n))
+    a = sparse.csr_matrix((e.values, e.cols, e.indptr), shape=(n, n))
     if csgraph.connected_components(a, directed=True, connection="strong", return_labels=False) > 1:
         return None
     # one fixed stream for the start vector and for any restart vector ARPACK
@@ -117,11 +113,6 @@ def _lanczos_top(e: graph_core.Entries, k: int, normalized: bool):
         return None
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
-
-
-def _dense(e: graph_core.Entries, normalized: bool) -> np.ndarray:
-    a = e.dense()
-    return graph_core.normalized_adjacency(a) if normalized else a
 
 
 def _check_k(s: np.ndarray, k: int) -> graph_core.Entries:
@@ -140,12 +131,11 @@ def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
     return _top_eigenvalues(_check_k(s, k), k)
 
 
-def _top_eigenvalues(e: graph_core.Entries, k: int, normalized: bool = False) -> np.ndarray:
-    # of the matrix with entries e; when normalized, of its normalized
-    # adjacency (see _lanczos_top)
-    top = _lanczos_top(e, k, normalized)
+def _top_eigenvalues(e: graph_core.Entries, k: int) -> np.ndarray:
+    # of the matrix with entries e
+    top = _lanczos_top(e, k)
     if top is None:
-        return np.linalg.eigvalsh(_dense(e, normalized))[::-1][:k].copy()
+        return np.linalg.eigvalsh(e.dense())[::-1][:k].copy()
     return top[0]
 
 
@@ -159,12 +149,11 @@ def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
     return _top_eigenpairs(_check_k(s, k), k)
 
 
-def _top_eigenpairs(e: graph_core.Entries, k: int, normalized: bool = False) -> SpectralSummary:
-    # of the matrix with entries e; when normalized, of its normalized
-    # adjacency (see _lanczos_top)
-    top = _lanczos_top(e, k, normalized)
+def _top_eigenpairs(e: graph_core.Entries, k: int) -> SpectralSummary:
+    # of the matrix with entries e
+    top = _lanczos_top(e, k)
     if top is None:
-        values, vectors = np.linalg.eigh(_dense(e, normalized))
+        values, vectors = np.linalg.eigh(e.dense())
         return SpectralSummary(values=values[::-1][:k].copy(),
                                vectors=_fix_signs(vectors[:, ::-1][:, :k]))
     values, vectors = top

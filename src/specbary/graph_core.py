@@ -1,4 +1,4 @@
-"""Core graph matrix operations: input validation, degrees, normalized
+"""Core graph matrix operations: input validation, the normalized
 adjacency and Laplacian, spectral pseudo-distance, permutations, seeded
 random streams, and plain-text matrix and permutation I/O. 0/1 matrices are
 written and read as a byte table, every other matrix through np.savetxt and
@@ -7,13 +7,13 @@ np.loadtxt.
 Matrices come in as dense numpy arrays of float64, nodes indexed by row
 0..n-1. The one symmetry check reads a matrix once, as its nonzero entries,
 and decides from them alone; adjacency_entries hands those entries on (an
-Entries). The eigen bodies and the Soules split search read a checked
-matrix only as its Entries, and normalized_adjacency_csr builds CSR arrays
-from them. Every degree is one np.bincount of each row's nonzeros in column
-order, so degrees(a) and Entries.degrees of a's entries have the same bits.
-A BlockMatrix holds a block-constant matrix, such as an SBM population
-mean, as its block values and node labels, and from_edges scatters an edge
-list into a dense 0/1 adjacency.
+Entries). Degrees are Entries.degrees, one np.bincount of each row's
+nonzeros in column order, and the one normalization is normalized_entries,
+from entries to entries; normalized_adjacency and normalized_laplacian are
+its dense forms. The eigen bodies and the Soules split search read a
+checked matrix only as its Entries. A BlockMatrix holds a block-constant
+matrix, such as an SBM population mean, as its block values and node
+labels, and from_edges scatters an edge list into a dense 0/1 adjacency.
 """
 
 from dataclasses import dataclass
@@ -23,9 +23,6 @@ from pathlib import Path
 import numpy as np
 
 SYMMETRY_RTOL = 1e-12
-
-# elements per row strip of degrees (64 KB of bool per strip mask)
-_DEGREE_STRIP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,14 +110,10 @@ def check_symmetric(s: np.ndarray) -> np.ndarray:
 def _check_symmetric(s: np.ndarray) -> tuple[np.ndarray, Entries, float]:
     # check_symmetric, also returning the entries and the smallest entry
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or not s.size:
+    if not s.size:
         raise ValueError(f"expected a non-empty square matrix, got shape {s.shape}")
-    n = s.shape[0]
-    # flatnonzero of a bool array is several times faster than nonzero of a
-    # float64 one; nan and the infinities compare unequal to 0, so they are
-    # among the entries
-    flat = np.flatnonzero(s != 0)
-    entries = entries_at(n, flat, s.take(flat))
+    entries = _nonzero_entries(s)
+    n = entries.n
     # every entry not stored is a zero; a nan propagates through max and
     # min, and an infinity is one of them, so both are finite exactly when
     # every entry is
@@ -134,6 +127,17 @@ def _check_symmetric(s: np.ndarray) -> tuple[np.ndarray, Entries, float]:
     if np.abs(entries.values - mirror).max(initial=0.0) > tol:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
     return s, entries, lo
+
+
+def _nonzero_entries(s: np.ndarray) -> Entries:
+    # the Entries of a float64 array, unchecked but for its shape; flatnonzero
+    # of a bool array is several times faster than nonzero of a float64 one,
+    # and nan and the infinities compare unequal to 0, so they are among the
+    # entries
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {s.shape}")
+    flat = np.flatnonzero(s != 0)
+    return entries_at(s.shape[0], flat, s.take(flat))
 
 
 def check_adjacency(a: np.ndarray) -> np.ndarray:
@@ -154,21 +158,6 @@ def adjacency_entries(a: np.ndarray) -> tuple[np.ndarray, Entries]:
     return a, entries
 
 
-def degrees(a: np.ndarray) -> np.ndarray:
-    """Row sums of the adjacency matrix (the diagonal of the degree matrix),
-    each row's nonzeros added in column order, as Entries.degrees adds them."""
-    a = np.asarray(a, dtype=float)
-    n, m = a.shape
-    # the rows in strips, so the bool scan makes no n x n temporary
-    rows = max(1, _DEGREE_STRIP // max(1, m))
-    d = np.empty(n)
-    for r in range(0, n, rows):
-        strip = a[r : r + rows]
-        flat = np.flatnonzero(strip != 0)
-        d[r : r + rows] = np.bincount(flat // m, weights=strip.take(flat), minlength=len(strip))
-    return d
-
-
 def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
     # 1 / sqrt(d_i), and 0 for zero-degree nodes
     r = np.zeros_like(d)
@@ -177,31 +166,29 @@ def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
     return r
 
 
-def normalized_adjacency(a: np.ndarray) -> np.ndarray:
-    """a_ij / sqrt(d_i d_j), with rows and columns of zero-degree nodes left 0."""
-    a = np.asarray(a, dtype=float)
-    r = _inverse_sqrt(degrees(a))
-    return a * np.outer(r, r)
+def normalized_entries(e: Entries) -> Entries:
+    """The entries of the normalized adjacency of the matrix with entries e.
 
-
-def normalized_adjacency_csr(entries: Entries):
-    """The normalized adjacency of a matrix with the given entries, as CSR
-    arrays (data, indices, indptr).
-
-    They are the arrays of scipy's csr_matrix(normalized_adjacency(a)), bit
-    for bit, built from the entries without an n x n temporary: each kept
-    entry is a_ij * (r_i * r_j) with r_i = 1 / sqrt(d_i) for the entries'
-    degrees d, the product the dense matrix holds, and entries that round to
-    0 are dropped as the dense to sparse conversion drops them. Uses numpy
-    only.
+    Each is a_ij * (r_i * r_j), with r_i = 1 / sqrt(d_i) for the degrees
+    d = e.degrees and r_i = 0 for zero-degree nodes; entries that round to 0
+    are dropped. Builds no n x n array.
     """
-    r = _inverse_sqrt(entries.degrees)
-    rows, cols = entries.rows, entries.cols
-    data = entries.values * (r[rows] * r[cols])
+    r = _inverse_sqrt(e.degrees)
+    data = e.values * (r[e.rows] * r[e.cols])
     kept = data != 0
     if kept.all():
-        return data, cols, entries.indptr
-    return data[kept], cols[kept], _indptr(rows[kept], entries.n)
+        return Entries(e.n, e.rows, e.cols, data, e.indptr)
+    rows = e.rows[kept]
+    return Entries(e.n, rows, e.cols[kept], data[kept], _indptr(rows, e.n))
+
+
+def normalized_adjacency(a: np.ndarray) -> np.ndarray:
+    """a_ij / sqrt(d_i d_j), with rows and columns of zero-degree nodes left
+    0: normalized_entries of a's nonzero entries, as a dense matrix.
+
+    a is not checked for symmetry. Raises ValueError unless it is square.
+    """
+    return normalized_entries(_nonzero_entries(np.asarray(a, dtype=float))).dense()
 
 
 def normalized_laplacian(a: np.ndarray) -> np.ndarray:

@@ -3,15 +3,15 @@ n x n truncated Laplacian and reconstruction that the block-form pipeline
 must reproduce, the summed-area-table split search and the fsum mean squared
 difference that soules._best_soules_basis and barycentre.mse must reproduce,
 the inputs on which the Lanczos and dense eigensolver paths are compared, the
-dense-built normalized adjacencies whose spectrum heads and embedding the
-pipeline must reproduce, the whole-matrix symmetry decision, the full-draw SBM sampler and the
+whole-matrix degree scan and the dense normalized adjacency a * outer(r, r)
+that Entries.degrees and graph_core.normalized_entries must reproduce, and
+the spectrum heads and embedding the pipeline must reproduce from them, the
+whole-matrix symmetry decision, the full-draw SBM sampler and the
 fresh-strip edge sampler that graph_core.check_symmetric, sbm.sample and
-sbm.sample_edges must reproduce,
-the broadcast k-means restart that alignment._seed_rows and alignment._lloyd
-must reproduce, the whole-matrix degree scan that graph_core.degrees must reproduce, the
-per-line contact parser that ingest.parse_contacts must reproduce, and the
-per-hit school-day generator that ingest.synthetic_school_day must
-reproduce."""
+sbm.sample_edges must reproduce, the broadcast k-means restart that
+alignment._seed_rows and alignment._lloyd must reproduce, the per-line
+contact parser that ingest.parse_contacts must reproduce, and the per-hit
+school-day generator that ingest.synthetic_school_day must reproduce."""
 
 import math
 
@@ -223,22 +223,23 @@ PARTIAL_PATH_CASES = {
 
 
 def partial_path_case(name: str) -> tuple[np.ndarray, int, bool]:
-    """The normalized adjacency of a named case, its M, and whether Lanczos applies."""
+    """The reference normalized adjacency of a named case, its M, and whether
+    Lanczos applies."""
     build, M, lanczos = PARTIAL_PATH_CASES[name]
-    return graph_core.normalized_adjacency(build()), M, lanczos
+    return reference_normalized_adjacency(build()), M, lanczos
 
 
 def reference_pipeline_heads(graphs: list[np.ndarray], M: int) -> tuple[np.ndarray, np.ndarray]:
     """The mean spectrum head and the embedding of compute_barycentre for a
-    given M, from the public top_eigen functions on dense normalized
-    adjacencies built from the dense mean: the reference whose bits the
-    pipeline's CSR, built from each graph's entries alone, gives. One
-    graph is its own mean, so its head comes from the embedding's
+    given M, from the public top_eigen functions on reference normalized
+    adjacencies of the inputs and of their dense mean: the reference whose
+    bits the pipeline, which normalizes each graph's entries alone, gives.
+    One graph is its own mean, so its head comes from the embedding's
     eigensolve, as in the pipeline."""
     mean_adj = barycentre.sample_mean_adjacency(graphs)
-    top = eigen.top_eigenpairs(graph_core.normalized_adjacency(mean_adj), M)
+    top = eigen.top_eigenpairs(reference_normalized_adjacency(mean_adj), M)
     heads = [top.values] if len(graphs) == 1 else [
-        eigen.top_eigenvalues(graph_core.normalized_adjacency(g), M) for g in graphs]
+        eigen.top_eigenvalues(reference_normalized_adjacency(g), M) for g in graphs]
     head = barycentre.sample_mean_eigenvalues([1.0 - h for h in heads])
     return head, top.vectors
 
@@ -312,12 +313,23 @@ def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
 
 
 def reference_degrees(a: np.ndarray) -> np.ndarray:
-    """The whole-matrix scan graph_core.degrees replaced: one bincount over
-    the row-major nonzeros of a, so each row's nonzeros are added in column
-    order from 0.0."""
+    """The row sums of a by one bincount over its row-major nonzeros, so
+    each row's nonzeros are added in column order from 0.0: the degrees
+    whose bits Entries.degrees gives."""
     a = np.asarray(a, dtype=float)
     flat = np.flatnonzero(a)
     return np.bincount(flat // a.shape[1], weights=a.take(flat), minlength=a.shape[0])
+
+
+def reference_normalized_adjacency(a: np.ndarray) -> np.ndarray:
+    """The dense normalized adjacency a * outer(r, r), with r_i the inverse
+    square root of reference_degrees(a)_i and 0 for zero-degree nodes: the
+    matrix whose nonzeros graph_core.normalized_entries gives bit for bit."""
+    a = np.asarray(a, dtype=float)
+    d = reference_degrees(a)
+    r = np.zeros_like(d)
+    r[d > 0] = 1.0 / np.sqrt(d[d > 0])
+    return a * np.outer(r, r)
 
 
 def reference_parse_contacts(stream) -> list[tuple]:

@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (PARTIAL_PATH_CASES, expand_blocks, four_block_spec, paper_scaled,
-                     permuted_run_mse, reference_barycentre, reference_mse,
+                     permuted_run_mse, reference_barycentre, reference_degrees, reference_mse,
                      reference_pipeline_heads)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -178,7 +178,7 @@ def test_estimate_block_degrees_partition_checks():
 
 def test_average_node_degrees_match_population():
     spec = sbm.SbmSpec(block_sizes=(3, 5), p=(0.8, 0.6), q=0.2)
-    got = bc.average_node_degrees(graph_core.degrees(sbm.population_mean(spec)), ((1, 3), (4, 8)))
+    got = bc.average_node_degrees(reference_degrees(sbm.population_mean(spec)), ((1, 3), (4, 8)))
     dbar = sbm.expected_degrees(spec)
     assert np.allclose(got.values, [dbar[0], dbar[-1]])
 
@@ -197,7 +197,7 @@ def test_reconstruct_population_round_trip():
     # L - I read at one node per block
     first = [a - 1 for a, _ in blocks]
     lap_blocks = (sbm.expected_laplacian(spec) - np.eye(24))[np.ix_(first, first)]
-    degrees = bc.average_node_degrees(graph_core.degrees(P), blocks)
+    degrees = bc.average_node_degrees(reference_degrees(P), blocks)
     mu_blocks = bc.reconstruct_barycentre(lap_blocks, degrees)
     assert np.abs(expand_blocks(mu_blocks, blocks) - P).max() < 1e-8
 
@@ -725,7 +725,8 @@ def test_spectrum_head_matches_dense_spectrum_and_longer_head(case):
     # the first M of a head of M + 1 values, which a different Krylov
     # sequence gives
     longer = bc.sample_mean_eigenvalues(
-        [1.0 - eigen._top_eigenvalues(graph_core.adjacency_entries(g)[1], M + 1, normalized=True)[:M]
+        [1.0 - eigen._top_eigenvalues(graph_core.normalized_entries(graph_core.adjacency_entries(g)[1]),
+                                      M + 1)[:M]
          for g in graphs])
     assert len(head) == M
     assert np.abs(head - dense).max() < 1e-12
@@ -818,14 +819,12 @@ def test_pipeline_builds_no_dense_mean_and_permutes_nothing(monkeypatch, M):
     monkeypatch.setattr(graph_core, "permute", spy("permute", graph_core.permute))
     monkeypatch.setattr(bc, "sample_mean_adjacency", spy("mean", bc.sample_mean_adjacency))
     monkeypatch.setattr(graph_core.Entries, "dense", spy("dense", graph_core.Entries.dense))
-    monkeypatch.setattr(graph_core, "degrees", spy("degrees", graph_core.degrees))
     # n = 512, so Lanczos reads every eigenproblem of a given M
     graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(2)]
     bc.compute_barycentre(graphs, M=M, seed=0)
-    # an estimated M scans the full spectrum of each graph, densified once
-    # and normalized by the degrees of that dense matrix; every other degree
-    # comes from the entries
-    assert called == ([] if M else ["dense", "degrees"] * len(graphs))
+    # an estimated M scans the full spectrum of each graph: normalized_laplacian
+    # of the densified graph, which densifies its normalized entries
+    assert called == ([] if M else ["dense", "dense"] * len(graphs))
 
 
 @pytest.mark.parametrize(("T", "bound"), [(2, 0.75), (1, 0.5)])
@@ -882,7 +881,7 @@ def test_sample_mean_entries_match_the_dense_mean_and_its_degrees(n, T):
     dense = bc.sample_mean_adjacency(graphs)
     assert np.array_equal(mean.dense(), dense)
     assert np.array_equal(mean.values, dense[dense != 0])
-    assert np.array_equal(mean.degrees, graph_core.degrees(dense))
+    assert np.array_equal(mean.degrees, reference_degrees(dense))
 
 
 # Lanczos at n = 512 and the dense solver at n = 64; an estimated M reads

@@ -8,7 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import PARTIAL_PATH_CASES, reference_degrees, reference_is_symmetric
+from helpers import (PARTIAL_PATH_CASES, reference_degrees, reference_is_symmetric,
+                     reference_normalized_adjacency)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,16 +17,20 @@ from specbary import alignment, eigen, ingest, soules
 from specbary import graph_core as gc
 
 
+def _degrees(a):
+    return gc.adjacency_entries(a)[1].degrees
+
+
 def test_degrees_single_edge():
-    assert np.array_equal(gc.degrees(np.array([[0.0, 1.0], [1.0, 0.0]])), [1.0, 1.0])
+    assert np.array_equal(_degrees(np.array([[0.0, 1.0], [1.0, 0.0]])), [1.0, 1.0])
 
 
 def test_degrees_empty_graph():
-    assert np.array_equal(gc.degrees(np.zeros((3, 3))), [0.0, 0.0, 0.0])
+    assert np.array_equal(_degrees(np.zeros((3, 3))), [0.0, 0.0, 0.0])
 
 
 def test_degrees_weighted():
-    assert np.array_equal(gc.degrees(np.array([[0.0, 2.0], [2.0, 0.0]])), [2.0, 2.0])
+    assert np.array_equal(_degrees(np.array([[0.0, 2.0], [2.0, 0.0]])), [2.0, 2.0])
 
 
 @pytest.mark.parametrize("n", [1, 7, 300])
@@ -38,14 +43,11 @@ def test_degrees_add_each_rows_nonzeros_in_column_order(n):
     a[(a == 0) & (rng.random((n, n)) < 0.25)] = -0.0
     # built-in sum compensates its additions from Python 3.12 on
     expected = [functools.reduce(operator.add, row[row != 0].tolist(), 0.0) for row in a]
-    assert np.array_equal(gc.degrees(a), expected)
-    assert np.array_equal(gc.adjacency_entries(a)[1].degrees, expected)
+    assert np.array_equal(_degrees(a), expected)
 
 
-@pytest.mark.parametrize("strip", [1, 7, 1 << 16])
 @pytest.mark.parametrize("kind", ["binary", "weighted", "signed_zeros", "nonfinite"])
-def test_degrees_row_strips_match_whole_matrix_scan(monkeypatch, strip, kind):
-    monkeypatch.setattr(gc, "_DEGREE_STRIP", strip)
+def test_entries_degrees_match_whole_matrix_scan(kind):
     rng = np.random.default_rng(5)
     a = (rng.random((40, 40)) < 0.3).astype(float)
     if kind != "binary":
@@ -56,7 +58,7 @@ def test_degrees_row_strips_match_whole_matrix_scan(monkeypatch, strip, kind):
         a[3, 5], a[7, 0], a[7, 9] = np.nan, np.inf, -np.inf
     for matrix in (a, np.asfortranarray(a), a[:, ::-1]):
         # bit for bit, nan included
-        assert np.array_equal(gc.degrees(matrix).view(np.int64),
+        assert np.array_equal(gc._nonzero_entries(matrix).degrees.view(np.int64),
                               reference_degrees(matrix).view(np.int64))
 
 
@@ -324,19 +326,28 @@ def test_normalized_adjacency_triangle():
     assert np.allclose(ahat, (np.ones((3, 3)) - np.eye(3)) / 2.0)
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 1), (2, 2, 2)])
+def test_normalized_adjacency_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        gc.normalized_adjacency(np.ones(shape))
+
+
 @pytest.mark.parametrize("case", sorted(PARTIAL_PATH_CASES))
 def test_normalized_adjacency_csr_matches_dense_conversion(case):
     from scipy import sparse
 
+    # normalized_entries, read as CSR arrays, against scipy's conversion of
+    # the dense reference a * outer(r, r)
     a = PARTIAL_PATH_CASES[case][0]()
-    expected = sparse.csr_matrix(gc.normalized_adjacency(a))
-    data, indices, indptr = gc.normalized_adjacency_csr(gc.adjacency_entries(a)[1])
-    assert np.array_equal(data, expected.data)
-    assert np.array_equal(indices, expected.indices)
-    assert np.array_equal(indptr, expected.indptr)
+    expected = sparse.csr_matrix(reference_normalized_adjacency(a))
+    e = gc.normalized_entries(gc.adjacency_entries(a)[1])
+    assert np.array_equal(e.values, expected.data)
+    assert np.array_equal(e.cols, expected.indices)
+    assert np.array_equal(e.indptr, expected.indptr)
+    assert np.array_equal(e.rows, np.repeat(np.arange(e.n), np.diff(e.indptr)))
     if case == "weighted_underflow":
         # one nonzero of a has a normalized entry that rounds to 0
-        assert np.count_nonzero(a) == len(data) + 2
+        assert np.count_nonzero(a) == len(e.values) + 2
 
 
 def test_normalized_laplacian_single_edge():
