@@ -46,8 +46,11 @@ def test_degrees_add_each_rows_nonzeros_in_column_order(n):
     assert np.array_equal(_degrees(a), expected)
 
 
+@pytest.mark.parametrize("strip", [1, 7, 1 << 16])
 @pytest.mark.parametrize("kind", ["binary", "weighted", "signed_zeros", "nonfinite"])
-def test_entries_degrees_match_whole_matrix_scan(kind):
+def test_degrees_row_strips_match_whole_matrix_scan(strip, kind):
+    # Entries.degrees, and the degrees of each strip of `strip` rows summed
+    # from the entries that indptr delimits, against the whole-matrix scan
     rng = np.random.default_rng(5)
     a = (rng.random((40, 40)) < 0.3).astype(float)
     if kind != "binary":
@@ -57,9 +60,17 @@ def test_entries_degrees_match_whole_matrix_scan(kind):
     if kind == "nonfinite":
         a[3, 5], a[7, 0], a[7, 9] = np.nan, np.inf, -np.inf
     for matrix in (a, np.asfortranarray(a), a[:, ::-1]):
+        e = gc._nonzero_entries(matrix)
+        strips = []
+        for i in range(0, e.n, strip):
+            stop = min(i + strip, e.n)
+            lo, hi = e.indptr[i], e.indptr[stop]
+            strips.append(np.bincount(e.rows[lo:hi] - i, weights=e.values[lo:hi],
+                                      minlength=stop - i))
+        expected = reference_degrees(matrix).view(np.int64)
         # bit for bit, nan included
-        assert np.array_equal(gc._nonzero_entries(matrix).degrees.view(np.int64),
-                              reference_degrees(matrix).view(np.int64))
+        assert np.array_equal(e.degrees.view(np.int64), expected)
+        assert np.array_equal(np.concatenate(strips).view(np.int64), expected)
 
 
 def test_check_adjacency_rejects_bad_input():
