@@ -360,7 +360,7 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
             raise ValueError(f"graph sizes differ: ({e.n}, {e.n}) vs ({n}, {n})")
     mean_vals = None
     if M is None:
-        spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(e.dense())) for e in entries]
+        spectra = [np.linalg.eigvalsh(graph_core._dense_laplacian(e)) for e in entries]
         mean_vals = sample_mean_eigenvalues(spectra)
         M = alignment.estimate_M(mean_vals)
         log.info("estimated M=%d from the mean spectrum", M)

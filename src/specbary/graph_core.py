@@ -193,8 +193,14 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
 
 def normalized_laplacian(a: np.ndarray) -> np.ndarray:
     """I minus the normalized adjacency; eigenvalues lie in [0, 2]."""
-    ahat = normalized_adjacency(a)
-    lap = -ahat
+    return _dense_laplacian(_nonzero_entries(np.asarray(a, dtype=float)))
+
+
+def _dense_laplacian(e: Entries) -> np.ndarray:
+    # the normalized Laplacian of the matrix with entries e, built in the one
+    # n x n array its normalized entries are densified into
+    lap = normalized_entries(e).dense()
+    np.negative(lap, out=lap)
     lap[np.diag_indices_from(lap)] += 1.0
     return lap
 

@@ -1,20 +1,21 @@
 """Timestamped contact data: parsing, windowed snapshot graphs, and a
 synthetic school-day surrogate.
 
-Input lines follow the RFID face-to-face format: "t i j [class_i class_j]",
-whitespace separated, '#' starting a comment line. Timestamps are seconds;
-contacts are recorded on a 20 s tick.
+Input lines follow the RFID face-to-face format: "t i j [ci cj]", ci and cj
+the classes of nodes i and j, whitespace separated, '#' starting a comment
+line. Timestamps are seconds; contacts are recorded on a 20 s tick.
 
-parse_contacts reads the lines into one columnar ContactTable (int64 arrays
-t, i, j plus the two class columns). A byte scan reads the whole text with
-numpy in whole-line chunks of _SCAN_CHUNK bytes: tokens end at the ASCII
-whitespace str.split() splits on, t/i/j are built from their digits, and the
-class names become codes into the few distinct names. It declines any text
-it cannot read exactly as str.split() and int() would: a malformed line
-(not 3 or 5 fields, a non-integer, a self-contact, a negative t), non-ASCII
-text, a NUL byte, or a t/i/j that is not an optional sign and 1 to 18 ASCII
-digits ('1_000', values of 19 or more digits). The per-line loop then reads
-the whole input, so every ParseError keeps its message and line number.
+parse_contacts reads the lines into one columnar ContactTable of int64
+arrays t, i and j. The class names of a 5-field line are checked for presence
+(a line has 3 or 5 fields) and not kept: nothing downstream reads them. A
+byte scan reads the whole text with numpy in whole-line chunks of _SCAN_CHUNK
+bytes: tokens end at the ASCII whitespace str.split() splits on, and t/i/j
+are built from their digits. It declines any text it cannot read exactly as
+str.split() and int() would: a malformed line (not 3 or 5 fields, a
+non-integer, a self-contact, a negative t), non-ASCII text, or a t/i/j that
+is not an optional sign and 1 to 18 ASCII digits ('1_000', values of 19 or
+more digits). The per-line loop then reads the whole input, so every
+ParseError keeps its message and line number.
 
 window_graphs fills one (windows, n, n) array of 0/1 snapshots with array
 operations and returns its n x n slices as a list. Every snapshot has only
@@ -74,17 +75,13 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ContactTable:
-    """Contact events as columns, one row per contact line in input order.
-
-    t, i and j are int64 arrays; class_i and class_j hold the class names of
-    5-field lines and None for 3-field lines.
+    """Contact events as int64 columns t, i and j, one row per contact line in
+    input order. The class names of 5-field lines are not kept.
     """
 
     t: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    class_i: list[str | None]
-    class_j: list[str | None]
 
     def __len__(self) -> int:
         return len(self.t)
@@ -104,33 +101,25 @@ class SnapshotSeries:
 
 
 def parse_contacts(stream) -> ContactTable:
-    """Parse a text stream, or any iterable of text lines, into a contact
-    table, in input order.
+    """Parse a text stream into a contact table, in input order.
 
     Fields are split as str.split() splits them and t/i/j read as int() reads
     them; a line is blank or a comment when its first field is missing or
-    starts with '#'. The first bad line in file order raises ParseError: a
-    field count other than 3 or 5, a non-integer t/i/j, a self-contact, a
-    negative timestamp, or a value outside the int64 range.
+    starts with '#'. The two class names of a 5-field line are checked for
+    presence only and not kept. The first bad line in file order raises
+    ParseError: a field count other than 3 or 5, a non-integer t/i/j, a
+    self-contact, a negative timestamp, or a value outside the int64 range.
 
-    A stream (anything with read()) is read whole and its lines end at '\\n',
-    as a text file opened in the default newline mode ends them. The byte
-    scan reads the text unless it holds a line the scan cannot read exactly:
-    a malformed line, non-ASCII text, a NUL byte, or a t/i/j that is not an
-    optional sign and 1 to 18 ASCII digits (such as '1_000' or a value of 19
-    or more digits). Then the per-line loop reads the whole input, so its
-    ParseError messages and line numbers stand. Other iterables go to the
-    per-line loop. The 'specbary.ingest' logger says at INFO which reader
+    The stream is read whole and its lines end at '\\n', as a text file
+    opened in the default newline mode ends them. The byte scan reads the
+    text unless it holds a line the scan cannot read exactly: a malformed
+    line, non-ASCII text, or a t/i/j that is not an optional sign and 1 to 18
+    ASCII digits (such as '1_000' or a value of 19 or more digits). Then the
+    per-line loop reads the whole input, so its ParseError messages and line
+    numbers stand. The 'specbary.ingest' logger says at INFO which reader
     read how many contact lines, and which line sent the input to the loop.
     """
-    if hasattr(stream, "read"):
-        return _parse_text(stream.read())
-    table = _parse_lines(stream)
-    log.info("read %d contact lines with the per-line loop", len(table))
-    return table
-
-
-def _parse_text(text: str) -> ContactTable:
+    text = stream.read()
     try:
         table = _scan_text(text)
     except _Declined as exc:
@@ -167,23 +156,18 @@ def _scan_text(text: str) -> ContactTable:
             text.encode("ascii")
         except UnicodeEncodeError as exc:
             raise _Declined(exc.start, "non-ASCII text") from None
-    if "\0" in text:
-        raise _Declined(text.index("\0"), "NUL byte")
-    names = {None: 0}  # class name -> code, in order of first appearance
     parts, start = [], 0
     while not parts or start < len(text):  # an empty text is one empty chunk
         stop = text.find("\n", start + _SCAN_CHUNK - 1) + 1 or len(text)
-        parts.append(_scan_chunk(text[start:stop].encode("ascii"), start, names))
+        parts.append(_scan_chunk(text[start:stop].encode("ascii"), start))
         start = stop
-    tij = np.concatenate([p[0] for p in parts], axis=1)
-    objects = np.array(list(names), dtype=object)
-    class_i, class_j = (objects[np.concatenate([p[k] for p in parts])].tolist() for k in (1, 2))
-    return ContactTable(t=tij[0], i=tij[1], j=tij[2], class_i=class_i, class_j=class_j)
+    t, i, j = np.concatenate(parts, axis=1)
+    return ContactTable(t=t, i=i, j=j)
 
 
-def _scan_chunk(raw: bytes, offset: int, names: dict):
-    # the (3, lines) t/i/j values and the two class codes of the contact
-    # lines in raw, which starts at this text offset
+def _scan_chunk(raw: bytes, offset: int) -> np.ndarray:
+    # the (3, lines) t/i/j values of the contact lines in raw, which starts
+    # at this text offset
     buf = np.frombuffer(raw, dtype=np.uint8)
     space = np.frombuffer(raw.translate(_SPACE), dtype=np.int8)
     # -1 where a token starts, +1 just past where it ends
@@ -222,36 +206,7 @@ def _scan_chunk(raw: bytes, offset: int, names: dict):
     if bad.any():
         decline(bad, "t/i/j not 1 to 18 ASCII digits" if bad_token[bad.argmax()]
                 else "self-contact or negative t")
-
-    codes = np.zeros((2, len(head)), dtype=np.intp)  # 0 is None, for 3-field lines
-    five = fields == 5
-    tok = head[five] + np.array([[3], [4]])
-    codes[:, five] = _class_codes(buf, starts[tok], ends[tok], names)
-    return tij, codes[0], codes[1]
-
-
-def _class_codes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, names: dict) -> np.ndarray:
-    # the code in names of each token buf[start:end], adding new names; a
-    # token of up to 8 bytes is keyed by its bytes as one uint64, which no
-    # NUL byte can make ambiguous, and a longer one is sliced out by itself
-    width = ends - starts
-    key = np.zeros(starts.shape, dtype=np.uint64)
-    for w in range(min(int(width.max(initial=0)), 8)):
-        live = width > w
-        key |= np.where(live, buf[np.where(live, starts + w, 0)], 0).astype(np.uint64) << (8 * w)
-    long = width > 8
-    key[long] = 0
-    keys, inverse = np.unique(key, return_inverse=True)
-    lut = np.zeros(len(keys), dtype=np.intp)
-    for k, v in enumerate(keys.tolist()):
-        if v:
-            name = v.to_bytes(8, "little").rstrip(b"\0").decode("ascii")
-            lut[k] = names.setdefault(name, len(names))
-    codes = lut[inverse.reshape(key.shape)]
-    for r, c in zip(*np.nonzero(long)):
-        name = buf[starts[r, c] : ends[r, c]].tobytes().decode("ascii")
-        codes[r, c] = names.setdefault(name, len(names))
-    return codes
+    return tij
 
 
 def _parse_lines(stream) -> ContactTable:
@@ -259,20 +214,14 @@ def _parse_lines(stream) -> ContactTable:
     # array("q") stores each value as a C int64 as it is appended, so an
     # out-of-range value fails on its own line and the columns need no copy
     t, i, j = array("q"), array("q"), array("q")
-    class_i, class_j = [], []
     for lineno, raw in enumerate(stream, start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
-        if len(fields) == 5:
-            t_text, i_text, j_text, ci, cj = fields
-        elif len(fields) == 3:
-            t_text, i_text, j_text = fields
-            ci = cj = None
-        else:
+        if len(fields) not in (3, 5):
             raise ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(fields)}")
         try:
-            tv, iv, jv = int(t_text), int(i_text), int(j_text)
+            tv, iv, jv = map(int, fields[:3])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer t/i/j in {raw.strip()!r}") from None
         if iv == jv:
@@ -285,10 +234,8 @@ def _parse_lines(stream) -> ContactTable:
             j.append(jv)
         except OverflowError:
             raise ParseError(f"line {lineno}: t/i/j outside int64 in {raw.strip()!r}") from None
-        class_i.append(ci)
-        class_j.append(cj)
     t, i, j = (np.frombuffer(c, dtype=np.int64) for c in (t, i, j))
-    return ContactTable(t=t, i=i, j=j, class_i=class_i, class_j=class_j)
+    return ContactTable(t=t, i=i, j=j)
 
 
 def load_contacts(path: str | Path) -> ContactTable:
@@ -296,8 +243,7 @@ def load_contacts(path: str | Path) -> ContactTable:
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "rt") as fh:
-        text = fh.read()
-    return _parse_text(text)
+        return parse_contacts(fh)
 
 
 def window_graphs(contacts: ContactTable, start: int, end: int, width: int) -> SnapshotSeries:
@@ -354,13 +300,12 @@ def synthetic_school_day(seed: int = 0) -> str:
     recess = np.where(same_class, _WITHIN_TICK, _RECESS_CROSS_TICK)
     recess_ranges = list(_RECESS.values())
 
-    # each pair's " i j class_i class_j" is built once; a hit puts its tick
-    # in front
+    # each pair's " i j ci cj" is built once; a hit puts its tick in front
     id_text, class_text = ids.tolist(), [_CLASS_NAMES[c] for c in labels.tolist()]
     tails = [f" {id_text[a]} {id_text[b]} {class_text[a]} {class_text[b]}"
              for a, b in zip(pair_i.tolist(), pair_j.tolist())]
     draws = np.empty(len(tails))
-    lines = ["# synthetic school-day surrogate: t i j class_i class_j"]
+    lines = ["# synthetic school-day surrogate: t i j ci cj"]
     periods = ((MORNING_START, MORNING_END), (AFTERNOON_START, AFTERNOON_END))
     for period_start, period_end in periods:
         for t in range(period_start, period_end, TICK_SECONDS):

@@ -334,8 +334,9 @@ def reference_normalized_adjacency(a: np.ndarray) -> np.ndarray:
 
 def reference_parse_contacts(stream) -> list[tuple]:
     """The per-line contact parser ingest.parse_contacts replaced, with the
-    checks of the event record it built inlined: (t, i, j, class_i, class_j)
-    rows in input order, or the same ParseError for the first bad line."""
+    checks of the event record it built inlined: (t, i, j) rows in input
+    order, or the same ParseError for the first bad line. The class names of
+    a 5-field line are checked for presence and not kept."""
     rows = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -348,28 +349,27 @@ def reference_parse_contacts(stream) -> list[tuple]:
             t, i, j = int(fields[0]), int(fields[1]), int(fields[2])
         except ValueError:
             raise ingest.ParseError(f"line {lineno}: non-integer t/i/j in {line!r}") from None
-        ci, cj = (fields[3], fields[4]) if len(fields) == 5 else (None, None)
         if i == j:
             raise ingest.ParseError(f"line {lineno}: self-contact at t={t} for node {i}")
         if t < 0:
             raise ingest.ParseError(f"line {lineno}: negative timestamp {t}")
         if not all(-(2**63) <= v < 2**63 for v in (t, i, j)):
             raise ingest.ParseError(f"line {lineno}: t/i/j outside int64 in {line!r}")
-        rows.append((t, i, j, ci, cj))
+        rows.append((t, i, j))
     return rows
 
 
 def reference_window_graphs(rows: list[tuple], start: int, end: int,
                             width: int) -> list[np.ndarray]:
     """The per-event windowing loop ingest.window_graphs replaced, on
-    (t, i, j, ...) rows: one n x n graph per window over the sorted node ids
+    (t, i, j) rows: one n x n graph per window over the sorted node ids
     seen in [start, end)."""
     in_range = [r for r in rows if start <= r[0] < end]
     node_ids = sorted({r[1] for r in in_range} | {r[2] for r in in_range})
     index = {v: k for k, v in enumerate(node_ids)}
     n = len(node_ids)
     graphs = [np.zeros((n, n)) for _ in range(-(-(end - start) // width))]
-    for t, i, j, *_ in in_range:
+    for t, i, j in in_range:
         w = (t - start) // width
         graphs[w][index[i], index[j]] = 1.0
         graphs[w][index[j], index[i]] = 1.0
@@ -391,7 +391,7 @@ def reference_synthetic_school_day(seed: int = 0) -> str:
     recess = np.where(same_class, ingest._WITHIN_TICK, ingest._RECESS_CROSS_TICK)
     recess_ranges = list(ingest._RECESS.values())
 
-    lines = ["# synthetic school-day surrogate: t i j class_i class_j"]
+    lines = ["# synthetic school-day surrogate: t i j ci cj"]
     periods = ((ingest.MORNING_START, ingest.MORNING_END),
                (ingest.AFTERNOON_START, ingest.AFTERNOON_END))
     for period_start, period_end in periods:

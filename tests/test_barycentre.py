@@ -822,9 +822,9 @@ def test_pipeline_builds_no_dense_mean_and_permutes_nothing(monkeypatch, M):
     # n = 512, so Lanczos reads every eigenproblem of a given M
     graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(2)]
     bc.compute_barycentre(graphs, M=M, seed=0)
-    # an estimated M scans the full spectrum of each graph: normalized_laplacian
-    # of the densified graph, which densifies its normalized entries
-    assert called == ([] if M else ["dense", "dense"] * len(graphs))
+    # an estimated M scans the full spectrum of each graph: the normalized
+    # Laplacian built in the one n x n array of its densified normalized entries
+    assert called == ([] if M else ["dense"] * len(graphs))
 
 
 @pytest.mark.parametrize(("T", "bound"), [(2, 0.75), (1, 0.5)])

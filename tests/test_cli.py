@@ -1,5 +1,7 @@
 """End-to-end command-line tests, run in process through cli.main."""
 
+import gzip
+import io
 import json
 import logging
 import tracemalloc
@@ -406,6 +408,28 @@ def test_ingest_range_without_contacts_is_data_error(tmp_path, caplog):
                    "--width", 100, "--out", out) == 3
     assert "[0, 1000)" in caplog.text
     assert not out.exists()
+
+
+def test_ingest_then_auto_M_barycentre_matches_the_library(tmp_path):
+    # the contact path end to end: a gzipped school day, its morning windows
+    # and the barycentre of their snapshots, against the library calls
+    text = ingest.synthetic_school_day(seed=0)
+    contacts = tmp_path / "day.txt.gz"
+    with gzip.open(contacts, "wt") as fh:
+        fh.write(text)
+    snapshots, out = tmp_path / "snapshots", tmp_path / "bary"
+    assert run("ingest", "--contacts", contacts, "--out", snapshots) == 0
+    assert run("barycentre", "--in", snapshots, "--auto-M", "--out", out) == 0
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert diagnostics["M"] == 10 and len(diagnostics["leaf_blocks"]) == 10
+
+    series = ingest.window_graphs(ingest.parse_contacts(io.StringIO(text)), ingest.MORNING_START,
+                                  ingest.MORNING_END, ingest.MORNING_WIDTH)
+    library = tmp_path / "library"
+    barycentre.write_result(barycentre.compute_barycentre(series.graphs, M=None, seed=0), library)
+    for name in ("mu_hat.csv", "laplacian_hat.csv", "spectrum.json", "degrees.json",
+                 "permutation.csv"):
+        assert (out / name).read_bytes() == (library / name).read_bytes(), name
 
 
 def test_unknown_command_and_missing_command(capsys):

@@ -21,21 +21,18 @@ def _table(text: str) -> ingest.ContactTable:
 
 
 def _rows(table: ingest.ContactTable) -> list[tuple]:
-    columns = (table.t.tolist(), table.i.tolist(), table.j.tolist(), table.class_i, table.class_j)
-    return list(zip(*columns))
+    return list(zip(table.t.tolist(), table.i.tolist(), table.j.tolist()))
 
 
 def test_parse_five_field_line():
     table = _table("31220 1558 1567 3B 3B\n")
     assert len(table) == 1
-    assert (table.t[0], table.i[0], table.j[0]) == (31220, 1558, 1567)
-    assert table.class_i[0] == "3B" and table.class_j[0] == "3B"
+    assert _rows(table) == [(31220, 1558, 1567)]
 
 
 def test_parse_three_field_line_and_order():
     table = _table("10 1 2\n20 2 3\n")
-    assert [row[:3] for row in _rows(table)] == [(10, 1, 2), (20, 2, 3)]
-    assert table.class_i[0] is None
+    assert _rows(table) == [(10, 1, 2), (20, 2, 3)]
 
 
 def test_parse_columns_are_int64():
@@ -83,10 +80,12 @@ def test_load_contacts_handles_gzip(tmp_path):
 # one generator per line kind; every bad kind is planted at most once. The
 # scanned kinds are those the byte scan reads; the good kinds add what only
 # the per-line loop reads (non-ASCII whitespace and digits, '_' separators,
-# 19-digit values, NUL bytes), so the scan must either read a line exactly or
-# leave the whole input to the loop
+# 19-digit values), so the scan must either read a line exactly or leave the
+# whole input to the loop. Class names are any non-space bytes, NUL and names
+# of any length among them
 _ASCII_SPACE = [" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
-_ASCII_CLASS = ["1A", "3B", "x", "#x", "Teachers", "classroom_1A"]
+_ASCII_CLASS = ["1A", "3B", "x", "#x", "Teachers", "classroom_1A", "1\x00A",
+                "after_school_club_2B"]
 _ASCII_INT = [str, "+{}".format, "0{}".format]
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
@@ -96,7 +95,6 @@ def _contact_line(draw, fields: int, loop_only: bool = False) -> str:
     spaces, classes, ints = _ASCII_SPACE, _ASCII_CLASS, _ASCII_INT
     if loop_only:
         spaces = spaces + [" \xa0", "\u2003"]
-        classes = classes + ["1\x00A"]
         ints = ints + ["{:_}".format, lambda v: str(v).translate(_ARABIC_INDIC)]
     t = draw(st.integers(0, 10**6))
     i = draw(st.integers(-3, 40))
@@ -199,15 +197,20 @@ def test_byte_scan_chunks_cut_anywhere(monkeypatch, chunk):
     assert [_rows(_table(t)) for t in (text, day)] == expected
 
 
-def test_byte_scan_shares_class_name_objects():
-    table = _table("10 1 2 1A 1B\n20 3 4 1B 1A\n30 5 6\n")
-    assert table.class_i == ["1A", "1B", None] and table.class_j == ["1B", "1A", None]
-    assert table.class_i[0] is table.class_j[1]
+def test_byte_scan_reads_any_class_names(tmp_path, monkeypatch, caplog):
+    # class names are only counted as fields, so a NUL byte or a long name
+    # in one leaves the file to the scan
+    text = "10 1 2 1\x00A 1B\n20 3 4 after_school_club_2B 1A\n30 5 6\n"
+    path = tmp_path / "classes.txt"
+    path.write_text(text)
+    caplog.set_level(logging.INFO, logger="specbary.ingest")
+    _forbid_loop(monkeypatch)
+    assert _rows(ingest.load_contacts(path)) == reference_parse_contacts(io.StringIO(text))
+    assert caplog.messages == ["read 3 contact lines with the byte scan"]
 
 
 @pytest.mark.parametrize("text,line,reason", [
     ("10 1 2\n10\xa01 2\n", 2, "non-ASCII text"),
-    ("10 1 2\n\n10 1 2 1\x00A 1B\n", 3, "NUL byte"),
     ("# c\n10 1 2\n10 1_000 2\n", 3, "t/i/j not 1 to 18 ASCII digits"),
     (f"10 1 2\n10 1 {10**18}\n", 2, "t/i/j not 1 to 18 ASCII digits"),
 ])
@@ -225,6 +228,7 @@ def test_byte_scan_declines_what_only_the_loop_reads(monkeypatch, caplog, chunk,
     ("10 1 2\n20 2 3\r30 3 4\n", 2),
     ("# 1 2\n10 1 2\n\n10 a 2\n", 4),
     ("10 1 2\n20 2 3 1A\n", 2),
+    ("10 1 2\n20 2\x00 3\n", 2),
     ("10 1 2\n20 3 3\n", 2),
     ("10 1 2\n-1 4 5\n", 2),
 ])
@@ -259,28 +263,24 @@ def test_load_contacts_reads_lone_carriage_returns(tmp_path):
     # text mode turns each lone \r into a line end
     path = tmp_path / "mac.txt"
     path.write_bytes(b"# t i j\r10 1 2\r20 2 3 1A 1B\r")
-    assert _rows(ingest.load_contacts(path)) == [(10, 1, 2, None, None), (20, 2, 3, "1A", "1B")]
+    assert _rows(ingest.load_contacts(path)) == [(10, 1, 2), (20, 2, 3)]
 
 
 def test_load_contacts_peak_memory_within_the_loops(tmp_path):
-    # the scan holds the text, one chunk's temporaries and the columns; the
-    # per-line loop over the open file held one str per class token
+    # the scan holds the text, the chunks' t/i/j and the columns joined from
+    # them (two copies of three int64 columns), and a fixed number of chunk
+    # budgets of temporaries
     path = tmp_path / "day.txt"
-    path.write_text(ingest.synthetic_school_day(seed=0))
-    def loop(path):
-        with open(path) as fh:
-            return ingest._parse_lines(fh)
-
-    peaks = []
-    for read in (ingest.load_contacts, loop):
-        tracemalloc.start()
-        try:
-            table = read(path)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert len(table) > 100_000
-    assert peaks[0] <= peaks[1]
+    text = ingest.synthetic_school_day(seed=0)
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        table = ingest.load_contacts(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 100_000
+    assert peak <= len(text) + 48 * len(table) + 8 * ingest._SCAN_CHUNK
 
 
 def test_window_single_event():
