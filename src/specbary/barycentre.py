@@ -345,7 +345,10 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     eigensolve) or M outside 1..n. The graphs are read as their nonzero
     entries, so -0.0 counts as 0.0: an input holding -0.0 gives the bits
     the same input with 0.0 gives. M = 1 gives one leaf, and mu_hat the sum
-    of the mean adjacency over n^2, to within rounding.
+    of the mean adjacency over n^2, to within rounding. Weighted input is
+    read as it is: scaling every graph by c > 0 scales mu_blocks and
+    degrees.values by c and leaves lap_blocks, leaf, permutation and the
+    spectrum as they are, bit for bit when c is a power of four.
     """
     if not graphs:
         raise ValueError("no graphs given")

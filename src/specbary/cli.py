@@ -47,11 +47,14 @@ def _load_graph_dir(in_dir: Path):
         raise ValueError(f"no graph CSVs found in {in_dir}")
     graphs = [graph_core.load_matrix(p) for p in graph_paths]
     permutations = [graph_core.load_permutation(p) for p in perm_paths]
-    # cmd_barycentre un-permutes by a gather, which checks no length
+    # cmd_barycentre un-permutes by a gather, which checks no length; the
+    # barycentre needs one node order shared by every sample
     n = len(graphs[0])
     for path, perm in zip(perm_paths, permutations):
         if len(perm) != n:
             raise ValueError(f"{path}: permutation of {len(perm)} nodes, graphs have {n}")
+        if (perm != permutations[0]).any():
+            raise ValueError(f"{path}: relabelling differs from {perm_paths[0]}")
     return graphs, population, permutations
 
 
@@ -105,13 +108,10 @@ def cmd_barycentre(args) -> None:
 
     extra = {"command": "barycentre", "T": len(graphs), "seed": args.seed, "auto_M": bool(args.auto_M)}
     if population is not None:
-        if permutations and any((p != permutations[0]).any() for p in permutations[1:]):
-            log.warning("samples use different relabellings; skipping MSE against population")
-        else:
-            # node i of the population is input node permutations[0][i]
-            leaf = result.leaf[permutations[0]] if permutations else result.leaf
-            extra["mse"] = barycentre.mse(population, graph_core.BlockMatrix(result.mu_blocks, leaf))
-            log.info("mse against population: %.6e", extra["mse"])
+        # node i of the population is input node permutations[0][i]
+        leaf = result.leaf[permutations[0]] if permutations else result.leaf
+        extra["mse"] = barycentre.mse(population, graph_core.BlockMatrix(result.mu_blocks, leaf))
+        log.info("mse against population: %.6e", extra["mse"])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,9 +253,9 @@ def cmd_spectrum(args) -> None:
     """Pooled normalized-Laplacian eigenvalue histogram over [0, 2]."""
     _check_positive("--bins", [args.bins])
     graphs, _, _ = _load_graph_dir(Path(args.in_dir))
-    # one check per input graph, as in compute_barycentre
+    # one scan per graph checks it and finds its entries, as in compute_barycentre
     pooled = np.concatenate([
-        np.linalg.eigvalsh(graph_core.normalized_laplacian(graph_core.check_adjacency(g)))
+        np.linalg.eigvalsh(graph_core._dense_laplacian(graph_core.adjacency_entries(g)[1]))
         for g in graphs
     ])
     counts, edges = np.histogram(np.clip(pooled, 0.0, 2.0), bins=args.bins, range=(0.0, 2.0))

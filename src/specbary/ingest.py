@@ -6,16 +6,9 @@ the classes of nodes i and j, whitespace separated, '#' starting a comment
 line. Timestamps are seconds; contacts are recorded on a 20 s tick.
 
 parse_contacts reads the lines into one columnar ContactTable of int64
-arrays t, i and j. The class names of a 5-field line are checked for presence
-(a line has 3 or 5 fields) and not kept: nothing downstream reads them. A
-byte scan reads the whole text with numpy in whole-line chunks of _SCAN_CHUNK
-bytes: tokens end at the ASCII whitespace str.split() splits on, and t/i/j
-are built from their digits. It declines any text it cannot read exactly as
-str.split() and int() would: a malformed line (not 3 or 5 fields, a
-non-integer, a self-contact, a negative t), non-ASCII text, or a t/i/j that
-is not an optional sign and 1 to 18 ASCII digits ('1_000', values of 19 or
-more digits). The per-line loop then reads the whole input, so every
-ParseError keeps its message and line number.
+arrays t, i and j with a numpy byte scan; its docstring gives the format and
+the ParseError of the first bad line. Class names are checked for presence
+and not kept: nothing downstream reads them.
 
 window_graphs fills one (windows, n, n) array of 0/1 snapshots with array
 operations and returns its n x n slices as a list. Every snapshot has only
@@ -25,7 +18,6 @@ through np.savetxt.
 
 import gzip
 import logging
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,20 +45,20 @@ _CLASS_NAMES = ("1A", "1B", "2A", "2B", "3A", "3B", "4A", "4B", "5A", "5B")
 _CLASS_SIZES = (23, 23, 23, 23, 23, 23, 23, 23, 24, 24)
 
 
-# bytes per chunk of the byte scan, which runs on to the end of the line the
-# budget ends in; the scan's temporaries stay a fixed multiple of a chunk
+# characters per chunk of the byte scan, which runs on to the end of the line
+# the budget ends in; its temporaries stay a fixed multiple of a chunk
 _SCAN_CHUNK = 1 << 18
 
-# bytes.translate table marking with 1 the ASCII whitespace str.split()
-# splits on (\t \n \x0b \x0c \r \x1c-\x1f and space), every other byte 0
+# bytes.translate table marking with 1 the ASCII whitespace between fields,
+# the ASCII str.split() splits on (\t \n \x0b \x0c \r \x1c-\x1f and space)
 _SPACE = bytes(b in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f " for b in range(256))
 
-# the value of each ASCII digit byte, and -1 for every other byte
-_DIGIT = np.full(256, -1, dtype=np.int64)
+# the value of each ASCII digit byte, and 10 for every other byte
+_DIGIT = np.full(256, 10, dtype=np.uint64)
 _DIGIT[ord("0") : ord("9") + 1] = np.arange(10)
 
-# the longest t/i/j the scan reads: every 18-digit value fits in int64
-_MAX_DIGITS = 18
+# the longest t/i/j: every 19-digit magnitude fits in uint64
+_MAX_DIGITS = 19
 
 
 class ParseError(ValueError):
@@ -103,71 +95,41 @@ class SnapshotSeries:
 def parse_contacts(stream) -> ContactTable:
     """Parse a text stream into a contact table, in input order.
 
-    Fields are split as str.split() splits them and t/i/j read as int() reads
-    them; a line is blank or a comment when its first field is missing or
-    starts with '#'. The two class names of a 5-field line are checked for
-    presence only and not kept. The first bad line in file order raises
-    ParseError: a field count other than 3 or 5, a non-integer t/i/j, a
-    self-contact, a negative timestamp, or a value outside the int64 range.
+    Fields are separated by ASCII whitespace, and a line is blank or a
+    comment when its first field is missing or starts with '#'. A contact
+    line has 3 or 5 fields: t, i and j, each an optional sign and 1 to 19
+    ASCII digits with a value inside int64, then optionally two class names,
+    any non-whitespace text (non-ASCII included), checked for presence only
+    and not kept. The first bad line in file order raises ParseError naming
+    its line: a field count other than 3 or 5, a non-integer t/i/j, a
+    self-contact, a negative timestamp, a value outside int64, or a form
+    str.split() and int() read but this format leaves out (non-ASCII
+    whitespace or digits, '_' separators, more than 19 digits).
 
     The stream is read whole and its lines end at '\\n', as a text file
-    opened in the default newline mode ends them. The byte scan reads the
-    text unless it holds a line the scan cannot read exactly: a malformed
-    line, non-ASCII text, or a t/i/j that is not an optional sign and 1 to 18
-    ASCII digits (such as '1_000' or a value of 19 or more digits). Then the
-    per-line loop reads the whole input, so its ParseError messages and line
-    numbers stand. The 'specbary.ingest' logger says at INFO which reader
-    read how many contact lines, and which line sent the input to the loop.
+    opened in the default newline mode ends them. The 'specbary.ingest'
+    logger reports the count of contact lines read at INFO.
     """
-    text = stream.read()
-    try:
-        table = _scan_text(text)
-    except _Declined as exc:
-        offset, reason = exc.args
-        table = _parse_lines(_lines(text))
-        log.info("read %d contact lines with the per-line loop; the byte scan declined "
-                 "line %d (%s)", len(table), text.count("\n", 0, offset) + 1, reason)
-    else:
-        log.info("read %d contact lines with the byte scan", len(table))
+    table = _scan_text(stream.read())
+    log.info("read %d contact lines", len(table))
     return table
 
 
-def _lines(text: str):
-    # the lines of text, each running to and including a '\n'; a generator
-    # rather than io.StringIO, which would hold the text again at 4 bytes a
-    # character
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start) + 1 or len(text)
-        yield text[start:stop]
-        start = stop
-
-
-class _Declined(Exception):
-    """A line the byte scan cannot read exactly: the text offset of a
-    character on it, and why."""
-
-
 def _scan_text(text: str) -> ContactTable:
-    # the whole text in whole-line chunks of about _SCAN_CHUNK bytes; raises
-    # _Declined at the first line it cannot read exactly
-    if not text.isascii():
-        try:
-            text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise _Declined(exc.start, "non-ASCII text") from None
+    # the whole text in whole-line chunks of about _SCAN_CHUNK characters
     parts, start = [], 0
     while not parts or start < len(text):  # an empty text is one empty chunk
         stop = text.find("\n", start + _SCAN_CHUNK - 1) + 1 or len(text)
-        parts.append(_scan_chunk(text[start:stop].encode("ascii"), start))
+        parts.append(_scan_chunk(text, start, stop))
         start = stop
     t, i, j = np.concatenate(parts, axis=1)
     return ContactTable(t=t, i=i, j=j)
 
 
-def _scan_chunk(raw: bytes, offset: int) -> np.ndarray:
-    # the (3, lines) t/i/j values of the contact lines in raw, which starts
-    # at this text offset
+def _scan_chunk(text: str, start: int, stop: int) -> np.ndarray:
+    # the (3, lines) t/i/j values of the contact lines in text[start:stop];
+    # raises ParseError at the first bad line
+    raw = text[start:stop].encode()
     buf = np.frombuffer(raw, dtype=np.uint8)
     space = np.frombuffer(raw.translate(_SPACE), dtype=np.int8)
     # -1 where a token starts, +1 just past where it ends
@@ -180,62 +142,56 @@ def _scan_chunk(raw: bytes, offset: int) -> np.ndarray:
     fields = np.diff(head, append=len(starts))
     keep = buf[starts[head]] != ord("#")
     head, fields = head[keep], fields[keep]
-
-    def decline(bad: np.ndarray, reason: str):
-        raise _Declined(offset + int(starts[head[bad.argmax()]]), reason)
-
-    bad = (fields != 3) & (fields != 5)
-    if bad.any():
-        decline(bad, "not 3 or 5 fields")
-
-    tok = head + np.arange(3)[:, None]  # the t, i and j tokens
+    # t/i/j are read on the lines before the first with a wrong field count
+    wrong = (fields != 3) & (fields != 5)
+    lines = int(wrong.argmax()) if wrong.any() else len(head)
+    tok = head[:lines] + np.arange(3)[:, None]  # the t, i and j tokens
     first, end = buf[starts[tok]], ends[tok]
     negative = first == ord("-")
     digits = end - starts[tok] - (negative | (first == ord("+")))
     bad = (digits < 1) | (digits > _MAX_DIGITS)
-    tij = np.zeros(tok.shape, dtype=np.int64)
-    for w in range(min(int(digits.max(initial=0)), _MAX_DIGITS)):
+    # magnitudes in uint64, so that -(2**63) is read as well as 2**63 - 1
+    mag = np.zeros(tok.shape, dtype=np.uint64)
+    top = min(int(digits.max(initial=0)), _MAX_DIGITS)
+    for w in range(top):
         live = digits > w
         d = _DIGIT[buf[np.where(live, end - 1 - w, 0)]]
-        bad |= live & (d < 0)
-        tij += np.where(live, d, 0) * 10**w
-    np.negative(tij, out=tij, where=negative)
-    bad_token = bad.any(axis=0)
-    t, i, j = tij
-    bad = bad_token | (i == j) | (t < 0)
-    if bad.any():
-        decline(bad, "t/i/j not 1 to 18 ASCII digits" if bad_token[bad.argmax()]
-                else "self-contact or negative t")
+        bad |= live & (d > 9)
+        mag += np.where(live, d, 0) * 10**w
+    if top == _MAX_DIGITS:  # only 19-digit magnitudes reach past int64
+        bad |= mag > negative + np.uint64(2**63 - 1)
+    np.negative(mag, out=mag, where=negative)
+    t, i, j = tij = mag.view(np.int64)
+    bad = bad.any(axis=0) | (i == j) | (t < 0)
+    if bad.any() or lines < len(head):
+        line = head[bad.argmax() if bad.any() else lines]
+        raise ParseError(_line_error(text, start + len(raw[: starts[line]].decode())))
     return tij
 
 
-def _parse_lines(stream) -> ContactTable:
-    # the per-line loop: str.split() and int() on each line.
-    # array("q") stores each value as a C int64 as it is appended, so an
-    # out-of-range value fails on its own line and the columns need no copy
-    t, i, j = array("q"), array("q"), array("q")
-    for lineno, raw in enumerate(stream, start=1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
+def _line_error(text: str, offset: int) -> str:
+    # the message for the bad line holding text[offset]: the first check of
+    # str.split() and int() it fails, or the format where it passes them all
+    lineno = text.count("\n", 0, offset) + 1
+    stop = text.find("\n", offset) + 1 or len(text)
+    line = text[text.rfind("\n", 0, offset) + 1 : stop].rstrip("\r\n")
+    fields = line.split()
+    if fields and not fields[0].startswith("#"):
         if len(fields) not in (3, 5):
-            raise ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(fields)}")
+            return f"line {lineno}: expected 3 or 5 fields, got {len(fields)}"
         try:
             tv, iv, jv = map(int, fields[:3])
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer t/i/j in {raw.strip()!r}") from None
+            return f"line {lineno}: non-integer t/i/j in {line.strip()!r}"
         if iv == jv:
-            raise ParseError(f"line {lineno}: self-contact at t={tv} for node {iv}")
+            return f"line {lineno}: self-contact at t={tv} for node {iv}"
         if tv < 0:
-            raise ParseError(f"line {lineno}: negative timestamp {tv}")
-        try:
-            t.append(tv)
-            i.append(iv)
-            j.append(jv)
-        except OverflowError:
-            raise ParseError(f"line {lineno}: t/i/j outside int64 in {raw.strip()!r}") from None
-    t, i, j = (np.frombuffer(c, dtype=np.int64) for c in (t, i, j))
-    return ContactTable(t=t, i=i, j=j)
+            return f"line {lineno}: negative timestamp {tv}"
+        if not all(-(2**63) <= v < 2**63 for v in (tv, iv, jv)):
+            return f"line {lineno}: t/i/j outside int64 in {line.strip()!r}"
+    # the line as it stands: strip() would drop its non-ASCII whitespace too
+    return (f"line {lineno}: not 't i j [ci cj]' with ASCII whitespace and t/i/j of 1 to 19 "
+            f"ASCII digits in {line!r}")
 
 
 def load_contacts(path: str | Path) -> ContactTable:

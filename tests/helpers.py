@@ -14,6 +14,7 @@ contact parser that ingest.parse_contacts must reproduce, and the per-hit
 school-day generator that ingest.synthetic_school_day must reproduce."""
 
 import math
+import re
 
 import numpy as np
 
@@ -332,31 +333,54 @@ def reference_normalized_adjacency(a: np.ndarray) -> np.ndarray:
     return a * np.outer(r, r)
 
 
+# the ASCII whitespace that separates contact fields, and a t/i/j field
+_FIELD_SPACE = re.compile("[\t\n\x0b\x0c\r\x1c-\x1f ]")
+_FIELD_INT = re.compile("[+-]?[0-9]{1,19}")
+
+
 def reference_parse_contacts(stream) -> list[tuple]:
-    """The per-line contact parser ingest.parse_contacts replaced, with the
-    checks of the event record it built inlined: (t, i, j) rows in input
-    order, or the same ParseError for the first bad line. The class names of
-    a 5-field line are checked for presence and not kept."""
+    """A per-line contact parser: (t, i, j) rows in input order, or a
+    ParseError for the first bad line. Fields are split at ASCII whitespace;
+    a contact line has 3 or 5 fields, t/i/j of an optional sign and 1 to 19
+    ASCII digits inside int64, i != j and t >= 0. The class names of a
+    5-field line are checked for presence and not kept. A bad line gets the
+    message of the str.split() and int() parser ingest.parse_contacts
+    replaced, or the format message where that parser read the line."""
     rows = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = [f for f in _FIELD_SPACE.split(raw) if f]
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) not in (3, 5):
-            raise ingest.ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(fields)}")
-        try:
-            t, i, j = int(fields[0]), int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ingest.ParseError(f"line {lineno}: non-integer t/i/j in {line!r}") from None
-        if i == j:
-            raise ingest.ParseError(f"line {lineno}: self-contact at t={t} for node {i}")
-        if t < 0:
-            raise ingest.ParseError(f"line {lineno}: negative timestamp {t}")
-        if not all(-(2**63) <= v < 2**63 for v in (t, i, j)):
-            raise ingest.ParseError(f"line {lineno}: t/i/j outside int64 in {line!r}")
-        rows.append((t, i, j))
+        if len(fields) in (3, 5) and all(_FIELD_INT.fullmatch(f) for f in fields[:3]):
+            t, i, j = map(int, fields[:3])
+            if i != j and t >= 0 and all(-(2**63) <= v < 2**63 for v in (t, i, j)):
+                rows.append((t, i, j))
+                continue
+        _raise_split_int_error(lineno, raw)
+        line = raw.rstrip("\r\n")
+        raise ingest.ParseError(f"line {lineno}: not 't i j [ci cj]' with ASCII whitespace and "
+                                f"t/i/j of 1 to 19 ASCII digits in {line!r}")
     return rows
+
+
+def _raise_split_int_error(lineno: int, raw: str) -> None:
+    # the checks of the str.split() and int() parser on one line
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return
+    fields = line.split()
+    if len(fields) not in (3, 5):
+        raise ingest.ParseError(f"line {lineno}: expected 3 or 5 fields, got {len(fields)}")
+    try:
+        t, i, j = int(fields[0]), int(fields[1]), int(fields[2])
+    except ValueError:
+        raise ingest.ParseError(f"line {lineno}: non-integer t/i/j in {line!r}") from None
+    if i == j:
+        raise ingest.ParseError(f"line {lineno}: self-contact at t={t} for node {i}")
+    if t < 0:
+        raise ingest.ParseError(f"line {lineno}: negative timestamp {t}")
+    if not all(-(2**63) <= v < 2**63 for v in (t, i, j)):
+        raise ingest.ParseError(f"line {lineno}: t/i/j outside int64 in {line!r}")
 
 
 def reference_window_graphs(rows: list[tuple], start: int, end: int,

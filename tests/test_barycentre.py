@@ -860,6 +860,29 @@ def test_pipeline_rejects_graphs_of_different_sizes_before_any_eigensolve(monkey
         bc.compute_barycentre(graphs, M=M)
 
 
+# the dense path at n = 60 and Lanczos at n = 1024, each with M given and
+# estimated
+@pytest.mark.parametrize("M", ["given", None])
+@pytest.mark.parametrize(("spec", "given_M", "T"), [
+    (sbm.SbmSpec(block_sizes=(15, 20, 25), p=(0.7, 0.6, 0.5), q=0.08), 3, 3),
+    (paper_scaled(1024, 4), 4, 1),
+    (paper_scaled(1024, 4), 4, 2),
+], ids=["three_block_60", "sbm_1024_T1", "sbm_1024_T2"])
+def test_pipeline_scales_with_the_weights(spec, given_M, T, M):
+    # the normalized Laplacian does not see a common factor, and a factor of
+    # 4.0 is exact in every product and square root that cancels it
+    M = given_M if M == "given" else None
+    graphs = [sbm.sample(spec, (97, t)) for t in range(T)]
+    plain, scaled = (bc.compute_barycentre(gs, M=M, seed=0)
+                     for gs in (graphs, [4.0 * g for g in graphs]))
+    assert np.array_equal(scaled.mu_blocks, 4.0 * plain.mu_blocks)
+    assert np.array_equal(scaled.degrees.values, 4.0 * plain.degrees.values)
+    for name in ("lap_blocks", "leaf", "permutation"):
+        assert np.array_equal(getattr(scaled, name), getattr(plain, name))
+    assert np.array_equal(scaled.spectrum.sample_mean, plain.spectrum.sample_mean)
+    assert scaled.spectrum.M == plain.spectrum.M
+
+
 def _weighted_graphs(n: int, T: int, key: int) -> list[np.ndarray]:
     # non-dyadic weights in [0, 4), whose sums depend on the order of the
     # additions, with patterns of varying density; every odd graph holds

@@ -81,27 +81,30 @@ def test_sample_round_trip_of_readme_reports_small_mse(tmp_path, spec_file):
     assert 0.0 <= diagnostics["mse"] < MSE_LIMIT
 
 
-def test_barycentre_skips_mse_when_relabellings_differ(tmp_path, spec_file, caplog):
+def test_barycentre_refuses_mixed_relabellings(tmp_path, spec_file, caplog):
+    # the barycentre needs one node order; the first permutation file that
+    # differs from the first one is named
     src = tmp_path / "src"
     src.mkdir()
     spec = sbm.load_spec(spec_file)
-    shuffles = [np.arange(spec.n), np.arange(spec.n)[::-1]]
+    shuffles = [np.arange(spec.n), np.arange(spec.n), np.arange(spec.n)[::-1]]
     for t, perm in enumerate(shuffles):
         a = sbm.sample(spec, (1, t))
         graph_core.save_matrix(graph_core.permute(a, perm), src / f"sample_{t}.csv")
         graph_core.save_permutation(perm, src / f"permutation_{t}.csv")
     graph_core.save_matrix(sbm.population_mean(spec), src / "population.csv")
     (src / "manifest.json").write_text(json.dumps({
-        "graphs": ["sample_0.csv", "sample_1.csv"],
-        "permutations": ["permutation_0.csv", "permutation_1.csv"],
+        "graphs": [f"sample_{t}.csv" for t in range(3)],
+        "permutations": [f"permutation_{t}.csv" for t in range(3)],
         "population": "population.csv",
     }))
     out = tmp_path / "out"
-    with caplog.at_level(logging.WARNING, logger="specbary"):
-        assert run("barycentre", "--in", src, "--M", 2, "--out", out) == 0
-    assert any("different relabellings" in r.getMessage() for r in caplog.records)
-    diagnostics = json.loads((out / "diagnostics.json").read_text())
-    assert "mse" not in diagnostics
+    with caplog.at_level(logging.ERROR, logger="specbary"):
+        assert run("barycentre", "--in", src, "--M", 2, "--out", out) == 3
+    [message] = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert message.startswith(f"{src / 'permutation_2.csv'}: relabelling differs from "
+                              f"{src / 'permutation_0.csv'}")
+    assert not out.exists()
 
 
 def test_barycentre_rejects_permutation_file_with_repeated_node(tmp_path, spec_file):

@@ -77,49 +77,38 @@ def test_load_contacts_handles_gzip(tmp_path):
     assert _rows(ingest.load_contacts(plain)) == _rows(ingest.load_contacts(zipped))
 
 
-# one generator per line kind; every bad kind is planted at most once. The
-# scanned kinds are those the byte scan reads; the good kinds add what only
-# the per-line loop reads (non-ASCII whitespace and digits, '_' separators,
-# 19-digit values), so the scan must either read a line exactly or leave the
-# whole input to the loop. Class names are any non-space bytes, NUL and names
-# of any length among them
+# one generator per line kind; every bad kind is planted at most once. Class
+# names are any non-whitespace text: NUL, non-ASCII text, NBSP and names of
+# any length among them. The loop-only kind holds forms str.split() and int()
+# read but the format leaves out (non-ASCII whitespace and digits, '_'
+# separators, more than 19 digits): each is a bad line
 _ASCII_SPACE = [" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
-_ASCII_CLASS = ["1A", "3B", "x", "#x", "Teachers", "classroom_1A", "1\x00A",
-                "after_school_club_2B"]
+_CLASS = ["1A", "3B", "x", "#x", "Teachers", "classroom_1A", "1\x00A", "after_school_club_2B",
+          "1\u00c5", "\u6559\u5e2b", "1\xa0A"]
 _ASCII_INT = [str, "+{}".format, "0{}".format]
-_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
 @st.composite
-def _contact_line(draw, fields: int, loop_only: bool = False) -> str:
-    spaces, classes, ints = _ASCII_SPACE, _ASCII_CLASS, _ASCII_INT
-    if loop_only:
-        spaces = spaces + [" \xa0", "\u2003"]
-        ints = ints + ["{:_}".format, lambda v: str(v).translate(_ARABIC_INDIC)]
+def _contact_line(draw, fields: int) -> str:
     t = draw(st.integers(0, 10**6))
     i = draw(st.integers(-3, 40))
     j = draw(st.integers(-3, 40).filter(lambda v: v != i))
-    values = [draw(st.sampled_from(ints))(v) if v >= 0 else str(v) for v in (t, i, j)]
+    values = [draw(st.sampled_from(_ASCII_INT))(v) if v >= 0 else str(v) for v in (t, i, j)]
     if fields == 5:
-        values += [draw(st.sampled_from(classes)), draw(st.sampled_from(classes))]
-    return draw(st.sampled_from(spaces)).join(values)
+        values += [draw(st.sampled_from(_CLASS)), draw(st.sampled_from(_CLASS))]
+    return draw(st.sampled_from(_ASCII_SPACE)).join(values)
 
 
-_SCANNED = st.one_of(
+_GOOD = st.one_of(
     _contact_line(3),
     _contact_line(5),
     st.builds(lambda ws, text: f"{ws}#{text}", st.sampled_from(["", " ", "\t", "  "]),
               st.sampled_from(["", " t i j", "# 1 2 3"])),
     st.sampled_from(["", " ", "\t ", "\x0c"]),
-    st.sampled_from([f"{10**17} 1 {-(10**18 - 1)}", f"0 {10**18 - 1} -{'0' * 17}1 1A 1B"]),
-)
-_GOOD = st.one_of(
-    _SCANNED,
-    _contact_line(3, loop_only=True),
-    _contact_line(5, loop_only=True),
-    # the int64 limits, and a 19-digit value inside them
-    st.sampled_from([f"{2**63 - 1} {-(2**63)} 1", f"0 {-(2**63 - 1)} {2**63 - 1} 1A 1B",
-                     f"{10**18} 1 2"]),
+    # 18 and 19 digits, and the int64 limits
+    st.sampled_from([f"{10**17} 1 {-(10**18 - 1)}", f"0 {10**18 - 1} -{'0' * 17}1 1A 1B",
+                     f"{2**63 - 1} {-(2**63)} 1", f"0 {-(2**63 - 1)} {2**63 - 1} 1A 1B",
+                     f"{10**18} 1 2", f"1 +{'0' * 18}2 -{'0' * 18}3"]),
 )
 _BAD = {
     "field_count": st.sampled_from(["10 1", "10 1 2 3", "1 2 3 4 5 6", "7"]),
@@ -128,6 +117,9 @@ _BAD = {
     "self_contact": st.sampled_from(["10 4 4", "0 -2 -2 1A 1A", "5 +4 4", "-3 6 6"]),
     "negative_t": st.sampled_from(["-5 1 2", "-1 3 4 1A 1B"]),
     "outside_int64": st.sampled_from([f"{2**63} 1 2", f"1 2 {-(2**63) - 1} 1A 1B"]),
+    "loop_only": st.sampled_from([
+        "10\xa01 2", "10 1\u20032 1A 1B", "\u3000# c", "\xa0", "1_000 1 2", "10 1 2_0",
+        "10 \u0661 2", "\uff11\uff10 1 2 1A 1B", f"10 1 {'0' * 19}2", f"{'0' * 20} 1 2"]),
 }
 
 
@@ -154,7 +146,7 @@ def test_parse_matches_reference_loop(data, good):
 
 
 @settings(max_examples=300)
-@given(data=st.data(), lines=st.lists(_SCANNED, max_size=30),
+@given(data=st.data(), lines=st.lists(_GOOD, max_size=30),
        chunk=st.sampled_from([1, 7, ingest._SCAN_CHUNK]))
 def test_byte_scan_matches_reference_loop(data, lines, chunk):
     endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
@@ -166,19 +158,11 @@ def test_byte_scan_matches_reference_loop(data, lines, chunk):
         assert _rows(ingest._scan_text(text)) == reference_parse_contacts(io.StringIO(text))
 
 
-def _forbid_loop(monkeypatch):
-    def loop(stream):
-        raise AssertionError("the per-line loop read an input the byte scan should read")
-
-    monkeypatch.setattr(ingest, "_parse_lines", loop)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2, None])
-def test_byte_scan_reads_the_contact_files(monkeypatch, seed):
+def test_byte_scan_reads_the_contact_files(seed):
     # the synthetic days, and a 3-field file for seed None
     text = "10 1 2\n20 2 3\n# c\n30 -4 +5\n" if seed is None else ingest.synthetic_school_day(seed)
     expected = reference_parse_contacts(io.StringIO(text))
-    _forbid_loop(monkeypatch)
     table = _table(text)
     assert _rows(table) == expected
     assert all(c.dtype == np.int64 for c in (table.t, table.i, table.j))
@@ -193,35 +177,33 @@ def test_byte_scan_chunks_cut_anywhere(monkeypatch, chunk):
     day = "".join(ingest.synthetic_school_day(seed=0).splitlines(keepends=True)[:200])
     expected = [reference_parse_contacts(io.StringIO(t)) for t in (text, day)]
     monkeypatch.setattr(ingest, "_SCAN_CHUNK", chunk)
-    _forbid_loop(monkeypatch)
     assert [_rows(_table(t)) for t in (text, day)] == expected
 
 
-def test_byte_scan_reads_any_class_names(tmp_path, monkeypatch, caplog):
-    # class names are only counted as fields, so a NUL byte or a long name
-    # in one leaves the file to the scan
-    text = "10 1 2 1\x00A 1B\n20 3 4 after_school_club_2B 1A\n30 5 6\n"
+def test_byte_scan_reads_any_class_names(tmp_path, caplog):
+    # class names are only counted as fields, so a NUL byte, non-ASCII text
+    # or a long name in one is read
+    text = "10 1 2 1\x00A 1B\n20 3 4 after_school_club_2B 1\u00c5\n30 5 6\n40 6 7 \u6559\u5e2b 1A\n"
     path = tmp_path / "classes.txt"
     path.write_text(text)
     caplog.set_level(logging.INFO, logger="specbary.ingest")
-    _forbid_loop(monkeypatch)
     assert _rows(ingest.load_contacts(path)) == reference_parse_contacts(io.StringIO(text))
-    assert caplog.messages == ["read 3 contact lines with the byte scan"]
+    assert caplog.messages == ["read 4 contact lines"]
 
 
-@pytest.mark.parametrize("text,line,reason", [
+@pytest.mark.parametrize("text,line,kind", [
     ("10 1 2\n10\xa01 2\n", 2, "non-ASCII text"),
     ("# c\n10 1 2\n10 1_000 2\n", 3, "t/i/j not 1 to 18 ASCII digits"),
-    (f"10 1 2\n10 1 {10**18}\n", 2, "t/i/j not 1 to 18 ASCII digits"),
 ])
 @pytest.mark.parametrize("chunk", [1, ingest._SCAN_CHUNK])
-def test_byte_scan_declines_what_only_the_loop_reads(monkeypatch, caplog, chunk, text, line,
-                                                     reason):
+def test_byte_scan_declines_what_only_the_loop_reads(monkeypatch, chunk, text, line, kind):
+    # str.split() and int() read these lines, and the format leaves them out:
+    # the scan raises at their line with the message that names the format;
+    # kind labels the form
     monkeypatch.setattr(ingest, "_SCAN_CHUNK", chunk)
-    caplog.set_level(logging.INFO, logger="specbary.ingest")
-    assert _rows(_table(text)) == reference_parse_contacts(io.StringIO(text))
-    assert caplog.messages == [f"read 2 contact lines with the per-line loop; the byte scan "
-                               f"declined line {line} ({reason})"]
+    with pytest.raises(ingest.ParseError, match=f"^line {line}: not 't i j \\[ci cj\\]' with "
+                                                "ASCII whitespace and t/i/j of 1 to 19 ASCII digits"):
+        ingest._scan_text(text)
 
 
 @pytest.mark.parametrize("text,line", [
@@ -231,32 +213,36 @@ def test_byte_scan_declines_what_only_the_loop_reads(monkeypatch, caplog, chunk,
     ("10 1 2\n20 2\x00 3\n", 2),
     ("10 1 2\n20 3 3\n", 2),
     ("10 1 2\n-1 4 5\n", 2),
+    # the first bad line of any kind: a wrong field count before or after a
+    # bad value
+    ("10 1\nten 1 2\n", 1),
+    ("ten 1 2\n10 1\n", 1),
+    ("10 1 2\n10 1 2\xa01A 1B\n20 3 3\n", 2),
+    (f"10 1 2\n20 3 4\n30 5 {2**63}\n40 6\n", 3),
 ])
 @pytest.mark.parametrize("chunk", [1, ingest._SCAN_CHUNK])
 def test_byte_scan_declines_malformed_lines(monkeypatch, chunk, text, line):
     monkeypatch.setattr(ingest, "_SCAN_CHUNK", chunk)
-    with pytest.raises(ingest._Declined) as caught:
+    with pytest.raises(ingest.ParseError, match=f"^line {line}: ") as caught:
         ingest._scan_text(text)
-    assert text.count("\n", 0, caught.value.args[0]) + 1 == line
-    with pytest.raises(ingest.ParseError, match=f"line {line}: "):
-        _table(text)
+    with pytest.raises(ingest.ParseError) as expected:
+        reference_parse_contacts(io.StringIO(text))
+    assert str(caught.value) == str(expected.value)
 
 
 def test_ingest_logs_the_reader(tmp_path, caplog):
+    # one INFO line gives the count, for ASCII and non-ASCII class names alike
     caplog.set_level(logging.INFO, logger="specbary.ingest")
     day = tmp_path / "day.txt"
-    day.write_text(ingest.synthetic_school_day(seed=0))
-    assert cli.main(["ingest", "--contacts", str(day), "--out", str(tmp_path / "a")]) == 0
     lines = len(ingest.synthetic_school_day(seed=0).splitlines()) - 1
-    assert f"read {lines} contact lines with the byte scan" in caplog.messages
-    caplog.clear()
-    day.write_text(ingest.synthetic_school_day(seed=0).replace(" 1A 1A", " 1A 1\u00c5", 1))
-    assert cli.main(["ingest", "--contacts", str(day), "--out", str(tmp_path / "b")]) == 0
-    [record] = [r for r in caplog.records if r.name == "specbary.ingest"]
-    assert record.levelno == logging.INFO
-    assert record.getMessage().startswith(f"read {lines} contact lines with the per-line loop; "
-                                          "the byte scan declined line ")
-    assert record.getMessage().endswith(" (non-ASCII text)")
+    for k, text in enumerate([ingest.synthetic_school_day(seed=0),
+                              ingest.synthetic_school_day(seed=0).replace(" 1A 1A", " 1A 1\u00c5")]):
+        day.write_text(text)
+        caplog.clear()
+        assert cli.main(["ingest", "--contacts", str(day), "--out", str(tmp_path / str(k))]) == 0
+        [record] = [r for r in caplog.records if r.name == "specbary.ingest"]
+        assert record.levelno == logging.INFO
+        assert record.getMessage() == f"read {lines} contact lines"
 
 
 def test_load_contacts_reads_lone_carriage_returns(tmp_path):
