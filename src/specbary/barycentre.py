@@ -10,7 +10,9 @@ vectors enter the result, so for a given M only a head of each spectrum is
 computed.
 
 Stages of compute_barycentre:
-  1. one check of each input graph, which finds its nonzero entries;
+  1. one check of each dense input graph, which finds its nonzero entries
+     (a graph given as a graph_core.Entries, such as the edge_entries of a
+     sampled edge list, is that checked form and is not scanned again);
      after it only those entries are read, and each normalization is
      graph_core.normalized_entries of them. The mean Laplacian spectrum (its
      head of M values when M is given, by Lanczos on the CSR arrays of each
@@ -329,18 +331,24 @@ def mse(a: np.ndarray | graph_core.BlockMatrix, b: np.ndarray | graph_core.Block
     return (special if special else total / (1 << 1075)) / size
 
 
-def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int = 0) -> BarycentreResult:
+def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | None = None,
+                        seed: int = 0) -> BarycentreResult:
     """Run the whole pipeline on a list of same-size adjacency matrices.
 
     Args:
-      graphs: adjacency matrices sharing one node set and order.
+      graphs: adjacency matrices sharing one node set and order, each a
+        dense array, checked by graph_core.adjacency_entries, or a
+        graph_core.Entries, taken as the checked form of its matrix (as
+        adjacency_entries or graph_core.edge_entries give it) and not
+        scanned or checked again; the two forms of one matrix give the same
+        bits.
       M: community count; estimated from the mean spectrum when None.
       seed: seed for the clustering restarts.
 
     Returns:
       BarycentreResult in block form; its mu_hat is in the input node order.
 
-    Raises ValueError for no graphs, a graph that fails
+    Raises ValueError for no graphs, a dense graph that fails
     graph_core.check_adjacency, graphs of different sizes (before any
     eigensolve) or M outside 1..n. The graphs are read as their nonzero
     entries, so -0.0 counts as 0.0: an input holding -0.0 gives the bits
@@ -352,17 +360,23 @@ def compute_barycentre(graphs: list[np.ndarray], M: int | None = None, seed: int
     """
     if not graphs:
         raise ValueError("no graphs given")
-    # Each input graph is validated here, once, by the one scan that also
-    # finds its nonzero entries; everything after, degrees included, is
-    # built from those alone. Every later matrix is derived from checked
-    # graphs, so the eigen and soules bodies below run unchecked.
-    entries = [graph_core.adjacency_entries(g)[1] for g in graphs]
+    # Each dense input graph is validated here, once, by the one scan that
+    # also finds its nonzero entries; an Entries is that checked form
+    # already. Everything after, degrees included, is built from the entries
+    # alone. Every later matrix is derived from checked graphs, so the eigen
+    # and soules bodies below run unchecked.
+    entries = [g if isinstance(g, graph_core.Entries) else graph_core.adjacency_entries(g)[1]
+               for g in graphs]
     n = entries[0].n
     for e in entries:
         if e.n != n:
             raise ValueError(f"graph sizes differ: ({e.n}, {e.n}) vs ({n}, {n})")
     mean_vals = None
     if M is None:
+        # one graph after another: np.linalg.eigvalsh releases the GIL, but on
+        # 2 CPUs two threads over these spectra ran slower than this loop, on
+        # the 232-node contact windows and on 1024-node graphs with threaded
+        # OpenBLAS
         spectra = [np.linalg.eigvalsh(graph_core._dense_laplacian(e)) for e in entries]
         mean_vals = sample_mean_eigenvalues(spectra)
         M = alignment.estimate_M(mean_vals)

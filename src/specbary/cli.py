@@ -75,7 +75,7 @@ def cmd_sample(args) -> None:
     graph_files, perm_files = [], []
     for t in range(args.T):
         rows, cols = sbm.sample_edges(spec, (args.seed, t))
-        graph_core.save_matrix(graph_core.from_edges(spec.n, perm[rows], perm[cols]),
+        graph_core.save_matrix(graph_core.edge_entries(spec.n, perm[rows], perm[cols]).dense(),
                                out / f"sample_{t:03d}.csv")
         graph_core.save_permutation(perm, out / f"permutation_{t:03d}.csv")
         graph_files.append(f"sample_{t:03d}.csv")
@@ -151,8 +151,8 @@ def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tupl
     rows, cols = sbm.sample_edges(spec, sample_key)
     perm = graph_core.philox((*sample_key, 1)).permutation(spec.n)
     # node i of the sample is input node perm[i], so the relabelled edges
-    # scatter straight into the shuffled input, the one n x n array alive
-    result = barycentre.compute_barycentre([graph_core.from_edges(spec.n, perm[rows], perm[cols])],
+    # are the shuffled input, handed on as its entries: no n x n array is made
+    result = barycentre.compute_barycentre([graph_core.edge_entries(spec.n, perm[rows], perm[cols])],
                                            M=M, seed=cluster_key)
     # mu in the sample's labelling, and P, are both scored in block form
     return barycentre.mse(sbm.population_blocks(spec),

@@ -7,13 +7,15 @@ np.loadtxt.
 Matrices come in as dense numpy arrays of float64, nodes indexed by row
 0..n-1. The one symmetry check reads a matrix once, as its nonzero entries,
 and decides from them alone; adjacency_entries hands those entries on (an
-Entries). Degrees are Entries.degrees, one np.bincount of each row's
-nonzeros in column order, and the one normalization is normalized_entries,
-from entries to entries; normalized_adjacency and normalized_laplacian are
-its dense forms. The eigen bodies and the Soules split search read a
-checked matrix only as its Entries. A BlockMatrix holds a block-constant
-matrix, such as an SBM population mean, as its block values and node
-labels, and from_edges scatters an edge list into a dense 0/1 adjacency.
+Entries). A graph given as an edge list is made into its Entries by
+edge_entries, which checks the list and builds no n x n array; those are
+the entries the check would find in its dense adjacency. Degrees are
+Entries.degrees, one np.bincount of each row's nonzeros in column order,
+and the one normalization is normalized_entries, from entries to entries;
+normalized_adjacency and normalized_laplacian are its dense forms. The
+eigen bodies and the Soules split search read a checked matrix only as its
+Entries. A BlockMatrix holds a block-constant matrix, such as an SBM
+population mean, as its block values and node labels.
 """
 
 from dataclasses import dataclass
@@ -75,12 +77,28 @@ class BlockMatrix:
         return np.asarray(self[:], dtype=dtype)
 
 
-def from_edges(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The n x n 0/1 adjacency with entries (rows[k], cols[k]) and
-    (cols[k], rows[k]) set for every k, made by one scatter."""
-    out = np.zeros((n, n))
-    out.put(np.concatenate([rows * n + cols, cols * n + rows]), 1.0)
-    return out
+def edge_entries(n: int, rows: np.ndarray, cols: np.ndarray) -> Entries:
+    """The Entries of the n x n 0/1 adjacency of the undirected graph with
+    edges (rows[k], cols[k]): entries (rows[k], cols[k]) and (cols[k],
+    rows[k]) hold 1.0 for every k, and no n x n array is made.
+
+    These are the entries the input check finds in that adjacency, so they
+    are its checked form. Raises ValueError for n < 1, an index outside
+    0..n-1, a self-loop, or a pair given twice (in either direction).
+    """
+    if n < 1:
+        raise ValueError(f"expected at least one node, got n={n}")
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ValueError(f"expected two index vectors of one length, got shapes {rows.shape}, {cols.shape}")
+    if len(rows) and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+        raise ValueError(f"edge endpoint outside 0..{n - 1}")
+    if (rows == cols).any():
+        raise ValueError("edge list has a self-loop")
+    flat = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+    if (np.diff(flat) == 0).any():
+        raise ValueError("edge list gives a node pair more than once")
+    return entries_at(n, flat, np.ones(len(flat)))
 
 
 def entries_at(n: int, flat: np.ndarray, values: np.ndarray) -> Entries:

@@ -107,7 +107,9 @@ def parse_contacts(stream) -> ContactTable:
     whitespace or digits, '_' separators, more than 19 digits).
 
     The stream is read whole and its lines end at '\\n', as a text file
-    opened in the default newline mode ends them. The 'specbary.ingest'
+    opened in the default newline mode ends them. The characters U+DC80 to
+    U+DCFF, which a file opened with errors="surrogateescape" holds for the
+    bytes it could not decode, are read as those bytes. The 'specbary.ingest'
     logger reports the count of contact lines read at INFO.
     """
     table = _scan_text(stream.read())
@@ -129,7 +131,7 @@ def _scan_text(text: str) -> ContactTable:
 def _scan_chunk(text: str, start: int, stop: int) -> np.ndarray:
     # the (3, lines) t/i/j values of the contact lines in text[start:stop];
     # raises ParseError at the first bad line
-    raw = text[start:stop].encode()
+    raw = text[start:stop].encode(errors="surrogateescape")
     buf = np.frombuffer(raw, dtype=np.uint8)
     space = np.frombuffer(raw.translate(_SPACE), dtype=np.int8)
     # -1 where a token starts, +1 just past where it ends
@@ -165,7 +167,8 @@ def _scan_chunk(text: str, start: int, stop: int) -> np.ndarray:
     bad = bad.any(axis=0) | (i == j) | (t < 0)
     if bad.any() or lines < len(head):
         line = head[bad.argmax() if bad.any() else lines]
-        raise ParseError(_line_error(text, start + len(raw[: starts[line]].decode())))
+        offset = start + len(raw[: starts[line]].decode(errors="surrogateescape"))
+        raise ParseError(_line_error(text, offset))
     return tij
 
 
@@ -195,10 +198,15 @@ def _line_error(text: str, offset: int) -> str:
 
 
 def load_contacts(path: str | Path) -> ContactTable:
-    """Read a contact file; .gz suffix means gzip-compressed text."""
+    """Read a contact file; .gz suffix means gzip-compressed text.
+
+    Bytes that do not decode in the locale's encoding are kept as they are
+    (errors="surrogateescape"): in a class name they are read as any other
+    text, and in t, i or j they are a ParseError naming their line.
+    """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt") as fh:
+    with opener(path, "rt", errors="surrogateescape") as fh:
         return parse_contacts(fh)
 
 

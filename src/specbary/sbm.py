@@ -180,5 +180,5 @@ def sample_edges(spec: SbmSpec, seed) -> tuple[np.ndarray, np.ndarray]:
 
 def sample(spec: SbmSpec, seed) -> np.ndarray:
     """One adjacency matrix: upper-triangle Bernoulli draws from P, symmetrized,
-    zero diagonal; the edges of sample_edges scattered into an n x n array."""
-    return graph_core.from_edges(spec.n, *sample_edges(spec, seed))
+    zero diagonal; the dense form of the edge_entries of sample_edges."""
+    return graph_core.edge_entries(spec.n, *sample_edges(spec, seed)).dense()

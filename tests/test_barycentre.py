@@ -816,11 +816,12 @@ def test_pipeline_builds_no_dense_mean_and_permutes_nothing(monkeypatch, M):
             return real(*args)
         return wrapper
 
+    # n = 512, so Lanczos reads every eigenproblem of a given M; sbm.sample
+    # densifies entries, so it runs before the spies
+    graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(2)]
     monkeypatch.setattr(graph_core, "permute", spy("permute", graph_core.permute))
     monkeypatch.setattr(bc, "sample_mean_adjacency", spy("mean", bc.sample_mean_adjacency))
     monkeypatch.setattr(graph_core.Entries, "dense", spy("dense", graph_core.Entries.dense))
-    # n = 512, so Lanczos reads every eigenproblem of a given M
-    graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(2)]
     bc.compute_barycentre(graphs, M=M, seed=0)
     # an estimated M scans the full spectrum of each graph: the normalized
     # Laplacian built in the one n x n array of its densified normalized entries
@@ -920,3 +921,53 @@ def test_pipeline_reads_negative_zeros_as_zeros(spec, M):
         assert np.signbit(getattr(result, name)).tobytes() == np.signbit(getattr(expected, name)).tobytes()
     assert np.array_equal(result.spectrum.sample_mean, expected.spectrum.sample_mean)
     assert np.array_equal(result.degrees.values, expected.degrees.values)
+
+
+def _drop_every(every: int):
+    # drop every edge of each every-th node, leaving it isolated
+    def drop(rows, cols):
+        keep = (rows % every != 0) & (cols % every != 0)
+        return rows[keep], cols[keep]
+    return drop
+
+
+# name -> (spec, M, T, edge filter, whether Lanczos solves for the heads or
+# the embedding); a disconnected pattern, isolated nodes included, and
+# n < 512 take the dense solvers
+EDGE_ENTRY_CASES = {
+    "lanczos_T1": (paper_scaled(1024, 4), 4, 1, None, True),
+    "lanczos_T3": (paper_scaled(1024, 4), 4, 3, None, True),
+    "dense_T1": (sbm.SbmSpec(block_sizes=(15, 20, 25), p=(0.7, 0.6, 0.5), q=0.08), 3, 1, None, False),
+    "dense_T3": (sbm.SbmSpec(block_sizes=(15, 20, 25), p=(0.7, 0.6, 0.5), q=0.08), 3, 3, None, False),
+    "disconnected_T3": (sbm.SbmSpec(block_sizes=(256, 256), p=(0.1, 0.1), q=0.0), 2, 3, None, False),
+    "isolated_nodes_T3": (paper_scaled(1024, 4), 4, 3, _drop_every(100), False),
+}
+
+
+@pytest.mark.parametrize("M", ["given", None])
+@pytest.mark.parametrize("case", sorted(EDGE_ENTRY_CASES))
+def test_pipeline_reads_edge_entries_as_their_dense_graphs(monkeypatch, case, M):
+    spec, given_M, T, drop, lanczos = EDGE_ENTRY_CASES[case]
+    M = given_M if M == "given" else None
+    edges = [sbm.sample_edges(spec, (89, t)) for t in range(T)]
+    if drop is not None:
+        edges = [drop(rows, cols) for rows, cols in edges]
+    entries = [graph_core.edge_entries(spec.n, rows, cols) for rows, cols in edges]
+    expected = bc.compute_barycentre([e.dense() for e in entries], M=M, seed=0)
+
+    checked, solved = [], []
+    real_check, real_lanczos = graph_core._check_symmetric, eigen._lanczos_top
+    monkeypatch.setattr(graph_core, "_check_symmetric", lambda s: checked.append(s) or real_check(s))
+    monkeypatch.setattr(eigen, "_lanczos_top",
+                        lambda e, k: solved.append(out := real_lanczos(e, k)) or out)
+    result = bc.compute_barycentre(entries, M=M, seed=0)
+    # an Entries is the checked form, and is not scanned again
+    assert checked == []
+    assert any(out is not None for out in solved) == lanczos
+    for name in ("mu_blocks", "lap_blocks", "leaf", "permutation"):
+        assert getattr(result, name).tobytes() == getattr(expected, name).tobytes()
+    for name in ("sample_mean", "regularized"):
+        assert getattr(result.spectrum, name).tobytes() == getattr(expected.spectrum, name).tobytes()
+    assert result.spectrum.M == expected.spectrum.M
+    assert result.degrees.values.tobytes() == expected.degrees.values.tobytes()
+    assert result.degrees.blocks == expected.degrees.blocks

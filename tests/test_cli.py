@@ -274,6 +274,21 @@ def test_block_sweep_run_peaks_below_one_and_a_half_n_by_n_arrays():
     assert peak < 1.5 * 8 * n * n
 
 
+def test_block_sweep_run_holds_no_n_by_n_array():
+    # the relabelled edges reach compute_barycentre as their entries, so one
+    # run peaks below half of an n x n float64 input, which alone is 32 MB
+    n, M, key = 2048, 8, (79, 0)
+    spec = paper_scaled(n, M)
+    cli._one_mse_run(spec, M, key, (*key, 2))  # loads the solver modules
+    tracemalloc.start()
+    try:
+        cli._one_mse_run(spec, M, key, (*key, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("block-sweep", "--m-list", "0"), "--m-list"),
     (("block-sweep", "--m-list", "8,-2"), "--m-list"),

@@ -290,6 +290,52 @@ def test_adjacency_entries_are_the_row_major_nonzeros():
     assert np.array_equal(entries.indptr, np.concatenate([[0], np.cumsum((a != 0).sum(axis=1))]))
 
 
+def _scattered(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    a = np.zeros((n, n))
+    a[rows, cols] = a[cols, rows] = 1.0
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), key=st.integers(0, 2**32 - 1))
+def test_edge_entries_are_the_checked_entries_of_the_adjacency(n, density, key):
+    # any edge order, either direction of each pair
+    rng = np.random.default_rng(key)
+    rows, cols = np.triu_indices(n, 1)
+    pick = rng.permutation(np.flatnonzero(rng.random(len(rows)) < density))
+    flip = rng.random(len(pick)) < 0.5
+    rows, cols = np.where(flip, cols[pick], rows[pick]), np.where(flip, rows[pick], cols[pick])
+    got = gc.edge_entries(n, rows, cols)
+    a, want = gc.adjacency_entries(_scattered(n, rows, cols))
+    assert got.n == want.n == n
+    for field in ("rows", "cols", "values", "indptr"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert got.dense().tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize(("n", "rows", "cols", "match"), [
+    (0, [], [], "at least one node"),
+    (-3, [], [], "at least one node"),
+    (4, [0, -1], [1, 2], "outside 0..3"),
+    (4, [0, 1], [1, 4], "outside 0..3"),
+    (4, [0, 2], [1, 2], "self-loop"),
+    (4, [0, 1, 0], [1, 2, 1], "more than once"),
+    (4, [0, 1, 2], [1, 2, 1], "more than once"),
+    (4, [0, 1], [1], "one length"),
+], ids=["no_nodes", "negative_n", "negative_index", "index_n", "self_loop", "repeated",
+        "reversed_repeat", "lengths"])
+def test_edge_entries_reject_bad_edge_lists(n, rows, cols, match):
+    with pytest.raises(ValueError, match=match):
+        gc.edge_entries(n, np.array(rows, dtype=int), np.array(cols, dtype=int))
+
+
+def test_edge_entries_of_no_edges_are_empty():
+    e = gc.edge_entries(3, np.array([], dtype=int), np.array([], dtype=int))
+    assert len(e.values) == 0 and np.array_equal(e.indptr, [0, 0, 0, 0])
+    assert np.array_equal(e.dense(), np.zeros((3, 3)))
+
+
 # every public function that takes a symmetric matrix from a caller
 CHECKED_ENTRY_POINTS = {
     "check_adjacency": gc.check_adjacency,

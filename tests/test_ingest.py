@@ -252,6 +252,25 @@ def test_load_contacts_reads_lone_carriage_returns(tmp_path):
     assert _rows(ingest.load_contacts(path)) == [(10, 1, 2), (20, 2, 3)]
 
 
+@pytest.mark.parametrize("suffix", [".txt", ".txt.gz"])
+def test_load_contacts_reads_undecodable_bytes_in_class_names(tmp_path, suffix):
+    # a 0xff byte decodes in no UTF-8 locale; in a class name it is kept
+    raw = b"# t i j ci cj\n10 1 2 1A 1\xffB\n20 2 3 \xff \xfe\n"
+    path = tmp_path / f"contacts{suffix}"
+    path.write_bytes(gzip.compress(raw) if suffix.endswith(".gz") else raw)
+    assert _rows(ingest.load_contacts(path)) == [(10, 1, 2), (20, 2, 3)]
+
+
+@pytest.mark.parametrize("field", ["2\xff0 2 3", "20 \xff 3", "20 2 3\xff"])
+def test_load_contacts_names_the_line_of_an_undecodable_byte_in_t_i_j(tmp_path, field):
+    # the same byte in a class name on an earlier line shifts no offset
+    path = tmp_path / "contacts.txt"
+    path.write_bytes(b"10 1 2 1A 1\xffB\n# c\n" + field.encode("latin-1") + b" 1A 1B\n")
+    with pytest.raises(ingest.ParseError, match="line 3: non-integer t/i/j in '"):
+        ingest.load_contacts(path)
+    assert cli.main(["ingest", "--contacts", str(path), "--out", str(tmp_path / "out")]) == 3
+
+
 def test_load_contacts_peak_memory_within_the_loops(tmp_path):
     # the scan holds the text, the chunks' t/i/j and the columns joined from
     # them (two copies of three int64 columns), and a fixed number of chunk

@@ -189,7 +189,7 @@ def test_relabelled_edges_scatter_to_the_permuted_sample(spec):
         flat = rows * spec.n + cols
         assert (rows < cols).all() and (np.diff(flat) > 0).all()
         perm = graph_core.philox((7, t, 1)).permutation(spec.n)
-        got = graph_core.from_edges(spec.n, perm[rows], perm[cols])
+        got = graph_core.edge_entries(spec.n, perm[rows], perm[cols]).dense()
         want = graph_core.permute(sbm.sample(spec, (7, t)), perm)
         assert got.tobytes() == want.tobytes()
 
