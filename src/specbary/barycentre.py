@@ -10,10 +10,12 @@ vectors enter the result, so for a given M only a head of each spectrum is
 computed.
 
 Stages of compute_barycentre:
-  1. one check of each dense input graph, which finds its nonzero entries
-     (a graph given as a graph_core.Entries, such as the edge_entries of a
-     sampled edge list, is that checked form and is not scanned again);
-     after it only those entries are read, and each normalization is
+  1. graph_core.adjacency_entries of each input graph, the one scan of a
+     dense graph, which checks it and finds its nonzero entries (a
+     graph_core.Entries, such as the edge_entries of a sampled edge list,
+     is that checked form already). Every later step reads only those
+     Entries, through public eigen, graph_core and soules functions that
+     take Entries as checked, and each normalization is
      graph_core.normalized_entries of them. The mean Laplacian spectrum (its
      head of M values when M is given, by Lanczos on the CSR arrays of each
      graph's normalized entries; a single graph's head comes from the
@@ -337,36 +339,36 @@ def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | N
 
     Args:
       graphs: adjacency matrices sharing one node set and order, each a
-        dense array, checked by graph_core.adjacency_entries, or a
-        graph_core.Entries, taken as the checked form of its matrix (as
-        adjacency_entries or graph_core.edge_entries give it) and not
-        scanned or checked again; the two forms of one matrix give the same
-        bits.
+        dense array or its graph_core.Entries (as adjacency_entries or
+        graph_core.edge_entries give them), read by
+        graph_core.adjacency_entries: a dense array is checked, and Entries
+        are the checked form and are not scanned again. The two forms of
+        one matrix give the same bits.
       M: community count; estimated from the mean spectrum when None.
       seed: seed for the clustering restarts.
 
     Returns:
       BarycentreResult in block form; its mu_hat is in the input node order.
 
-    Raises ValueError for no graphs, a dense graph that fails
-    graph_core.check_adjacency, graphs of different sizes (before any
+    Raises ValueError for no graphs, a graph that fails
+    graph_core.adjacency_entries, graphs of different sizes (before any
     eigensolve) or M outside 1..n. The graphs are read as their nonzero
     entries, so -0.0 counts as 0.0: an input holding -0.0 gives the bits
     the same input with 0.0 gives. M = 1 gives one leaf, and mu_hat the sum
     of the mean adjacency over n^2, to within rounding. Weighted input is
     read as it is: scaling every graph by c > 0 scales mu_blocks and
     degrees.values by c and leaves lap_blocks, leaf, permutation and the
-    spectrum as they are, bit for bit when c is a power of four.
+    spectrum as they are, bit for bit when c is a power of four. Graphs
+    with no edges give mu_blocks that compare equal to 0 everywhere, and
+    leaves that carry no information: every cut scores 0, so each split
+    cuts the first node off the first leaf that has two, as in (1, 1),
+    (2, 60).
     """
     if not graphs:
         raise ValueError("no graphs given")
-    # Each dense input graph is validated here, once, by the one scan that
-    # also finds its nonzero entries; an Entries is that checked form
-    # already. Everything after, degrees included, is built from the entries
-    # alone. Every later matrix is derived from checked graphs, so the eigen
-    # and soules bodies below run unchecked.
-    entries = [g if isinstance(g, graph_core.Entries) else graph_core.adjacency_entries(g)[1]
-               for g in graphs]
+    # the one check of each graph; everything after, degrees included, is
+    # built from these Entries, which no later function scans again
+    entries = [graph_core.adjacency_entries(g) for g in graphs]
     n = entries[0].n
     for e in entries:
         if e.n != n:
@@ -377,7 +379,7 @@ def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | N
         # 2 CPUs two threads over these spectra ran slower than this loop, on
         # the 232-node contact windows and on 1024-node graphs with threaded
         # OpenBLAS
-        spectra = [np.linalg.eigvalsh(graph_core._dense_laplacian(e)) for e in entries]
+        spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(e)) for e in entries]
         mean_vals = sample_mean_eigenvalues(spectra)
         M = alignment.estimate_M(mean_vals)
         log.info("estimated M=%d from the mean spectrum", M)
@@ -387,12 +389,12 @@ def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | N
         # the smallest normalized-Laplacian eigenvalues are one minus the
         # largest of the normalized adjacency
         mean_vals = sample_mean_eigenvalues(
-            [1.0 - eigen._top_eigenvalues(graph_core.normalized_entries(e), M) for e in entries])
+            [1.0 - eigen.top_eigenvalues(graph_core.normalized_entries(e), M) for e in entries])
 
     mean = _sample_mean_entries(entries)
     del entries
-    # alignment.spectral_embed of the normalized mean, without re-checking it
-    top = eigen._top_eigenpairs(graph_core.normalized_entries(mean), M)
+    # alignment.spectral_embed of the normalized mean, read as its Entries
+    top = eigen.top_eigenpairs(graph_core.normalized_entries(mean), M)
     if mean_vals is None:
         # one graph is its own mean, so the embedding's eigensolve gives its head
         mean_vals = sample_mean_eigenvalues([1.0 - top.values])
@@ -400,8 +402,8 @@ def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | N
     assignment = alignment.cluster_nodes(top.vectors, M, seed, degrees=mean_deg)
     perm = alignment.canonical_permutation(assignment)
 
-    # the aligned mean, as the mean's entries relabelled: node i moves to perm[i]
-    basis = soules._best_soules_basis(n, perm[mean.rows], perm[mean.cols], mean.values, depth=M)
+    # the aligned mean: node i moves to perm[i]
+    basis = soules.best_soules_basis(mean, M, perm)
     del mean
     spectrum = regularize_eigenvalues(mean_vals, M, n)
     lap_blocks = truncated_laplacian(spectrum, basis)

@@ -255,7 +255,7 @@ def cmd_spectrum(args) -> None:
     graphs, _, _ = _load_graph_dir(Path(args.in_dir))
     # one scan per graph checks it and finds its entries, as in compute_barycentre
     pooled = np.concatenate([
-        np.linalg.eigvalsh(graph_core._dense_laplacian(graph_core.adjacency_entries(g)[1]))
+        np.linalg.eigvalsh(graph_core.normalized_laplacian(graph_core.adjacency_entries(g)))
         for g in graphs
     ])
     counts, edges = np.histogram(np.clip(pooled, 0.0, 2.0), bins=args.bins, range=(0.0, 2.0))

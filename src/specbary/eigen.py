@@ -9,15 +9,14 @@ On large connected inputs they run Lanczos (scipy's ARPACK) from a fixed
 Philox start vector; everywhere else, and whenever Lanczos does not
 converge, they fall back to the dense solvers.
 
-Each public function checks its argument with graph_core's one symmetry
-check. top_eigenvalues and top_eigenpairs hand the entries the check finds
-(a graph_core.Entries) to their private bodies, which read a matrix only
-as its Entries; compute_barycentre calls those bodies directly with
-graph_core.normalized_entries of the input graphs it has checked and of
-their mean. Lanczos reads the entries' CSR arrays; only the dense solver
-builds an n x n matrix, from the entries, which hold +0.0 where an input
-held -0.0. For a full spectrum of a checked graph compute_barycentre and
-the spectrum command call np.linalg.eigvalsh.
+Each function reads its argument through graph_core.symmetric_entries, the
+one symmetry check. top_eigenvalues and top_eigenpairs also take the
+graph_core.Entries of a matrix, so Entries checked once, such as the
+normalized_entries of a checked graph, are not scanned again. Lanczos reads
+the entries' CSR arrays; the dense fallback builds its matrix from the
+entries, which hold +0.0 where an input held -0.0. For the full spectrum of
+a checked graph, compute_barycentre and the spectrum command call
+np.linalg.eigvalsh on graph_core.normalized_laplacian of its Entries.
 """
 
 from dataclasses import dataclass
@@ -65,20 +64,24 @@ def sym_eig(s: np.ndarray) -> SpectralSummary:
 
     Values ascend; each eigenvector column is oriented so that its first
     nonzero component is positive. Raises ValueError when the input fails
-    graph_core.check_symmetric.
+    graph_core.symmetric_entries.
     """
-    values, vectors = np.linalg.eigh(graph_core.check_symmetric(s))
+    s = np.asarray(s, dtype=float)
+    graph_core.symmetric_entries(s)
+    values, vectors = np.linalg.eigh(s)
     return SpectralSummary(values=values, vectors=_fix_signs(vectors))
 
 
 def sym_eig_values(s: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues only; cheaper when vectors are not needed."""
-    return np.linalg.eigvalsh(graph_core.check_symmetric(s))
+    s = np.asarray(s, dtype=float)
+    graph_core.symmetric_entries(s)
+    return np.linalg.eigvalsh(s)
 
 
 def _lanczos_top(e: graph_core.Entries, k: int):
     """The k largest eigenpairs by Lanczos, largest first, or None when the
-    dense path must be used instead.
+    dense path must be used instead; ValueError unless 1 <= k <= n.
 
     They are the eigenpairs of the matrix with entries e, read as its CSR
     arrays (e.values, e.cols, e.indptr).
@@ -93,6 +96,8 @@ def _lanczos_top(e: graph_core.Entries, k: int):
     take the dense path.
     """
     n = e.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside 1..{n}")
     if n < _PARTIAL_MIN_N or _PARTIAL_MAX_SHARE * k > n:
         return None
     # imported here so that small inputs never pay for loading scipy
@@ -115,42 +120,28 @@ def _lanczos_top(e: graph_core.Entries, k: int):
     return values[order], vectors[:, order]
 
 
-def _check_k(s: np.ndarray, k: int) -> graph_core.Entries:
-    e = graph_core._check_symmetric(s)[1]
-    if not 1 <= k <= e.n:
-        raise ValueError(f"k={k} outside 1..{e.n}")
-    return e
-
-
-def top_eigenvalues(s: np.ndarray, k: int) -> np.ndarray:
-    """The k largest eigenvalues of a symmetric matrix, largest first.
+def top_eigenvalues(s: np.ndarray | graph_core.Entries, k: int) -> np.ndarray:
+    """The k largest eigenvalues of a symmetric matrix, given dense or as its
+    Entries, largest first.
 
     The Lanczos and dense paths agree to about 1e-14 on normalized
     adjacencies.
     """
-    return _top_eigenvalues(_check_k(s, k), k)
-
-
-def _top_eigenvalues(e: graph_core.Entries, k: int) -> np.ndarray:
-    # of the matrix with entries e
+    e = graph_core.symmetric_entries(s)
     top = _lanczos_top(e, k)
     if top is None:
         return np.linalg.eigvalsh(e.dense())[::-1][:k].copy()
     return top[0]
 
 
-def top_eigenpairs(s: np.ndarray, k: int) -> SpectralSummary:
-    """The k largest eigenpairs of a symmetric matrix, largest first, with
-    the sign convention of sym_eig.
+def top_eigenpairs(s: np.ndarray | graph_core.Entries, k: int) -> SpectralSummary:
+    """The k largest eigenpairs of a symmetric matrix, given dense or as its
+    Entries, largest first, with the sign convention of sym_eig.
 
     Within an eigenvalue of multiplicity above one the columns may differ
     between the Lanczos and dense paths; the subspace they span does not.
     """
-    return _top_eigenpairs(_check_k(s, k), k)
-
-
-def _top_eigenpairs(e: graph_core.Entries, k: int) -> SpectralSummary:
-    # of the matrix with entries e
+    e = graph_core.symmetric_entries(s)
     top = _lanczos_top(e, k)
     if top is None:
         values, vectors = np.linalg.eigh(e.dense())

@@ -5,19 +5,22 @@ written and read as a byte table, every other matrix through np.savetxt and
 np.loadtxt.
 
 Matrices come in as dense numpy arrays of float64, nodes indexed by row
-0..n-1. The one symmetry check reads a matrix once, as its nonzero entries,
-and decides from them alone; adjacency_entries hands those entries on (an
-Entries). A graph given as an edge list is made into its Entries by
-edge_entries, which checks the list and builds no n x n array; those are
-the entries the check would find in its dense adjacency. Degrees are
-Entries.degrees, one np.bincount of each row's nonzeros in column order,
-and the one normalization is normalized_entries, from entries to entries;
-normalized_adjacency and normalized_laplacian are its dense forms. The
-eigen bodies and the Soules split search read a checked matrix only as its
-Entries. A BlockMatrix holds a block-constant matrix, such as an SBM
-population mean, as its block values and node labels.
+0..n-1, or as their Entries. symmetric_entries is the one symmetry check:
+it reads a dense matrix once, as its nonzero entries, decides from them
+alone and returns them; Entries are the checked form of their matrix and
+are returned unchanged. adjacency_entries adds the sign rule. The eigen
+solvers, the Soules search and normalized_laplacian read their argument
+through symmetric_entries, so a matrix is checked once and its Entries
+handed on. edge_entries checks an edge list and makes the Entries of its
+adjacency with no n x n array. Degrees are Entries.degrees, one
+np.bincount of each row's nonzeros in column order, and the one
+normalization is normalized_entries, from entries to entries;
+normalized_adjacency and normalized_laplacian are its dense forms. A
+BlockMatrix holds a block-constant matrix, such as an SBM population mean,
+as its block values and node labels.
 """
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -114,19 +117,14 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
-def check_symmetric(s: np.ndarray) -> np.ndarray:
-    """Validate a symmetric matrix: square, non-empty, finite, and |s - s^T|
-    at most SYMMETRY_RTOL * max(1, largest |entry|).
-
-    Returns the input as a float64 array. This is the package's one symmetry
-    check; the pipeline runs it once per input graph and never on matrices it
-    derives from checked ones.
-    """
-    return _check_symmetric(s)[0]
-
-
-def _check_symmetric(s: np.ndarray) -> tuple[np.ndarray, Entries, float]:
-    # check_symmetric, also returning the entries and the smallest entry
+def symmetric_entries(s: np.ndarray | Entries) -> Entries:
+    """The package's one symmetry check: the Entries of a dense matrix, from
+    one scan that finds it square, non-empty, finite, and |s - s^T| at most
+    SYMMETRY_RTOL * max(1, largest |entry|). Entries are the checked form of
+    their matrix and are returned as they are, so no later function scans
+    a checked matrix again."""
+    if isinstance(s, Entries):
+        return s
     s = np.asarray(s, dtype=float)
     if not s.size:
         raise ValueError(f"expected a non-empty square matrix, got shape {s.shape}")
@@ -144,7 +142,7 @@ def _check_symmetric(s: np.ndarray) -> tuple[np.ndarray, Entries, float]:
     mirror = s.take(entries.cols * n + entries.rows)
     if np.abs(entries.values - mirror).max(initial=0.0) > tol:
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_RTOL:g} relative tolerance")
-    return s, entries, lo
+    return entries
 
 
 def _nonzero_entries(s: np.ndarray) -> Entries:
@@ -159,21 +157,19 @@ def _nonzero_entries(s: np.ndarray) -> Entries:
 
 
 def check_adjacency(a: np.ndarray) -> np.ndarray:
-    """Validate an adjacency matrix: check_symmetric plus nonnegative entries.
-
-    Returns the input as a float64 array. Weighted entries and nonzero
-    diagonals are allowed.
-    """
-    return adjacency_entries(a)[0]
+    """adjacency_entries' check, returning the input as a float64 array."""
+    a = np.asarray(a, dtype=float)
+    adjacency_entries(a)
+    return a
 
 
-def adjacency_entries(a: np.ndarray) -> tuple[np.ndarray, Entries]:
-    """check_adjacency, also returning the nonzero entries of the matrix,
-    found by the same single scan."""
-    a, entries, lo = _check_symmetric(a)
-    if lo < 0:
+def adjacency_entries(a: np.ndarray | Entries) -> Entries:
+    """symmetric_entries(a), whose entries must also be nonnegative.
+    Weighted entries and nonzero diagonals are allowed."""
+    entries = symmetric_entries(a)
+    if entries.values.min(initial=0.0) < 0:
         raise ValueError("adjacency matrix has negative entries")
-    return a, entries
+    return entries
 
 
 def _inverse_sqrt(d: np.ndarray) -> np.ndarray:
@@ -209,15 +205,11 @@ def normalized_adjacency(a: np.ndarray) -> np.ndarray:
     return normalized_entries(_nonzero_entries(np.asarray(a, dtype=float))).dense()
 
 
-def normalized_laplacian(a: np.ndarray) -> np.ndarray:
-    """I minus the normalized adjacency; eigenvalues lie in [0, 2]."""
-    return _dense_laplacian(_nonzero_entries(np.asarray(a, dtype=float)))
-
-
-def _dense_laplacian(e: Entries) -> np.ndarray:
-    # the normalized Laplacian of the matrix with entries e, built in the one
-    # n x n array its normalized entries are densified into
-    lap = normalized_entries(e).dense()
+def normalized_laplacian(a: np.ndarray | Entries) -> np.ndarray:
+    """I minus the normalized adjacency of a symmetric matrix, given dense
+    or as its Entries, as one n x n array; for an adjacency matrix its
+    eigenvalues lie in [0, 2]."""
+    lap = normalized_entries(symmetric_entries(a)).dense()
     np.negative(lap, out=lap)
     lap[np.diag_indices_from(lap)] += 1.0
     return lap
@@ -287,7 +279,8 @@ def load_matrix(path: str | Path) -> np.ndarray:
 
     A file that is exactly save_matrix's byte table of 0/1 digits is read
     as bytes; every other file (gzipped, CRLF line ends, no final newline,
-    ragged rows, other tokens) goes through np.loadtxt.
+    ragged rows, other tokens) goes through np.loadtxt. Raises ValueError
+    naming the file when it holds no rows.
     """
     if not str(path).endswith(".gz"):
         with open(path, "rb") as fh:
@@ -299,8 +292,18 @@ def load_matrix(path: str | Path) -> np.ndarray:
                 table = _zero_one_table(fh.read())
         if table is not None:
             return (table[:, 0::2] == ord("1")).astype(float)
-    m = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(m, dtype=float)
+    return _load_table(path)
+
+
+def _load_table(path: str | Path, **kwargs) -> np.ndarray:
+    # np.loadtxt of a CSV file as a 2-D array; a file with no rows is a
+    # ValueError naming it, in place of numpy's warning
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(path, delimiter=",", ndmin=2, **kwargs)
+    if not table.size:
+        raise ValueError(f"{path}: no rows of data")
+    return table
 
 
 def _zero_one_table(raw: bytes) -> np.ndarray | None:
@@ -328,10 +331,10 @@ def save_permutation(perm: np.ndarray, path: str | Path) -> None:
 def load_permutation(path: str | Path) -> np.ndarray:
     """Read a permutation written by save_permutation.
 
-    Raises ValueError unless the node ids and the positions each cover
-    0..n-1 exactly once.
+    Raises ValueError naming the file unless it holds at least one row and
+    the node ids and the positions each cover 0..n-1 exactly once.
     """
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
+    rows = _load_table(path, skiprows=1, dtype=int)
     n = len(rows)
     if rows.shape[1] != 2 or any(not np.array_equal(np.sort(col), np.arange(n)) for col in rows.T):
         raise ValueError(f"{path}: node ids and positions must each cover 0..{n - 1} once")

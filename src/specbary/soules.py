@@ -226,7 +226,8 @@ def _leaf_best(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, a: int, b
     return float(scores[k]), a + k
 
 
-def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
+def best_soules_basis(s: np.ndarray | graph_core.Entries, depth: int,
+                      perm: np.ndarray | None = None) -> SoulesBasis:
     """Greedy tree search for the basis best aligned with a symmetric matrix.
 
     At each level every current leaf [i0, i1] and every cut position
@@ -235,26 +236,28 @@ def best_soules_basis(s: np.ndarray, depth: int) -> SoulesBasis:
     Ties go to the smallest i0, then the smallest istar. The search stops once
     depth vectors exist (the constant vector counts as the first).
 
-    The search reads the nonzero entries that graph_core's check finds. A
-    leaf's block sums are cumulative sums over its own entries, so scoring
+    The search reads s as its graph_core.symmetric_entries, in their order.
+    A leaf's block sums are cumulative sums over its own entries, so scoring
     a leaf costs O(L + its entries) and needs no n x n scratch. Each leaf is
     scored once; a split hands each child the entries inside it.
 
     Args:
-      s: square symmetric matrix, typically a sample mean adjacency.
+      s: square symmetric matrix, typically a sample mean adjacency, dense
+        or as its Entries.
       depth: number of basis vectors to select, between 1 and n.
+      perm: the search runs on s with node i moved to row perm[i], as
+        graph_core.permute(s, perm) would place it, and with no permuted
+        copy; the identity by default.
 
     Returns:
       A SoulesBasis with depth columns and depth-1 recorded splits.
     """
-    e = graph_core._check_symmetric(s)[1]
-    return _best_soules_basis(e.n, e.rows, e.cols, e.values, depth)
-
-
-def _best_soules_basis(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                       depth: int) -> SoulesBasis:
-    # the search itself, on the entries (any order) of an n x n matrix that
-    # graph_core's check passed
+    e = graph_core.symmetric_entries(s)
+    n, rows, cols, values = e.n, e.rows, e.cols, e.values
+    if perm is not None:
+        if not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError("perm is not a permutation of 0..n-1")
+        rows, cols = perm[rows], perm[cols]
     if not 1 <= depth <= n:
         raise ValueError(f"depth {depth} outside 1..{n}")
 

@@ -1,13 +1,13 @@
 """Shared test utilities: random Soules trees, pipeline run helpers, the
 n x n truncated Laplacian and reconstruction that the block-form pipeline
 must reproduce, the summed-area-table split search and the fsum mean squared
-difference that soules._best_soules_basis and barycentre.mse must reproduce,
+difference that soules.best_soules_basis and barycentre.mse must reproduce,
 the inputs on which the Lanczos and dense eigensolver paths are compared, the
 whole-matrix degree scan and the dense normalized adjacency a * outer(r, r)
 that Entries.degrees and graph_core.normalized_entries must reproduce, and
 the spectrum heads and embedding the pipeline must reproduce from them, the
 whole-matrix symmetry decision, the full-draw SBM sampler and the
-fresh-strip edge sampler that graph_core.check_symmetric, sbm.sample and
+fresh-strip edge sampler that graph_core.symmetric_entries, sbm.sample and
 sbm.sample_edges must reproduce, the broadcast k-means restart that
 alignment._seed_rows and alignment._lloyd must reproduce, the per-line
 contact parser that ingest.parse_contacts must reproduce, and the per-hit
@@ -98,8 +98,8 @@ def reference_barycentre(graphs: list[np.ndarray],
 
 
 def reference_best_soules_basis(s: np.ndarray, depth: int) -> soules.SoulesBasis:
-    """The summed-area-table split search soules._best_soules_basis replaced,
-    on a matrix that graph_core.check_symmetric passed: the reference whose
+    """The summed-area-table split search soules.best_soules_basis replaced,
+    on a matrix that graph_core.symmetric_entries passed: the reference whose
     splits the table-free search gives."""
     n = s.shape[0]
     if not 1 <= depth <= n:
@@ -246,7 +246,7 @@ def reference_pipeline_heads(graphs: list[np.ndarray], M: int) -> tuple[np.ndarr
 
 
 def reference_is_symmetric(s: np.ndarray) -> bool:
-    """The whole-matrix decision graph_core.check_symmetric takes from the
+    """The whole-matrix decision graph_core.symmetric_entries takes from the
     stored entries alone, on a finite square matrix."""
     tol = graph_core.SYMMETRY_RTOL * max(1.0, float(s.max()), -float(s.min()))
     return not np.abs(s - s.T).max() > tol

@@ -17,7 +17,7 @@ import pytest
 from helpers import (PARTIAL_PATH_CASES, expand_blocks, four_block_spec, paper_scaled,
                      permuted_run_mse, reference_barycentre, reference_degrees, reference_mse,
                      reference_pipeline_heads)
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specbary import alignment, eigen, graph_core, ingest, sbm, soules
@@ -530,17 +530,41 @@ def test_pipeline_with_one_block_gives_the_mean_density(case):
     assert abs(result.mu_blocks[0, 0] - density) <= 1e-12 * density
 
 
+@st.composite
+def _sizes(draw):
+    """(n, M, T) with M in 1..n."""
+    n = draw(st.integers(1, 80))
+    return n, draw(st.integers(1, n)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=_sizes(), as_entries=st.booleans())
+@example(size=(1, 1, 1), as_entries=False)
+@example(size=(7, 7, 1), as_entries=False)
+@example(size=(60, 2, 1), as_entries=False)
+@example(size=(60, 5, 3), as_entries=True)
+@example(size=(600, 4, 2), as_entries=False)
+def test_pipeline_on_graphs_with_no_edges_gives_zero_blocks(size, as_entries):
+    n, M, T = size
+    graphs = [graph_core.edge_entries(n, [], []) if as_entries else np.zeros((n, n)) for _ in range(T)]
+    result = bc.compute_barycentre(graphs, M=M, seed=0)
+    assert result.mu_blocks.shape == (M, M) and (result.mu_blocks == 0).all()
+    # every cut scores 0, so each split cuts the first node off the first
+    # leaf of two or more: the leaves say nothing about the graphs
+    assert result.degrees.blocks == (*((k, k) for k in range(1, M)), (M, n))
+
+
 @pytest.mark.parametrize("M", [4, None])
 def test_pipeline_checks_each_input_graph_once(monkeypatch, M):
     checked = []
-    # the one symmetry check, behind check_symmetric and check_adjacency
-    real = graph_core._check_symmetric
+    # the one scan of a dense matrix, behind symmetric_entries
+    real = graph_core._nonzero_entries
 
     def spy(s):
         checked.append(s)
         return real(s)
 
-    monkeypatch.setattr(graph_core, "_check_symmetric", spy)
+    monkeypatch.setattr(graph_core, "_nonzero_entries", spy)
     # n = 512 runs the Lanczos path for M = 4 and the dense one for M = None
     graphs = [sbm.sample(four_block_spec(), (31, t)) for t in range(3)]
     bc.compute_barycentre(graphs, M=M, seed=0)
@@ -725,8 +749,8 @@ def test_spectrum_head_matches_dense_spectrum_and_longer_head(case):
     # the first M of a head of M + 1 values, which a different Krylov
     # sequence gives
     longer = bc.sample_mean_eigenvalues(
-        [1.0 - eigen._top_eigenvalues(graph_core.normalized_entries(graph_core.adjacency_entries(g)[1]),
-                                      M + 1)[:M]
+        [1.0 - eigen.top_eigenvalues(graph_core.normalized_entries(graph_core.adjacency_entries(g)),
+                                     M + 1)[:M]
          for g in graphs])
     assert len(head) == M
     assert np.abs(head - dense).max() < 1e-12
@@ -852,7 +876,7 @@ def test_pipeline_rejects_graphs_of_different_sizes_before_any_eigensolve(monkey
     def fail(*args, **kwargs):
         raise AssertionError("eigensolve before the size check")
 
-    for module, name in ((eigen, "_top_eigenvalues"), (eigen, "_top_eigenpairs"),
+    for module, name in ((eigen, "top_eigenvalues"), (eigen, "top_eigenpairs"),
                          (np.linalg, "eigvalsh"), (np.linalg, "eigh")):
         monkeypatch.setattr(module, name, fail)
     graphs = [sbm.sample(sbm.balanced(40, 2, 0.8, 0.1), (3, 0)),
@@ -901,7 +925,7 @@ def _weighted_graphs(n: int, T: int, key: int) -> list[np.ndarray]:
 @pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 35])
 def test_sample_mean_entries_match_the_dense_mean_and_its_degrees(n, T):
     graphs = _weighted_graphs(n, T, 1000 * n + T)
-    mean = bc._sample_mean_entries([graph_core.adjacency_entries(g)[1] for g in graphs])
+    mean = bc._sample_mean_entries([graph_core.adjacency_entries(g) for g in graphs])
     dense = bc.sample_mean_adjacency(graphs)
     assert np.array_equal(mean.dense(), dense)
     assert np.array_equal(mean.values, dense[dense != 0])
@@ -956,8 +980,8 @@ def test_pipeline_reads_edge_entries_as_their_dense_graphs(monkeypatch, case, M)
     expected = bc.compute_barycentre([e.dense() for e in entries], M=M, seed=0)
 
     checked, solved = [], []
-    real_check, real_lanczos = graph_core._check_symmetric, eigen._lanczos_top
-    monkeypatch.setattr(graph_core, "_check_symmetric", lambda s: checked.append(s) or real_check(s))
+    real_scan, real_lanczos = graph_core._nonzero_entries, eigen._lanczos_top
+    monkeypatch.setattr(graph_core, "_nonzero_entries", lambda s: checked.append(s) or real_scan(s))
     monkeypatch.setattr(eigen, "_lanczos_top",
                         lambda e, k: solved.append(out := real_lanczos(e, k)) or out)
     result = bc.compute_barycentre(entries, M=M, seed=0)

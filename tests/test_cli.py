@@ -157,6 +157,18 @@ def test_barycentre_empty_directory_is_data_error(tmp_path):
     assert run("barycentre", "--in", src, "--M", 1, "--out", tmp_path / "o") == 3
 
 
+@pytest.mark.parametrize("empty", ["sample_001.csv", "permutation_001.csv"])
+def test_barycentre_names_an_input_file_with_no_rows(tmp_path, spec_file, caplog, empty):
+    # an empty graph file, or a permutation file with its header alone
+    src = tmp_path / "src"
+    assert run("sample", "--spec", spec_file, "--T", 2, "--seed", 3, "--out", src) == 0
+    (src / empty).write_text("node_id,position\n" if empty.startswith("permutation") else "")
+    with caplog.at_level(logging.ERROR, logger="specbary"):
+        assert run("barycentre", "--in", src, "--M", 2, "--out", tmp_path / "o") == 3
+    (message,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert message == f"{src / empty}: no rows of data"
+
+
 def test_barycentre_numerical_failure_exit_code(tmp_path, monkeypatch):
     src = tmp_path / "src"
     src.mkdir()

@@ -4,21 +4,22 @@ import functools
 import gzip
 import io
 import operator
+import re
 import warnings
 
 import numpy as np
 import pytest
-from helpers import (PARTIAL_PATH_CASES, reference_degrees, reference_is_symmetric,
+from helpers import (PARTIAL_PATH_CASES, paper_scaled, reference_degrees, reference_is_symmetric,
                      reference_normalized_adjacency)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specbary import alignment, eigen, ingest, soules
+from specbary import alignment, eigen, ingest, sbm, soules
 from specbary import graph_core as gc
 
 
 def _degrees(a):
-    return gc.adjacency_entries(a)[1].degrees
+    return gc.adjacency_entries(a).degrees
 
 
 def test_degrees_single_edge():
@@ -96,12 +97,12 @@ def _symmetric(n: int, low: float, high: float, key: int) -> np.ndarray:
 
 def test_check_symmetric_rejects_asymmetry_in_last_strip():
     a = _symmetric(600, 0.0, 1.0, 23)
-    gc.check_symmetric(a)
+    gc.symmetric_entries(a)
     # the pair (590, 599) sits in the last rows and columns
     a[599, 590] += 1e-9
     assert not reference_is_symmetric(a)
     with pytest.raises(ValueError, match="not symmetric"):
-        gc.check_symmetric(a)
+        gc.symmetric_entries(a)
 
 
 # side of the square tiles of the grid a pair is planted on
@@ -144,10 +145,10 @@ def test_check_symmetric_tiles_decide_like_the_whole_matrix(pair, scale, above, 
     symmetric = reference_is_symmetric(s)
     assert symmetric == (not above or i == j)
     if symmetric:
-        assert gc.check_symmetric(s) is s
+        assert np.array_equal(gc.symmetric_entries(s).dense(), s)
     else:
         with pytest.raises(ValueError, match="not symmetric"):
-            gc.check_symmetric(s)
+            gc.symmetric_entries(s)
 
 
 @pytest.mark.parametrize("above", [False, True])
@@ -163,19 +164,21 @@ def test_check_symmetric_widens_its_tolerance_by_a_far_tile_minimum(above):
     assert reference_is_symmetric(s) == (not above)
     if above:
         with pytest.raises(ValueError, match="not symmetric"):
-            gc.check_symmetric(s)
+            gc.symmetric_entries(s)
     else:
-        assert gc.check_symmetric(s) is s
+        assert np.array_equal(gc.symmetric_entries(s).dense(), s)
 
 
 def test_check_symmetric_rejects_one_off_diagonal_nan():
     a = _symmetric(600, 0.0, 1.0, 29)
     a[5, 400] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        gc.check_symmetric(a)
+        gc.symmetric_entries(a)
 
 
-@pytest.mark.parametrize("check", [gc.check_symmetric, gc.check_adjacency])
+# the ids name the symmetry check and the adjacency check
+@pytest.mark.parametrize("check", [gc.symmetric_entries, gc.check_adjacency],
+                         ids=["check_symmetric", "check_adjacency"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_checks_reject_non_finite_before_symmetry_and_sign(check, value):
     a = _symmetric(600, 0.0, 1.0, 37)
@@ -193,11 +196,11 @@ def test_check_symmetric_scales_tolerance_by_most_negative_entry():
     a = _symmetric(6, -4.0, 0.0, 31)
     near = a.copy()
     near[0, 1] += 2e-12  # within 1e-12 * 4, outside 1e-12 * 1
-    gc.check_symmetric(near)
+    gc.symmetric_entries(near)
     off = a.copy()
     off[0, 1] += 4e-10
     with pytest.raises(ValueError, match="not symmetric"):
-        gc.check_symmetric(off)
+        gc.symmetric_entries(off)
 
 
 def _sparse_symmetric(n: int, density: float, key: int) -> np.ndarray:
@@ -230,7 +233,9 @@ def test_check_symmetric_decides_one_sided_entries_like_the_whole_matrix(n, dens
         assert gc.check_adjacency(s) is s
 
 
-@pytest.mark.parametrize("check", [gc.check_symmetric, gc.check_adjacency])
+# the ids name the symmetry check and the adjacency check
+@pytest.mark.parametrize("check", [gc.symmetric_entries, gc.check_adjacency],
+                         ids=["check_symmetric", "check_adjacency"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_checks_reject_non_finite_entry_facing_a_zero(check, value):
     a = _sparse_symmetric(300, 0.02, 41)
@@ -247,8 +252,8 @@ def test_negative_zeros_are_zeros_to_the_checks_and_the_entries():
     signed[3, 4] = 0.0
     signed[4, 3] = -0.0
     assert gc.check_adjacency(signed) is signed
-    _, entries = gc.adjacency_entries(signed)
-    _, expected = gc.adjacency_entries(a)
+    entries = gc.adjacency_entries(signed)
+    expected = gc.adjacency_entries(a)
     for name in ("rows", "cols", "values", "indptr"):
         assert np.array_equal(getattr(entries, name), getattr(expected, name))
     # the entries keep no zeros, so the matrix they give back has +0.0
@@ -260,7 +265,7 @@ def test_negative_zeros_are_zeros_to_the_checks_and_the_entries():
 def test_all_zero_matrix_passes_with_no_entries():
     a = np.zeros((5, 5))
     assert gc.check_adjacency(a) is a
-    _, entries = gc.adjacency_entries(a)
+    entries = gc.adjacency_entries(a)
     assert entries.values.size == 0 and np.array_equal(entries.indptr, np.zeros(6))
     assert np.array_equal(entries.dense(), a)
 
@@ -268,7 +273,7 @@ def test_all_zero_matrix_passes_with_no_entries():
 @pytest.mark.parametrize("above", [False, True])
 def test_check_symmetric_reads_every_entry_of_a_dense_weighted_matrix(above):
     s = np.round(_symmetric(200, 0.5, 4.0, 47) * 8) / 8
-    _, entries, _ = gc._check_symmetric(s)
+    entries = gc.symmetric_entries(s)
     assert entries.values.size == s.size
     # half or twice the tolerance, which rounding of the sum cannot undo
     tol = gc.SYMMETRY_RTOL * float(s.max())
@@ -276,14 +281,14 @@ def test_check_symmetric_reads_every_entry_of_a_dense_weighted_matrix(above):
     assert reference_is_symmetric(s) == (not above)
     if above:
         with pytest.raises(ValueError, match="not symmetric"):
-            gc.check_symmetric(s)
+            gc.symmetric_entries(s)
     else:
-        assert gc.check_symmetric(s) is s
+        assert np.array_equal(gc.symmetric_entries(s).dense(), s)
 
 
 def test_adjacency_entries_are_the_row_major_nonzeros():
     a = _sparse_symmetric(40, 0.2, 53)
-    _, entries = gc.adjacency_entries(a)
+    entries = gc.adjacency_entries(a)
     rows, cols = np.nonzero(a)
     assert np.array_equal(entries.rows, rows) and np.array_equal(entries.cols, cols)
     assert np.array_equal(entries.values, a[rows, cols])
@@ -306,7 +311,8 @@ def test_edge_entries_are_the_checked_entries_of_the_adjacency(n, density, key):
     flip = rng.random(len(pick)) < 0.5
     rows, cols = np.where(flip, cols[pick], rows[pick]), np.where(flip, rows[pick], cols[pick])
     got = gc.edge_entries(n, rows, cols)
-    a, want = gc.adjacency_entries(_scattered(n, rows, cols))
+    a = _scattered(n, rows, cols)
+    want = gc.adjacency_entries(a)
     assert got.n == want.n == n
     for field in ("rows", "cols", "values", "indptr"):
         x, y = getattr(got, field), getattr(want, field)
@@ -345,6 +351,7 @@ CHECKED_ENTRY_POINTS = {
     "top_eigenpairs": lambda s: eigen.top_eigenpairs(s, 2),
     "spectral_embed": lambda s: alignment.spectral_embed(s, 2),
     "best_soules_basis": lambda s: soules.best_soules_basis(s, 2),
+    "normalized_laplacian": gc.normalized_laplacian,
 }
 
 
@@ -362,6 +369,50 @@ def test_entry_points_share_one_symmetry_tolerance(name):
     off[0, 1] += 1e-10 * scale
     with pytest.raises(ValueError, match="not symmetric"):
         check(off)
+
+
+def _top_eigenpairs_bytes(s) -> bytes:
+    top = eigen.top_eigenpairs(s, 4)
+    return top.values.tobytes() + top.vectors.tobytes()
+
+
+# the entry points that also take a matrix as its Entries, each giving its
+# result as bytes
+ENTRIES_ENTRY_POINTS = {
+    "top_eigenvalues": lambda s: eigen.top_eigenvalues(s, 4).tobytes(),
+    "top_eigenpairs": _top_eigenpairs_bytes,
+    "best_soules_basis": lambda s: soules.best_soules_basis(s, 4).vectors.tobytes(),
+    "normalized_laplacian": lambda s: gc.normalized_laplacian(s).tobytes(),
+}
+
+
+# a weighted graph that the dense solvers read, and the normalized adjacency
+# of an SBM sample that Lanczos reads
+@pytest.mark.parametrize("case", ["dense_weighted_60", "lanczos_1024"])
+@pytest.mark.parametrize("name", sorted(ENTRIES_ENTRY_POINTS))
+def test_entry_points_read_checked_entries_as_their_matrix_without_a_scan(monkeypatch, name, case):
+    call = ENTRIES_ENTRY_POINTS[name]
+    if case == "dense_weighted_60":
+        a = _sparse_symmetric(60, 0.3, 59)
+    else:
+        a = gc.normalized_adjacency(sbm.sample(paper_scaled(1024, 4), (59, 0)))
+    expected = call(a)
+    entries = gc.adjacency_entries(a)
+    scans, real = [], gc._nonzero_entries
+    monkeypatch.setattr(gc, "_nonzero_entries", lambda s: scans.append(s) or real(s))
+    assert call(entries) == expected
+    assert scans == []
+
+
+def test_checks_hand_entries_on_and_apply_the_sign_rule_to_them():
+    a = _sparse_symmetric(30, 0.3, 61)
+    entries = gc.adjacency_entries(a)
+    assert gc.symmetric_entries(entries) is entries
+    assert gc.adjacency_entries(entries) is entries
+    signed = gc.symmetric_entries(-a)
+    assert gc.symmetric_entries(signed) is signed
+    with pytest.raises(ValueError, match="negative entries"):
+        gc.adjacency_entries(signed)
 
 
 def test_normalized_adjacency_single_edge():
@@ -397,7 +448,7 @@ def test_normalized_adjacency_csr_matches_dense_conversion(case):
     # the dense reference a * outer(r, r)
     a = PARTIAL_PATH_CASES[case][0]()
     expected = sparse.csr_matrix(reference_normalized_adjacency(a))
-    e = gc.normalized_entries(gc.adjacency_entries(a)[1])
+    e = gc.normalized_entries(gc.adjacency_entries(a))
     assert np.array_equal(e.values, expected.data)
     assert np.array_equal(e.cols, expected.indices)
     assert np.array_equal(e.indptr, expected.indptr)
@@ -579,6 +630,10 @@ def _outcome(read, path):
 def _assert_reads_as_loadtxt(path):
     (got, got_warned), (expected, warned) = _outcome(gc.load_matrix, path), _outcome(
         lambda p: np.asarray(np.loadtxt(p, delimiter=",", ndmin=2), dtype=float), path)
+    if not isinstance(expected, type) and not expected.size:
+        # np.loadtxt warns and returns no rows; load_matrix raises instead
+        assert got is ValueError and got_warned == []
+        return
     assert got_warned == warned
     if isinstance(expected, type):
         assert got is expected
@@ -653,6 +708,23 @@ def test_load_matrix_matches_loadtxt_on_saved_tables(tmp_path_factory, rows, col
     if mutation in ("none", "gzip"):
         assert np.array_equal(gc.load_matrix(path), a)
     _assert_reads_as_loadtxt(path)
+
+
+@pytest.mark.parametrize("raw", [b"", b"\n", b"\n\n", b"# no rows\n"],
+                         ids=["empty", "newline_only", "blank_lines", "comment_only"])
+def test_load_matrix_names_a_file_with_no_rows(tmp_path, raw):
+    # filterwarnings = error turns a numpy warning on the way into a failure
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no rows of data$"):
+        gc.load_matrix(path)
+
+
+def test_load_permutation_names_a_header_only_file(tmp_path):
+    path = tmp_path / "permutation.csv"
+    path.write_text("node_id,position\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no rows of data$"):
+        gc.load_permutation(path)
 
 
 def test_permutation_io_round_trip(tmp_path):

@@ -1,7 +1,7 @@
 """Import hygiene without a linter: every name a source or test file imports
-is read somewhere in that file, every specbary module imports on its own
-in a fresh interpreter with warnings as errors, and small pipeline runs
-never load scipy."""
+is read somewhere in that file, no specbary module reads an underscore name
+of another, every specbary module imports on its own in a fresh interpreter
+with warnings as errors, and small pipeline runs never load scipy."""
 
 import ast
 import os
@@ -13,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-FILES = sorted([*(SRC / "specbary").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((SRC / "specbary").glob("*.py"))
+FILES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 MODULES = ["specbary", *(f"specbary.{p.stem}" for p in sorted((SRC / "specbary").glob("*.py"))
                          if p.stem != "__init__")]
 
@@ -41,6 +42,40 @@ def test_unused_imports_finds_a_dropped_use(tmp_path):
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(path) == []
+
+
+def private_reads(path: Path) -> list[str]:
+    """'line module._name' for each underscore name that path takes from
+    another module of its package: an attribute read of a module that
+    "from . import" binds, or a name that "from .module import" binds."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            found.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return [f"{line} {name}" for line, name in sorted(found)]
+
+
+def test_private_reads_finds_a_reach_into_another_module(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from . import eigen, graph_core as gc\nfrom .soules import _leaf_best, materialize\n"
+                    "eigen.top_eigenvalues(gc._nonzero_entries(1), eigen.__name__)\neigen._lanczos_top\n")
+    assert private_reads(path) == ["2 soules._leaf_best", "3 graph_core._nonzero_entries",
+                                   "4 eigen._lanczos_top"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_reads_another_modules_private_names(path):
+    assert private_reads(path) == []
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

@@ -254,14 +254,15 @@ def test_best_basis_input_validation():
         so.best_soules_basis(np.array([[0.0, 1.0], [0.5, 0.0]]), depth=2)
     with pytest.raises(ValueError):
         so.best_soules_basis(np.eye(4), depth=5)
+    for perm in ([0, 1, 2], [0, 1, 2, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            so.best_soules_basis(np.eye(4), 2, np.array(perm))
 
 
-def _splits(s: np.ndarray, depth: int, perm: np.ndarray | None = None, order=slice(None)) -> tuple:
-    """The splits the search gives on the checked entries of s, relabelled
-    by perm (node i moves to perm[i]) and handed over in the given order."""
-    e = graph_core._check_symmetric(s)[1]
-    rows, cols = (e.rows, e.cols) if perm is None else (perm[e.rows], perm[e.cols])
-    return so._best_soules_basis(e.n, rows[order], cols[order], e.values[order], depth).tree.splits
+def _splits(s: np.ndarray, depth: int, perm: np.ndarray | None = None) -> tuple:
+    """The splits the search gives on s relabelled by perm (node i moves to
+    perm[i]), which it reads as the entries of s in their own order."""
+    return so.best_soules_basis(s, depth, perm).tree.splits
 
 
 def _reference_splits(s: np.ndarray, depth: int) -> tuple:
@@ -315,16 +316,14 @@ def _eighths_matrix(draw):
 @given(case=_eighths_matrix(), seed=st.integers(0, 2**32 - 1))
 def test_split_search_matches_table_reference_on_eighths(case, seed):
     # entries on a 1/8 grid make every block sum exact in both searches, so
-    # scores agree bit for bit and planted ties are broken the same way, in
-    # any order of the entries and under any relabelling of the nodes
+    # scores agree bit for bit and planted ties are broken the same way under
+    # any relabelling of the nodes, which hands the search its entries out of
+    # row order
     s, depth = case
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(np.count_nonzero(s))
-    perm = rng.permutation(len(s))
-    expected = _reference_splits(s, depth)
-    assert _splits(s, depth) == expected
-    assert _splits(s, depth, order=order) == expected
-    assert _splits(s, depth, perm, order) == _reference_splits(graph_core.permute(s, perm), depth)
+    perm = np.random.default_rng(seed).permutation(len(s))
+    assert _splits(s, depth) == _reference_splits(s, depth)
+    permuted = graph_core.permute(s, perm)
+    assert _splits(s, depth, perm) == _splits(permuted, depth) == _reference_splits(permuted, depth)
 
 
 def test_split_search_matches_table_reference_on_criterion_04_inputs():
@@ -389,10 +388,11 @@ def test_split_search_matches_table_reference_on_school_mornings(seed, M):
 
 def test_split_search_needs_no_n_by_n_scratch():
     n = 2048
-    e = graph_core._check_symmetric(sbm.sample(paper_scaled(n, 32), (72, 0)))[1]
+    e = graph_core.adjacency_entries(sbm.sample(paper_scaled(n, 32), (72, 0)))
+    perm = np.random.default_rng(72).permutation(n)
     tracemalloc.start()
     try:
-        so._best_soules_basis(n, e.rows, e.cols, e.values, 32)
+        so.best_soules_basis(e, 32, perm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
