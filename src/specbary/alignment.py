@@ -8,9 +8,7 @@ by descending volume.
 """
 
 import logging
-import os
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -26,12 +24,8 @@ KMEANS_MAX_ITER = 300
 ZERO_ROW_EPS = 1e-12
 _BULK_DELTA = 0.1
 _MIN_GAP = 0.05
-# n * M from which cluster_nodes runs its restarts on threads, the most
-# threads it starts, and the largest m * n * k that OpenBLAS multiplies on
-# one thread (see cluster_nodes)
+# n * M from which cluster_nodes runs its restarts on threads
 _THREADED_MIN_SIZE = 2**16
-_MAX_WORKERS = 2
-_BLAS_ONE_THREAD_SIZE = 2**18
 
 
 class ClusteringError(RuntimeError):
@@ -92,21 +86,16 @@ def _broadcast_argmin(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(_broadcast_sq_dist(points, centers), axis=1)
 
 
-def _assign(points: np.ndarray, centers: np.ndarray, dist: np.ndarray,
-            rows: int | None = None) -> np.ndarray:
+def _assign(points: np.ndarray, centers: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """The labels of _broadcast_argmin, from one n x k matrix product written
-    into the n x k scratch dist, which is left overwritten. With rows given,
-    the product is taken in row blocks of at most that many rows.
+    into the n x k scratch dist, which is left overwritten.
 
     Only rows with another centre within _TIE_MARGIN of their nearest go
     through _broadcast_argmin.
     """
     # |x - c|^2 less the per-row constant |x|^2, which moves no argmin or
     # gap; 2 c is exact, so x.(2c) is 2 x.c
-    two_ct = 2.0 * centers.T
-    step = rows or len(points)
-    for i in range(0, len(points), step):
-        np.matmul(points[i : i + step], two_ct, out=dist[i : i + step])
+    np.matmul(points, 2.0 * centers.T, out=dist)
     np.subtract((centers**2).sum(axis=1), dist, out=dist)
     labels = np.argmin(dist, axis=1)
     if centers.shape[0] > 1:
@@ -197,12 +186,10 @@ def _seed_rows(points: np.ndarray, k: int, first: int, scratch: np.ndarray) -> n
     return seeds
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray,
-           rows: int | None = None) -> _Restart:
+def _lloyd(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray) -> _Restart:
     """Lloyd's iterations from the given k centres. scratch is a float
     array of at least n * max(k, d) entries that is overwritten; restarts in
-    one thread can share one. With rows given, every matrix product is taken
-    in row blocks of at most that many rows."""
+    one thread can share one."""
     n, d = points.shape
     k = len(centers)
     dist = scratch[: n * k].reshape(n, k)
@@ -211,7 +198,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray,
     labels = np.full(n, -1)
     capped = False
     for iterations in range(1, KMEANS_MAX_ITER + 1):
-        new_labels = _assign(points, centers, dist, rows)
+        new_labels = _assign(points, centers, dist)
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
             return _Restart(None, np.inf, iterations, False)
@@ -237,12 +224,12 @@ class _Tally(NamedTuple):
 
 
 def _run_restarts(points: np.ndarray, restarts: Iterable[tuple[int, np.ndarray]],
-                  scratch: np.ndarray, rows: int | None) -> _Tally:
+                  scratch: np.ndarray) -> _Tally:
     """Run the (restart index, seed rows) restarts on one scratch array and
     keep the best by (inertia, restart index), as the serial loop does."""
     best, best_index, lost, iterations, capped = None, -1, 0, 0, 0
     for index, seeds in restarts:
-        run = _lloyd(points, points[seeds], scratch, rows)
+        run = _lloyd(points, points[seeds], scratch)
         iterations += run.iterations
         capped += run.capped
         if run.labels is None:
@@ -250,13 +237,6 @@ def _run_restarts(points: np.ndarray, restarts: Iterable[tuple[int, np.ndarray]]
         elif best is None or (run.inertia, index) < (best.inertia, best_index):
             best, best_index = run, index
     return _Tally(best, best_index, lost, iterations, capped)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def cluster_nodes(
@@ -279,21 +259,22 @@ def cluster_nodes(
     restart is seeded first, in the calling thread: seeding is many small
     products, and run on two threads at once they fight for the GIL (a
     seeding took 2 ms alone and 11 ms per pair side by side at n = 2048,
-    M = 32). When n * M >= 2^16 and the process may use more than one CPU
-    (os.sched_getaffinity), the Lloyd iterations then run on a pool of
-    threads, one per CPU up to _MAX_WORKERS = 2; worker w takes restarts
-    w, w + workers, ... Below 2^16 the pool saves nothing, and the restarts
-    run in the calling thread. Each worker owns one n * max(M, d) float
-    scratch array, which also holds the centroid bins, and keeps its own
-    tallies and its best restart by (inertia, restart index); the fold
-    returns the serial loop's winner, volumes and INFO line bit for bit.
-    The scratch is why the pool stops at two workers: each one adds
-    n * max(M, d) floats to the peak, which two keep within 4 n * M floats
-    at n = 2048, M = d = 32. A worker takes every matrix product in row
-    blocks of at most 2^18 / (M d) rows, because OpenBLAS runs a dgemm of
-    m * n * k <= 2^18 on one thread: bigger products start BLAS threads of
-    their own, and the workers contend for the CPUs. The labels do not
-    depend on how a product rounds (see _assign).
+    M = 32). The whole call holds eigen.one_blas_thread. When n * M >= 2^16
+    and the pin yields more than one worker (two CPUs, and every loaded
+    OpenBLAS held at one thread), the Lloyd iterations then run on
+    eigen.pinned_map's threads; worker w takes restarts w, w + workers, ...
+    Below 2^16 the pool saves nothing, and the restarts run in the calling
+    thread. Each worker owns one n * max(M, d) float scratch array, which
+    also holds the centroid bins, and keeps its own tallies and its best
+    restart by (inertia, restart index); the fold returns the serial loop's
+    winner, volumes and INFO line bit for bit. The scratch is why the pool
+    stops at two workers: each one adds n * max(M, d) floats to the peak,
+    which two keep within 4 n * M floats at n = 2048, M = d = 32. With the
+    pin, each worker's whole n x M product runs on its own CPU: at n = 2048,
+    M = 32 a call took 207-233 ms (quartiles of 9 calls, two processes)
+    against 229-244 ms when unpinned workers cut their products into row
+    blocks small enough for OpenBLAS to keep on one thread.
+    The labels do not depend on how a product rounds (see _assign).
 
     Args:
       embedding: (n, d) matrix of node coordinates.
@@ -315,23 +296,20 @@ def cluster_nodes(
         raise ValueError(f"M={M} outside 1..{n}")
     points = _normalize_rows(points)
 
-    rng = graph_core.philox(seed)
-    scratch = np.empty(n * max(M, d))
-    # restart r seeds from the r-th draw, as when each restart drew its own
-    seeds = [_seed_rows(points, M, int(rng.integers(n)), scratch) for _ in range(KMEANS_RESTARTS)]
-    workers = min(_cpu_count(), _MAX_WORKERS)
-    if workers > 1 and n * M >= _THREADED_MIN_SIZE:
-        rows = max(1, _BLAS_ONE_THREAD_SIZE // (M * d))
+    with eigen.one_blas_thread() as workers:
+        rng = graph_core.philox(seed)
+        scratch = np.empty(n * max(M, d))
+        # restart r seeds from the r-th draw, as when each restart drew its own
+        seeds = [_seed_rows(points, M, int(rng.integers(n)), scratch)
+                 for _ in range(KMEANS_RESTARTS)]
+        if n * M < _THREADED_MIN_SIZE:
+            workers = 1
         scratches = [scratch] + [np.empty_like(scratch) for _ in range(workers - 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            # worker w runs restarts w, w + workers, ...; the fold below does not
-            # depend on which worker ran a restart
-            futures = [pool.submit(_run_restarts, points,
-                                   islice(enumerate(seeds), w, None, workers), scratches[w], rows)
-                       for w in range(workers)]
-            tallies = [future.result() for future in futures]
-    else:
-        tallies = [_run_restarts(points, enumerate(seeds), scratch, None)]
+        # worker w runs restarts w, w + workers, ...; the fold below does not
+        # depend on which worker ran a restart
+        tallies = eigen.pinned_map(
+            lambda w: _run_restarts(points, islice(enumerate(seeds), w, None, workers), scratches[w]),
+            range(workers), workers)
     kept = [t for t in tallies if t.best is not None]
     if not kept:
         raise ClusteringError(f"k-means lost a cluster in all {KMEANS_RESTARTS} restarts")

@@ -34,6 +34,16 @@ Stages of compute_barycentre:
   6. the leaf of each input node; the result keeps the block matrices, and
      expands each to n x n in the input node order, by a gather of the leaf
      rows and then of the leaf columns, only when a caller first reads it.
+
+Threads and bits. compute_barycentre holds eigen.one_blas_thread from start
+to end, so every BLAS and LAPACK call it makes runs on one OpenBLAS thread,
+and its result has the bits of OPENBLAS_NUM_THREADS=1 at any thread count,
+wherever that pin reaches every loaded OpenBLAS. The CPU this frees runs
+stage 1 for a given M on graphs of _POOL_MIN_N nodes or more on
+eigen.pinned_map's two threads (each graph's check, then each graph's
+normalization and head beside the merge of the mean), and the k-means
+restarts of large embeddings (see alignment.cluster_nodes). Neither pool
+changes a bit of the result.
 """
 
 import json
@@ -53,6 +63,8 @@ REGULARIZE_TOL = 1e-9
 
 # elements per strip of mse (512 KB of float64 per strip array)
 _MSE_STRIP = 1 << 16
+# nodes from which compute_barycentre runs the per-graph stage on a pool
+_POOL_MIN_N = 768
 
 
 @dataclass(frozen=True)
@@ -366,19 +378,39 @@ def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | N
     """
     if not graphs:
         raise ValueError("no graphs given")
+    with eigen.one_blas_thread() as workers:
+        return _barycentre(graphs, M, seed, workers)
+
+
+def _barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | None, seed: int,
+                workers: int) -> BarycentreResult:
+    # compute_barycentre's body, under its BLAS pin, which allows a pool of
+    # that many workers. The per-graph stage (the checks, then the heads)
+    # runs on the pool for a given M when the first graph has _POOL_MIN_N
+    # nodes or more. Under the pin on 2 CPUs, it took 86-97 ms on two
+    # threads against 144-150 ms in series on the 8 ensemble graphs
+    # (n = 2048), 16-20 against 18-21 ms on 4 graphs of n = 768, and 11-12
+    # against 10 ms on 3 graphs of n = 512; with the mean's merge beside
+    # the ensemble heads, heads and merge took 61-66 ms against 89-98 ms
+    # one after the other. M=None stays in series: its spectra go through
+    # the traced normalized_laplacian, and on the 35 contact windows
+    # (n = 232) a pool took 108-124 ms against 97-103 ms.
+    first = graphs[0]
+    if M is None or (first.n if isinstance(first, graph_core.Entries)
+                     else (np.shape(first) or (0,))[0]) < _POOL_MIN_N:
+        workers = 1
     # the one check of each graph; everything after, degrees included, is
     # built from these Entries, which no later function scans again
-    entries = [graph_core.adjacency_entries(g) for g in graphs]
+    entries = eigen.pinned_map(graph_core.adjacency_entries, graphs, workers)
     n = entries[0].n
     for e in entries:
         if e.n != n:
             raise ValueError(f"graph sizes differ: ({e.n}, {e.n}) vs ({n}, {n})")
     mean_vals = None
+    # the merge of the mean reads only the entries, so it runs beside the
+    # heads, first, as the longest task
+    tasks = [lambda: _sample_mean_entries(entries)]
     if M is None:
-        # one graph after another: np.linalg.eigvalsh releases the GIL, but on
-        # 2 CPUs two threads over these spectra ran slower than this loop, on
-        # the 232-node contact windows and on 1024-node graphs with threaded
-        # OpenBLAS
         spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(e)) for e in entries]
         mean_vals = sample_mean_eigenvalues(spectra)
         M = alignment.estimate_M(mean_vals)
@@ -388,11 +420,12 @@ def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | N
     elif len(entries) > 1:
         # the smallest normalized-Laplacian eigenvalues are one minus the
         # largest of the normalized adjacency
-        mean_vals = sample_mean_eigenvalues(
-            [1.0 - eigen.top_eigenvalues(graph_core.normalized_entries(e), M) for e in entries])
-
-    mean = _sample_mean_entries(entries)
-    del entries
+        tasks += [lambda e=e: 1.0 - eigen.top_eigenvalues(graph_core.normalized_entries(e), M)
+                  for e in entries]
+    mean, *heads = eigen.pinned_map(lambda task: task(), tasks, workers)
+    if heads:
+        mean_vals = sample_mean_eigenvalues(heads)
+    del entries, tasks
     # alignment.spectral_embed of the normalized mean, read as its Entries
     top = eigen.top_eigenpairs(graph_core.normalized_entries(mean), M)
     if mean_vals is None:

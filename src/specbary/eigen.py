@@ -17,8 +17,30 @@ the entries' CSR arrays; the dense fallback builds its matrix from the
 entries, which hold +0.0 where an input held -0.0. For the full spectrum of
 a checked graph, compute_barycentre and the spectrum command call
 np.linalg.eigvalsh on graph_core.normalized_laplacian of its Entries.
+
+Threads. one_blas_thread holds every loaded OpenBLAS at one thread through
+the openblas_set_num_threads_local call that OpenBLAS exports from 0.3.27
+on; the libraries are found by name in /proc/self/maps. In the pthreads
+builds that the numpy and scipy wheels bundle, that call sets the count of
+the whole process and returns the one before, so the pin is counted over
+all threads: the first entry sets each library to one thread, later
+entries only count (and cost nothing), and the last exit restores each
+library's count. scipy's library loads with the first Lanczos solve, and a
+pin held then is extended to it. pinned_map runs calls on up to two
+threads, each call inside the pin, when the pin reaches every loaded
+OpenBLAS and the process may use two CPUs; otherwise in the calling thread.
+A LAPACK or BLAS result depends on the BLAS thread count in its last bits,
+so while the pin holds the results are those of OPENBLAS_NUM_THREADS=1,
+whatever the environment sets; Lanczos's results do not depend on it.
 """
 
+import ctypes
+import os
+import sys
+import threading
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +59,26 @@ SIGN_EPS = 1e-12
 _PARTIAL_MIN_N = 512
 _PARTIAL_MAX_SHARE = 32
 _LANCZOS_KEY = (0x5EC7, 1)  # Philox key of the Lanczos start vector
+# the most threads pinned_map starts
+_MAX_WORKERS = 2
+
+
+class _Pin:
+    """The process's BLAS pin, one per process as the OpenBLAS counts it
+    sets are: its holders in all threads, the (setter, count before) of
+    each library it set to one thread, by path, whether those were every
+    loaded OpenBLAS when it last looked, and each OpenBLAS path seen with
+    its openblas_set_num_threads_local, or None."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.pinned: dict[bytes, tuple] = {}
+        self.complete = False
+        self.setters: dict[bytes, object] = {}
+
+
+_pin = _Pin()
 
 
 @dataclass(frozen=True)
@@ -46,6 +88,99 @@ class SpectralSummary:
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def _openblas_libraries() -> set[bytes]:
+    """The paths of the loaded shared libraries whose file name holds
+    "openblas"; empty where /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            maps = fh.read()
+    except OSError:
+        return set()
+    paths = (line.rpartition(b" ")[2] for line in maps.splitlines() if b"openblas" in line)
+    return {p for p in paths if b"openblas" in p.rpartition(b"/")[2]}
+
+
+def _setter(path: bytes):
+    if path not in _pin.setters:
+        try:
+            fn = ctypes.CDLL(os.fsdecode(path)).openblas_set_num_threads_local
+            fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+        except (OSError, AttributeError):
+            fn = None
+        _pin.setters[path] = fn
+    return _pin.setters[path]
+
+
+def _pin_loaded() -> None:
+    # sets every loaded OpenBLAS not yet pinned to one thread; under _pin.lock
+    paths = _openblas_libraries()
+    for path in sorted(paths - _pin.pinned.keys()):
+        setter = _setter(path)
+        if setter is not None:
+            _pin.pinned[path] = (setter, setter(1))
+    _pin.complete = bool(paths) and paths <= _pin.pinned.keys()
+
+
+def _extend_pin() -> None:
+    """Pins the OpenBLAS libraries loaded since the held pin looked."""
+    with _pin.lock:
+        if _pin.depth:
+            _pin_loaded()
+
+
+@contextmanager
+def one_blas_thread():
+    """Holds every loaded OpenBLAS at one thread while the block runs.
+
+    Yields the number of threads pinned_map may use: one per CPU this
+    process may run on (os.sched_getaffinity) up to _MAX_WORKERS, when the
+    pin reaches every loaded OpenBLAS, else 1 (threads whose BLAS starts
+    threads of its own contend for the CPUs). Nested and concurrent use
+    work: the pin counts its holders in every thread, and the last to leave
+    restores each library's thread count, on an exception too. Where no
+    OpenBLAS with the call is found, it changes nothing and yields 1.
+    """
+    with _pin.lock:
+        if not _pin.depth:
+            _pin_loaded()
+        _pin.depth += 1
+        complete = _pin.complete
+    try:
+        yield min(_cpu_count(), _MAX_WORKERS) if complete else 1
+    finally:
+        with _pin.lock:
+            _pin.depth -= 1
+            if not _pin.depth:
+                for setter, previous in reversed(_pin.pinned.values()):
+                    setter(previous)
+                _pin.pinned.clear()
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pinned_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """[fn(x) for x in items], each call inside one_blas_thread, on a pool of
+    that many threads when workers > 1, else in the calling thread.
+
+    The results keep the order of items, and a failure is raised for the
+    first failing item in that order, once the calls already started have
+    finished. Callers hold one_blas_thread, so a worker's pin only counts.
+    """
+    def pinned(x):
+        with one_blas_thread():
+            return fn(x)
+
+    if workers <= 1:
+        return [pinned(x) for x in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(pinned, items))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -100,10 +235,14 @@ def _lanczos_top(e: graph_core.Entries, k: int):
         raise ValueError(f"k={k} outside 1..{n}")
     if n < _PARTIAL_MIN_N or _PARTIAL_MAX_SHARE * k > n:
         return None
-    # imported here so that small inputs never pay for loading scipy
+    # imported here so that small inputs never pay for loading scipy; its
+    # OpenBLAS loads with it, and a pin held then is extended to it
+    first = "scipy.sparse.linalg" not in sys.modules
     from scipy import sparse
     from scipy.sparse import csgraph
     from scipy.sparse import linalg as splinalg
+    if first:
+        _extend_pin()
 
     a = sparse.csr_matrix((e.values, e.cols, e.indptr), shape=(n, n))
     if csgraph.connected_components(a, directed=True, connection="strong", return_labels=False) > 1:

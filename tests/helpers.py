@@ -236,11 +236,14 @@ def reference_pipeline_heads(graphs: list[np.ndarray], M: int) -> tuple[np.ndarr
     adjacencies of the inputs and of their dense mean: the reference whose
     bits the pipeline, which normalizes each graph's entries alone, gives.
     One graph is its own mean, so its head comes from the embedding's
-    eigensolve, as in the pipeline."""
+    eigensolve, as in the pipeline. The solves run under the pipeline's
+    eigen.one_blas_thread, whose dense eigensolves give the bits of one BLAS
+    thread."""
     mean_adj = barycentre.sample_mean_adjacency(graphs)
-    top = eigen.top_eigenpairs(reference_normalized_adjacency(mean_adj), M)
-    heads = [top.values] if len(graphs) == 1 else [
-        eigen.top_eigenvalues(reference_normalized_adjacency(g), M) for g in graphs]
+    with eigen.one_blas_thread():
+        top = eigen.top_eigenpairs(reference_normalized_adjacency(mean_adj), M)
+        heads = [top.values] if len(graphs) == 1 else [
+            eigen.top_eigenvalues(reference_normalized_adjacency(g), M) for g in graphs]
     head = barycentre.sample_mean_eigenvalues([1.0 - h for h in heads])
     return head, top.vectors
 

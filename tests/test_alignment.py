@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specbary import alignment as al
+from specbary import eigen
 from specbary import graph_core as gc
 from specbary import sbm
 
@@ -169,17 +170,18 @@ def test_cluster_nodes_peak_memory_at_wide_k():
     assert peak <= 4 * n * M * 8
 
 
-def _threaded_cluster_nodes(monkeypatch, caplog, points, M, workers, max_workers=al._MAX_WORKERS):
+def _threaded_cluster_nodes(monkeypatch, caplog, points, M, workers, max_workers=eigen._MAX_WORKERS):
     """cluster_nodes as on a host with the given CPU count: the assignment,
-    the INFO line, and the row-block size each _run_restarts call got."""
-    monkeypatch.setattr(al, "_cpu_count", lambda: workers)
-    monkeypatch.setattr(al, "_MAX_WORKERS", max_workers)
+    the INFO line, and whether each _run_restarts call ran in the main
+    thread."""
+    monkeypatch.setattr(eigen, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(eigen, "_MAX_WORKERS", max_workers)
     calls = []
     real = al._run_restarts
 
-    def spy(points, restarts, scratch, rows):
-        calls.append((threading.current_thread() is threading.main_thread(), rows))
-        return real(points, restarts, scratch, rows)
+    def spy(points, restarts, scratch):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return real(points, restarts, scratch)
 
     monkeypatch.setattr(al, "_run_restarts", spy)
     caplog.clear()
@@ -194,9 +196,9 @@ def test_cluster_nodes_threads_match_the_serial_loop(monkeypatch, caplog, n, M):
     # n * M >= 2^16: two workers run the restarts, one runs the serial loop
     points = _sbm_points(n, M)
     serial, serial_line, serial_calls = _threaded_cluster_nodes(monkeypatch, caplog, points, M, 1)
-    assert serial_calls == [(True, None)]
+    assert serial_calls == [True]
     threaded, threaded_line, calls = _threaded_cluster_nodes(monkeypatch, caplog, points, M, 2)
-    assert calls == [(False, 2**18 // (M * M))] * 2
+    assert calls == [False] * 2
     assert np.array_equal(threaded.labels, serial.labels)
     assert np.array_equal(threaded.volumes, serial.volumes)
     assert threaded_line == serial_line
@@ -205,7 +207,7 @@ def test_cluster_nodes_threads_match_the_serial_loop(monkeypatch, caplog, n, M):
 def test_cluster_nodes_threads_below_the_size_threshold_run_serially(monkeypatch, caplog):
     # n * M = 2^16 - 1024: the pool saves no time below 2^16
     _, _, calls = _threaded_cluster_nodes(monkeypatch, caplog, _sbm_points(2016, 32), 32, 2)
-    assert calls == [(True, None)]
+    assert calls == [True]
 
 
 def test_cluster_nodes_more_workers_than_cpus_share_the_restarts(monkeypatch, caplog):
@@ -225,7 +227,7 @@ def test_threaded_restarts_match_broadcast_reference(monkeypatch):
     # reference's least inertia, the first restart on ties
     n, M, seed = 2048, 32, 12
     points = _sbm_points(n, M)
-    monkeypatch.setattr(al, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(eigen, "_cpu_count", lambda: 2)
     seeds, runs, threads = [], {}, set()
     real_seed, real_lloyd = al._seed_rows, al._lloyd
 

@@ -8,6 +8,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -609,9 +610,10 @@ def test_write_result_exports_all_files(tmp_path):
     assert len(perm_lines) == 17
 
 
-def _run_python(code: str) -> str:
+def _run_python(code: str, **env_vars: str) -> str:
     src = Path(bc.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **env_vars,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True, timeout=300)
     return done.stdout.strip()
@@ -722,8 +724,10 @@ def test_spectrum_head_matches_full_spectrum():
     logn = np.log(1024)
     spec = sbm.balanced(1024, 4, 3 * logn**2 / 1024, 2 * logn / 1024)
     graphs = [sbm.sample(spec, (23, t)) for t in range(2)]
-    full = bc.sample_mean_eigenvalues(
-        [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs])
+    # under the pipeline's BLAS pin, whose eigvalsh has the bits of one thread
+    with eigen.one_blas_thread():
+        full = bc.sample_mean_eigenvalues(
+            [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs])
     # a given M reads the M smallest values (by Lanczos here, n = 1024)
     head = bc.compute_barycentre(graphs, M=4, seed=0).spectrum.sample_mean
     assert len(head) == 4 and np.abs(head - full[:4]).max() < 1e-10
@@ -995,3 +999,79 @@ def test_pipeline_reads_edge_entries_as_their_dense_graphs(monkeypatch, case, M)
     assert result.spectrum.M == expected.spectrum.M
     assert result.degrees.values.tobytes() == expected.degrees.values.tobytes()
     assert result.degrees.blocks == expected.degrees.blocks
+
+
+def _result_fields(result: bc.BarycentreResult) -> list:
+    return [result.mu_blocks.tobytes(), result.lap_blocks.tobytes(), result.leaf.tobytes(),
+            result.permutation.tobytes(), result.spectrum.sample_mean.tobytes(),
+            result.spectrum.regularized.tobytes(), result.spectrum.M,
+            result.degrees.values.tobytes(), result.degrees.blocks]
+
+
+def _thread_spy(monkeypatch, module, name) -> list[bool]:
+    """Whether each call of module.name ran in the main thread."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pipeline_per_graph_pool_gives_the_serial_bits(monkeypatch, cpus):
+    graphs = [sbm.sample(paper_scaled(1024, 4), (61, t)) for t in range(3)]
+    monkeypatch.setattr(eigen, "_cpu_count", lambda: 1)
+    serial = bc.compute_barycentre(graphs, M=4, seed=0)
+    monkeypatch.setattr(eigen, "_cpu_count", lambda: cpus)
+    checks = _thread_spy(monkeypatch, graph_core, "adjacency_entries")
+    heads = _thread_spy(monkeypatch, eigen, "top_eigenvalues")
+    result = bc.compute_barycentre(graphs, M=4, seed=0)
+    assert _result_fields(result) == _result_fields(serial)
+    assert len(checks) == len(heads) == 3
+    # one worker is the calling thread; two are threads of a pool
+    assert set(checks) == set(heads) == {cpus == 1}
+
+
+@pytest.mark.parametrize(("spec", "M"), [(paper_scaled(1024, 4), None), (four_block_spec(), 4)],
+                         ids=["estimated_M", "n_512"])
+def test_pipeline_per_graph_stage_stays_serial(monkeypatch, spec, M):
+    # M=None reads its spectra through the traced normalized_laplacian, and
+    # at n = 512 the pool saves nothing
+    monkeypatch.setattr(eigen, "_cpu_count", lambda: 2)
+    checks = _thread_spy(monkeypatch, graph_core, "adjacency_entries")
+    bc.compute_barycentre([sbm.sample(spec, (61, t)) for t in range(3)], M=M, seed=0)
+    assert checks == [True] * 3
+
+
+# each input's result fields, hashed in a fresh process
+_RUN_BOTH_PATHS = """
+import hashlib, math
+from specbary import barycentre, sbm
+
+def paper_scaled(n, M):
+    logn = math.log(n)
+    return sbm.balanced(n, M, min(1.0, 3 * logn**2 / n), 2 * logn / n)
+
+for spec, M, T in ((paper_scaled(1024, 4), None, 3), (paper_scaled(1000, 40), 40, 2)):
+    r = barycentre.compute_barycentre([sbm.sample(spec, (53, t)) for t in range(T)], M=M, seed=0)
+    h = hashlib.sha256()
+    for a in (r.mu_blocks, r.lap_blocks, r.leaf, r.permutation, r.spectrum.sample_mean,
+              r.spectrum.regularized, r.degrees.values):
+        h.update(a.tobytes())
+    h.update(repr((r.spectrum.M, r.degrees.blocks)).encode())
+    print(r.spectrum.M, h.hexdigest())
+"""
+
+
+def test_pipeline_bits_do_not_depend_on_the_blas_thread_count():
+    # an auto-M input (full eigvalsh of each graph, dense LAPACK) and a
+    # dense-fallback input (M = 40 > n / 32: eigvalsh of each graph and eigh
+    # of the embedding); without the pin both differ in their last bits
+    one = _run_python(_RUN_BOTH_PATHS, OPENBLAS_NUM_THREADS="1")
+    two = _run_python(_RUN_BOTH_PATHS, OPENBLAS_NUM_THREADS="2")
+    assert [line.split()[0] for line in one.splitlines()] == ["4", "40"]
+    assert one == two

@@ -1,6 +1,9 @@
 """Symmetric eigendecomposition wrapper: ordering, signs, reconstruction,
 and the Lanczos path for the largest eigenvalues against the dense one."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from helpers import PARTIAL_PATH_CASES, paper_scaled, partial_path_case
@@ -113,3 +116,112 @@ def test_top_eigenpairs_small_input_is_dense_reversed():
         eigen.top_eigenvalues(s, 0)
     with pytest.raises(ValueError):
         eigen.top_eigenpairs(s, 8)
+
+
+def _pin_setters() -> list:
+    """The thread-count setter of each loaded OpenBLAS the pin can set."""
+    setters = [eigen._setter(path) for path in sorted(eigen._openblas_libraries())]
+    setters = [s for s in setters if s is not None]
+    if not setters:
+        pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+    return setters
+
+
+def _counts(setters) -> list[int]:
+    # the call returns the count it replaces, so setting it back reads it
+    counts = [s(1) for s in setters]
+    for s, c in zip(setters, counts):
+        s(c)
+    return counts
+
+
+@pytest.fixture
+def three_blas_threads():
+    """Every settable OpenBLAS at 3 threads, a count no default gives here;
+    the counts before are restored afterwards."""
+    setters = _pin_setters()
+    before = [s(3) for s in setters]
+    yield setters
+    for s, c in zip(setters, before):
+        s(c)
+
+
+def test_one_blas_thread_restores_the_counts_on_exit_and_on_an_exception(three_blas_threads):
+    with eigen.one_blas_thread():
+        assert _counts(three_blas_threads) == [1] * len(three_blas_threads)
+    assert _counts(three_blas_threads) == [3] * len(three_blas_threads)
+    with pytest.raises(RuntimeError, match="inside"):
+        with eigen.one_blas_thread():
+            assert _counts(three_blas_threads) == [1] * len(three_blas_threads)
+            raise RuntimeError("inside")
+    assert _counts(three_blas_threads) == [3] * len(three_blas_threads)
+
+
+def test_one_blas_thread_nested_and_in_two_threads(three_blas_threads):
+    ones, threes = [1] * len(three_blas_threads), [3] * len(three_blas_threads)
+    with eigen.one_blas_thread():
+        with eigen.one_blas_thread():
+            assert _counts(three_blas_threads) == ones
+        assert _counts(three_blas_threads) == ones
+        # a pin taken and left in another thread while this one holds
+        eigen.pinned_map(lambda _: None, range(2), 2)
+        assert _counts(three_blas_threads) == ones
+    assert _counts(three_blas_threads) == threes
+
+
+def test_one_blas_thread_yields_the_pool_size(monkeypatch, three_blas_threads):
+    monkeypatch.setattr(eigen, "_cpu_count", lambda: 4)
+    with eigen.one_blas_thread() as workers:
+        assert workers == eigen._MAX_WORKERS == 2
+    monkeypatch.setattr(eigen, "_cpu_count", lambda: 1)
+    with eigen.one_blas_thread() as workers:
+        assert workers == 1
+
+
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch, three_blas_threads):
+    monkeypatch.setattr(eigen, "_openblas_libraries", set)
+    monkeypatch.setattr(eigen, "_cpu_count", lambda: 2)
+    with eigen.one_blas_thread() as workers:
+        assert workers == 1
+        assert _counts(three_blas_threads) == [3] * len(three_blas_threads)
+
+
+def test_pinned_map_keeps_the_order_and_raises_the_first_failure():
+    def fail_odd(x):
+        if x % 2:
+            raise ValueError(f"item {x}")
+        return threading.current_thread() is threading.main_thread()
+
+    with eigen.one_blas_thread():
+        assert eigen.pinned_map(lambda x: x * x, range(7), 2) == [x * x for x in range(7)]
+        assert eigen.pinned_map(fail_odd, [0, 2], 1) == [True, True]
+        assert eigen.pinned_map(fail_odd, [0, 2], 2) == [False, False]
+        with pytest.raises(ValueError, match="item 3"):
+            eigen.pinned_map(fail_odd, [0, 3, 5], 2)
+
+
+def test_one_blas_thread_under_many_threads_restores_the_counts(three_blas_threads):
+    # more threads than CPUs taking and leaving the pin with a short switch
+    # interval: a lost update of its holder count would leave a library at
+    # one thread or restore it while a holder is inside
+    inside_counts = []
+
+    def hold():
+        for _ in range(200):
+            with eigen.one_blas_thread():
+                inside_counts.append(_counts(three_blas_threads[:1])[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert inside_counts == [1] * (8 * 200)
+    assert eigen._pin.depth == 0
+    assert _counts(three_blas_threads) == [3] * len(three_blas_threads)
