@@ -16,18 +16,18 @@ Stages of compute_barycentre:
      is that checked form already). Every later step reads only those
      Entries, through public eigen, graph_core and soules functions that
      take Entries as checked, and each normalization is
-     graph_core.normalized_entries of them. The mean Laplacian spectrum (its
-     head of M values when M is given, by Lanczos on the CSR arrays of each
-     graph's normalized entries; a single graph's head comes from the
-     eigensolve of the embedding in stage 2), and the sample mean adjacency
-     as entries, merged from the graphs' entries with no n x n array,
+     graph_core.normalized_entries of them. The mean Laplacian spectrum
+     (eigen.laplacian_eigenvalues of each graph: the head of M values for
+     a given M, where a single graph's head comes from the eigensolve of
+     the embedding in stage 2, and all n values to estimate M), and the
+     sample mean adjacency as entries, merged with no n x n array,
   2. alignment: spectral embedding, k-means, canonical block ordering,
   3. greedy Soules basis on the aligned mean adjacency, read as the mean's
      entries with their rows and columns relabelled, first M columns; the
      block degrees average the mean's Entries.degrees over its leaves. So
      for a given M on inputs that Lanczos reads, no n x n array is built
-     after the inputs (M=None scans each graph's full spectrum, and the
-     dense eigensolver fallback builds its matrix from the entries),
+     after the inputs (an estimated M, like the dense eigensolver
+     fallback, builds each matrix it solves from the entries),
   4. eigenvalue regularization (bulk entries pinned to 1),
   5. truncated Laplacian and degree-rescaled adjacency as M x M matrices
      over the depth-M leaf blocks,
@@ -39,11 +39,10 @@ Threads and bits. compute_barycentre holds eigen.one_blas_thread from start
 to end, so every BLAS and LAPACK call it makes runs on one OpenBLAS thread,
 and its result has the bits of OPENBLAS_NUM_THREADS=1 at any thread count,
 wherever that pin reaches every loaded OpenBLAS. The CPU this frees runs
-stage 1 for a given M on graphs of _POOL_MIN_N nodes or more on
-eigen.pinned_map's two threads (each graph's check, then each graph's
-normalization and head beside the merge of the mean), and the k-means
-restarts of large embeddings (see alignment.cluster_nodes). Neither pool
-changes a bit of the result.
+stage 1 on graphs of _POOL_MIN_N nodes or more on eigen.pinned_map's two
+threads (each graph's check, then each graph's spectrum beside the merge
+of the mean), and the k-means restarts of large embeddings (see
+alignment.cluster_nodes). Neither pool changes a bit of the result.
 """
 
 import json
@@ -374,7 +373,8 @@ def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | N
     with no edges give mu_blocks that compare equal to 0 everywhere, and
     leaves that carry no information: every cut scores 0, so each split
     cuts the first node off the first leaf that has two, as in (1, 1),
-    (2, 60).
+    (2, 60). Nodes with no edge in any graph are counted in a WARNING; each
+    takes a leaf that no edge chose, with degree 0 in that leaf's block degree.
     """
     if not graphs:
         raise ValueError("no graphs given")
@@ -385,19 +385,18 @@ def compute_barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | N
 def _barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | None, seed: int,
                 workers: int) -> BarycentreResult:
     # compute_barycentre's body, under its BLAS pin, which allows a pool of
-    # that many workers. The per-graph stage (the checks, then the heads)
-    # runs on the pool for a given M when the first graph has _POOL_MIN_N
-    # nodes or more. Under the pin on 2 CPUs, it took 86-97 ms on two
-    # threads against 144-150 ms in series on the 8 ensemble graphs
-    # (n = 2048), 16-20 against 18-21 ms on 4 graphs of n = 768, and 11-12
-    # against 10 ms on 3 graphs of n = 512; with the mean's merge beside
-    # the ensemble heads, heads and merge took 61-66 ms against 89-98 ms
-    # one after the other. M=None stays in series: its spectra go through
-    # the traced normalized_laplacian, and on the 35 contact windows
-    # (n = 232) a pool took 108-124 ms against 97-103 ms.
+    # that many workers. The per-graph stage (the checks, then the spectra)
+    # runs on the pool when the first graph has _POOL_MIN_N nodes or more.
+    # Under the pin on 2 CPUs, it took 86-97 ms on two threads against
+    # 144-150 ms in series on the 8 ensemble graphs (n = 2048, M = 4),
+    # 16-20 against 18-21 ms on 4 graphs of n = 768, and 11-12 against
+    # 10 ms on 3 graphs of n = 512; with the mean's merge beside the
+    # ensemble heads, heads and merge took 61-66 ms against 89-98 ms one
+    # after the other. With M estimated, the whole call took 0.30-0.35 s
+    # on the pool against 0.44-0.45 s in series on 3 graphs of n = 1024;
+    # each thread then holds the n x n arrays of its dense solve.
     first = graphs[0]
-    if M is None or (first.n if isinstance(first, graph_core.Entries)
-                     else (np.shape(first) or (0,))[0]) < _POOL_MIN_N:
+    if (first.n if isinstance(first, graph_core.Entries) else (np.shape(first) or (0,))[0]) < _POOL_MIN_N:
         workers = 1
     # the one check of each graph; everything after, degrees included, is
     # built from these Entries, which no later function scans again
@@ -406,32 +405,28 @@ def _barycentre(graphs: list[np.ndarray | graph_core.Entries], M: int | None, se
     for e in entries:
         if e.n != n:
             raise ValueError(f"graph sizes differ: ({e.n}, {e.n}) vs ({n}, {n})")
-    mean_vals = None
+    if M is not None and not 1 <= M <= n:
+        raise ValueError(f"M={M} outside 1..{n}")
     # the merge of the mean reads only the entries, so it runs beside the
-    # heads, first, as the longest task
+    # spectra, first (the longest task for a given M); M=None reads all n
     tasks = [lambda: _sample_mean_entries(entries)]
+    if M is None or len(entries) > 1:
+        k = n if M is None else M
+        tasks += [lambda e=e: eigen.laplacian_eigenvalues(e, k) for e in entries]
+    mean, *heads = eigen.pinned_map(lambda task: task(), tasks, workers)
+    del entries, tasks
+    mean_vals = sample_mean_eigenvalues(heads) if heads else None
     if M is None:
-        spectra = [np.linalg.eigvalsh(graph_core.normalized_laplacian(e)) for e in entries]
-        mean_vals = sample_mean_eigenvalues(spectra)
         M = alignment.estimate_M(mean_vals)
         log.info("estimated M=%d from the mean spectrum", M)
-    elif not 1 <= M <= n:
-        raise ValueError(f"M={M} outside 1..{n}")
-    elif len(entries) > 1:
-        # the smallest normalized-Laplacian eigenvalues are one minus the
-        # largest of the normalized adjacency
-        tasks += [lambda e=e: 1.0 - eigen.top_eigenvalues(graph_core.normalized_entries(e), M)
-                  for e in entries]
-    mean, *heads = eigen.pinned_map(lambda task: task(), tasks, workers)
-    if heads:
-        mean_vals = sample_mean_eigenvalues(heads)
-    del entries, tasks
+    mean_deg = mean.degrees
+    if isolated := int(np.count_nonzero(mean_deg == 0)):
+        log.warning("%d of %d nodes have no edge in any graph, so no edge chose their leaves", isolated, n)
     # alignment.spectral_embed of the normalized mean, read as its Entries
     top = eigen.top_eigenpairs(graph_core.normalized_entries(mean), M)
     if mean_vals is None:
         # one graph is its own mean, so the embedding's eigensolve gives its head
         mean_vals = sample_mean_eigenvalues([1.0 - top.values])
-    mean_deg = mean.degrees
     assignment = alignment.cluster_nodes(top.vectors, M, seed, degrees=mean_deg)
     perm = alignment.canonical_permutation(assignment)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import alignment, barycentre, graph_core, ingest, sbm
+from . import alignment, barycentre, eigen, graph_core, ingest, sbm
 
 log = logging.getLogger("specbary")
 
@@ -253,11 +253,11 @@ def cmd_spectrum(args) -> None:
     """Pooled normalized-Laplacian eigenvalue histogram over [0, 2]."""
     _check_positive("--bins", [args.bins])
     graphs, _, _ = _load_graph_dir(Path(args.in_dir))
-    # one scan per graph checks it and finds its entries, as in compute_barycentre
-    pooled = np.concatenate([
-        np.linalg.eigvalsh(graph_core.normalized_laplacian(graph_core.adjacency_entries(g)))
-        for g in graphs
-    ])
+    # each graph's full spectrum by the path of an estimated M, under the
+    # BLAS pin of compute_barycentre, so the counts have its bits
+    with eigen.one_blas_thread():
+        pooled = np.concatenate([eigen.laplacian_eigenvalues(graph_core.adjacency_entries(g), len(g))
+                                 for g in graphs])
     counts, edges = np.histogram(np.clip(pooled, 0.0, 2.0), bins=args.bins, range=(0.0, 2.0))
 
     out = Path(args.out)

@@ -14,9 +14,9 @@ one symmetry check. top_eigenvalues and top_eigenpairs also take the
 graph_core.Entries of a matrix, so Entries checked once, such as the
 normalized_entries of a checked graph, are not scanned again. Lanczos reads
 the entries' CSR arrays; the dense fallback builds its matrix from the
-entries, which hold +0.0 where an input held -0.0. For the full spectrum of
-a checked graph, compute_barycentre and the spectrum command call
-np.linalg.eigvalsh on graph_core.normalized_laplacian of its Entries.
+entries, which hold +0.0 where an input held -0.0. laplacian_eigenvalues
+is the one path to a checked graph's normalized-Laplacian spectrum, a head
+of k values or, with k = n, all of them.
 
 Threads. one_blas_thread holds every loaded OpenBLAS at one thread through
 the openblas_set_num_threads_local call that OpenBLAS exports from 0.3.27
@@ -27,7 +27,7 @@ all threads: the first entry sets each library to one thread, later
 entries only count (and cost nothing), and the last exit restores each
 library's count. scipy's library loads with the first Lanczos solve, and a
 pin held then is extended to it. pinned_map runs calls on up to two
-threads, each call inside the pin, when the pin reaches every loaded
+threads for a caller that holds the pin, when the pin reaches every loaded
 OpenBLAS and the process may use two CPUs; otherwise in the calling thread.
 A LAPACK or BLAS result depends on the BLAS thread count in its last bits,
 so while the pin holds the results are those of OPENBLAS_NUM_THREADS=1,
@@ -166,21 +166,18 @@ def _cpu_count() -> int:
 
 
 def pinned_map(fn: Callable, items: Iterable, workers: int) -> list:
-    """[fn(x) for x in items], each call inside one_blas_thread, on a pool of
-    that many threads when workers > 1, else in the calling thread.
+    """[fn(x) for x in items], on a pool of that many threads when
+    workers > 1, else in the calling thread.
 
-    The results keep the order of items, and a failure is raised for the
-    first failing item in that order, once the calls already started have
-    finished. Callers hold one_blas_thread, so a worker's pin only counts.
+    Callers hold one_blas_thread, which pins every thread, and pass the
+    count it yielded. The results keep the order of items, and a failure is
+    raised for the first failing item in that order, once the calls already
+    started have finished.
     """
-    def pinned(x):
-        with one_blas_thread():
-            return fn(x)
-
     if workers <= 1:
-        return [pinned(x) for x in items]
+        return [fn(x) for x in items]
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(pinned, items))
+        return list(pool.map(fn, items))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -288,3 +285,10 @@ def top_eigenpairs(s: np.ndarray | graph_core.Entries, k: int) -> SpectralSummar
                                vectors=_fix_signs(vectors[:, ::-1][:, :k]))
     values, vectors = top
     return SpectralSummary(values=values, vectors=_fix_signs(vectors))
+
+
+def laplacian_eigenvalues(e: graph_core.Entries, k: int) -> np.ndarray:
+    """The k smallest normalized-Laplacian eigenvalues, ascending, of the
+    graph with checked entries e; k = n, the full spectrum, takes the dense
+    path."""
+    return 1.0 - top_eigenvalues(graph_core.normalized_entries(e), k)

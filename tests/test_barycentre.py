@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from helpers import (PARTIAL_PATH_CASES, expand_blocks, four_block_spec, paper_scaled,
                      permuted_run_mse, reference_barycentre, reference_degrees, reference_mse,
-                     reference_pipeline_heads)
+                     reference_normalized_adjacency, reference_pipeline_heads)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -555,6 +555,31 @@ def test_pipeline_on_graphs_with_no_edges_gives_zero_blocks(size, as_entries):
     assert result.degrees.blocks == (*((k, k) for k in range(1, M)), (M, n))
 
 
+@settings(max_examples=25, deadline=None)
+@given(cut_all=st.sets(st.integers(0, 119), max_size=6),
+       cut_first=st.sets(st.integers(0, 119), max_size=6), T=st.integers(1, 3),
+       key=st.integers(0, 2**16))
+@example(cut_all={5, 50, 100}, cut_first=set(), T=1, key=0)
+def test_pipeline_flags_nodes_with_no_edge_in_any_graph(cut_all, cut_first, T, key):
+    # nodes in cut_all lose their edges in every graph, those in cut_first
+    # in the first graph only
+    graphs = [sbm.sample(sbm.balanced(120, 3, 0.5, 0.05), (key, t)) for t in range(T)]
+    for t, g in enumerate(graphs):
+        cut = sorted(cut_all | cut_first if t == 0 else cut_all)
+        g[cut, :] = g[:, cut] = 0.0
+    mean_deg = reference_degrees(bc.sample_mean_adjacency(graphs))
+    isolated = np.flatnonzero(mean_deg == 0)
+    with mock.patch.object(bc.log, "warning", wraps=bc.log.warning) as warning:
+        result = bc.compute_barycentre(graphs, M=3, seed=0)
+    flagged = [c.args[1:] for c in warning.call_args_list if "no edge in any graph" in c.args[0]]
+    assert flagged == ([(len(isolated), 120)] if len(isolated) else [])
+    # each still takes a leaf, and counts with degree 0 in its leaf's block
+    # degree: the mean degree over the leaf's nodes
+    sizes = np.bincount(result.leaf, minlength=3)
+    sums = np.bincount(result.leaf, weights=mean_deg, minlength=3)
+    assert np.allclose(result.degrees.values, sums / sizes, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("M", [4, None])
 def test_pipeline_checks_each_input_graph_once(monkeypatch, M):
     checked = []
@@ -724,10 +749,12 @@ def test_spectrum_head_matches_full_spectrum():
     logn = np.log(1024)
     spec = sbm.balanced(1024, 4, 3 * logn**2 / 1024, 2 * logn / 1024)
     graphs = [sbm.sample(spec, (23, t)) for t in range(2)]
-    # under the pipeline's BLAS pin, whose eigvalsh has the bits of one thread
+    # one minus all n largest eigenvalues of each reference normalized
+    # adjacency, under the pipeline's BLAS pin, whose eigvalsh has the bits
+    # of one thread
     with eigen.one_blas_thread():
         full = bc.sample_mean_eigenvalues(
-            [eigen.sym_eig_values(graph_core.normalized_laplacian(g)) for g in graphs])
+            [1.0 - eigen.top_eigenvalues(reference_normalized_adjacency(g), len(g)) for g in graphs])
     # a given M reads the M smallest values (by Lanczos here, n = 1024)
     head = bc.compute_barycentre(graphs, M=4, seed=0).spectrum.sample_mean
     assert len(head) == 4 and np.abs(head - full[:4]).max() < 1e-10
@@ -1021,25 +1048,24 @@ def _thread_spy(monkeypatch, module, name) -> list[bool]:
     return calls
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_pipeline_per_graph_pool_gives_the_serial_bits(monkeypatch, cpus):
+# a given M reads each graph's head, an estimated M its full spectrum
+@pytest.mark.parametrize(("cpus", "M"), [(1, 4), (2, 4), (2, None)], ids=["1", "2", "2-estimated_M"])
+def test_pipeline_per_graph_pool_gives_the_serial_bits(monkeypatch, cpus, M):
     graphs = [sbm.sample(paper_scaled(1024, 4), (61, t)) for t in range(3)]
     monkeypatch.setattr(eigen, "_cpu_count", lambda: 1)
-    serial = bc.compute_barycentre(graphs, M=4, seed=0)
+    serial = bc.compute_barycentre(graphs, M=M, seed=0)
     monkeypatch.setattr(eigen, "_cpu_count", lambda: cpus)
     checks = _thread_spy(monkeypatch, graph_core, "adjacency_entries")
     heads = _thread_spy(monkeypatch, eigen, "top_eigenvalues")
-    result = bc.compute_barycentre(graphs, M=4, seed=0)
+    result = bc.compute_barycentre(graphs, M=M, seed=0)
     assert _result_fields(result) == _result_fields(serial)
     assert len(checks) == len(heads) == 3
     # one worker is the calling thread; two are threads of a pool
     assert set(checks) == set(heads) == {cpus == 1}
 
 
-@pytest.mark.parametrize(("spec", "M"), [(paper_scaled(1024, 4), None), (four_block_spec(), 4)],
-                         ids=["estimated_M", "n_512"])
+@pytest.mark.parametrize(("spec", "M"), [(four_block_spec(), 4)], ids=["n_512"])
 def test_pipeline_per_graph_stage_stays_serial(monkeypatch, spec, M):
-    # M=None reads its spectra through the traced normalized_laplacian, and
     # at n = 512 the pool saves nothing
     monkeypatch.setattr(eigen, "_cpu_count", lambda: 2)
     checks = _thread_spy(monkeypatch, graph_core, "adjacency_entries")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from helpers import paper_scaled
 
-from specbary import alignment, barycentre, cli, graph_core, ingest, sbm
+from specbary import alignment, barycentre, cli, eigen, graph_core, ingest, sbm
 
 
 MSE_LIMIT = 0.02  # a shared labelling gives about 0.004 here, mixed ones about 0.2
@@ -387,6 +387,17 @@ def test_spectrum_of_empty_graphs_concentrates_at_one(tmp_path):
     assert len(rows) == 4
     counts = {float(left): int(count) for left, _, count in rows}
     assert counts[1.0] == 12 and sum(counts.values()) == 12
+
+
+def test_spectrum_solves_each_graph_under_the_blas_pin(tmp_path, spec_file, monkeypatch):
+    # the pin gives each dense solve the bits of one BLAS thread
+    src = tmp_path / "src"
+    assert run("sample", "--spec", spec_file, "--T", 3, "--seed", 7, "--out", src) == 0
+    depths = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: depths.append(eigen._pin.depth) or real(a))
+    assert run("spectrum", "--in", src, "--out", tmp_path / "hist") == 0
+    assert len(depths) == 3 and min(depths) >= 1
 
 
 def test_spectrum_rejects_negative_entries_like_barycentre(tmp_path):

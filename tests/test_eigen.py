@@ -159,12 +159,19 @@ def test_one_blas_thread_restores_the_counts_on_exit_and_on_an_exception(three_b
 
 def test_one_blas_thread_nested_and_in_two_threads(three_blas_threads):
     ones, threes = [1] * len(three_blas_threads), [3] * len(three_blas_threads)
+
+    def pin(_):
+        with eigen.one_blas_thread():
+            pass
+
     with eigen.one_blas_thread():
         with eigen.one_blas_thread():
             assert _counts(three_blas_threads) == ones
         assert _counts(three_blas_threads) == ones
-        # a pin taken and left in another thread while this one holds
-        eigen.pinned_map(lambda _: None, range(2), 2)
+        # the pin reaches the pool's threads, which take none of their own
+        assert eigen.pinned_map(lambda _: _counts(three_blas_threads), range(2), 2) == [ones] * 2
+        # a pin taken and left in two other threads while this one holds
+        eigen.pinned_map(pin, range(2), 2)
         assert _counts(three_blas_threads) == ones
     assert _counts(three_blas_threads) == threes
 
