@@ -30,17 +30,26 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(payload, indent=1))
 
 
+def _file_names(manifest, key: str, manifest_path: Path) -> list[str]:
+    names = manifest.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{manifest_path}: {key!r} is not a list of file names")
+    return names
+
+
 def _load_graph_dir(in_dir: Path):
-    """Graphs plus optional ground truth from a manifest, or a bare CSV glob."""
+    """Graphs, the manifest's spec (None without one) and relabellings, or a bare CSV glob."""
     manifest_path = in_dir / "manifest.json"
-    population = None
+    spec = None
     perm_paths = []
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
-        graph_paths = [in_dir / p for p in manifest["graphs"]]
-        if manifest.get("population"):
-            population = graph_core.load_matrix(in_dir / manifest["population"])
-        perm_paths = [in_dir / p for p in manifest.get("permutations") or ()]
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{manifest_path}: not a JSON object")
+        graph_paths = [in_dir / p for p in _file_names(manifest, "graphs", manifest_path)]
+        perm_paths = [in_dir / p for p in _file_names(manifest, "permutations", manifest_path)]
+        if "spec" in manifest:
+            spec = sbm.spec_from_payload(manifest["spec"], manifest_path)
     else:
         graph_paths = sorted(in_dir.glob("*.csv"))
     if not graph_paths:
@@ -50,19 +59,21 @@ def _load_graph_dir(in_dir: Path):
     # cmd_barycentre un-permutes by a gather, which checks no length; the
     # barycentre needs one node order shared by every sample
     n = len(graphs[0])
+    if spec is not None and spec.n != n:
+        raise ValueError(f"{manifest_path}: spec of {spec.n} nodes, graphs have {n}")
     for path, perm in zip(perm_paths, permutations):
         if len(perm) != n:
             raise ValueError(f"{path}: permutation of {len(perm)} nodes, graphs have {n}")
         if (perm != permutations[0]).any():
             raise ValueError(f"{path}: relabelling differs from {perm_paths[0]}")
-    return graphs, population, permutations
+    return graphs, spec, permutations
 
 
 def cmd_sample(args) -> None:
     """Sample T graphs from an SBM spec, all under one random relabelling.
 
-    Sample t is drawn from the stream keyed (seed, t) and the relabelling
-    from (seed, 0, 1); every sample gets a copy of the permutation file.
+    Sample t comes from the stream keyed (seed, t), and the relabelling, which
+    every sample gets a copy of, from (seed, 0, 1). The manifest's spec fixes P.
     """
     _check_positive("--T", [args.T])
     spec = sbm.load_spec(args.spec)
@@ -80,7 +91,6 @@ def cmd_sample(args) -> None:
         graph_core.save_permutation(perm, out / f"permutation_{t:03d}.csv")
         graph_files.append(f"sample_{t:03d}.csv")
         perm_files.append(f"permutation_{t:03d}.csv")
-    graph_core.save_matrix(sbm.population_mean(spec), out / "population.csv")
 
     _write_manifest(out, {
         "command": "sample",
@@ -90,7 +100,6 @@ def cmd_sample(args) -> None:
         "seed": args.seed,
         "graphs": graph_files,
         "permutations": perm_files,
-        "population": "population.csv",
     })
     log.info("wrote %d samples of n=%d to %s", args.T, spec.n, out)
 
@@ -103,14 +112,12 @@ def cmd_barycentre(args) -> None:
         # M above n is a data error, found once the graphs are loaded
         _check_positive("--M", [args.M])
     in_dir = Path(args.in_dir)
-    graphs, population, permutations = _load_graph_dir(in_dir)
+    graphs, spec, permutations = _load_graph_dir(in_dir)
     result = barycentre.compute_barycentre(graphs, M=args.M, seed=args.seed)
 
     extra = {"command": "barycentre", "T": len(graphs), "seed": args.seed, "auto_M": bool(args.auto_M)}
-    if population is not None:
-        # node i of the population is input node permutations[0][i]
-        leaf = result.leaf[permutations[0]] if permutations else result.leaf
-        extra["mse"] = barycentre.mse(population, graph_core.BlockMatrix(result.mu_blocks, leaf))
+    if spec is not None:
+        extra["mse"] = _score(spec, result, permutations[0] if permutations else slice(None))
         log.info("mse against population: %.6e", extra["mse"])
 
     out = Path(args.out)
@@ -146,17 +153,20 @@ def _check_positive(flag: str, values: list[int]) -> None:
             raise UsageError(f"{flag} must be >= 1, got {v}")
 
 
+def _score(spec: sbm.SbmSpec, result: barycentre.BarycentreResult, perm) -> float:
+    """MSE against P, both in block form; node i of the sample is input node perm[i]."""
+    return barycentre.mse(sbm.population_blocks(spec),
+                          graph_core.BlockMatrix(result.mu_blocks, result.leaf[perm]))
+
+
 def _one_mse_run(spec: sbm.SbmSpec, M: int, sample_key: tuple, cluster_key: tuple) -> float:
     """Sample one permuted realization, reconstruct, and score against P."""
     rows, cols = sbm.sample_edges(spec, sample_key)
     perm = graph_core.philox((*sample_key, 1)).permutation(spec.n)
-    # node i of the sample is input node perm[i], so the relabelled edges
-    # are the shuffled input, handed on as its entries: no n x n array is made
+    # the relabelled edges are the shuffled input, handed on as entries: no n x n array is made
     result = barycentre.compute_barycentre([graph_core.edge_entries(spec.n, perm[rows], perm[cols])],
                                            M=M, seed=cluster_key)
-    # mu in the sample's labelling, and P, are both scored in block form
-    return barycentre.mse(sbm.population_blocks(spec),
-                          graph_core.BlockMatrix(result.mu_blocks, result.leaf[perm]))
+    return _score(spec, result, perm)
 
 
 def _write_rows(path: Path, header: list[str], rows: list[tuple]) -> None:

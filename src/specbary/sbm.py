@@ -71,12 +71,32 @@ def save_spec(spec: SbmSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def load_spec(path: str | Path) -> SbmSpec:
-    payload = json.loads(Path(path).read_text())
-    spec = SbmSpec(block_sizes=tuple(payload["block_sizes"]), p=tuple(payload["p"]), q=float(payload["q"]))
-    if "n" in payload and int(payload["n"]) != spec.n:
-        raise ValueError(f"spec file {path}: n={payload['n']} does not match block sizes")
+def _all_of(values, kind) -> bool:
+    # bool is an int subclass, but true is no block size or probability
+    return isinstance(values, list) and all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
+
+
+def spec_from_payload(payload, source) -> SbmSpec:
+    """The SbmSpec of a decoded JSON object: block_sizes a list of integers, p a
+    list of numbers, q a number, and n, if given, the sum of the block sizes.
+    Anything else raises a ValueError naming source; 4.7 is not read as 4."""
+    number = (int, float)
+    if not (isinstance(payload, dict) and _all_of(payload.get("block_sizes"), int)
+            and _all_of(payload.get("p"), number) and _all_of([payload.get("q")], number)
+            and _all_of([payload.get("n", 0)], int)):
+        raise ValueError(f"spec in {source}: need block_sizes a list of integers, p a list of numbers, "
+                         "q a number and n, if given, an integer")
+    try:
+        spec = SbmSpec(block_sizes=payload["block_sizes"], p=payload["p"], q=payload["q"])
+    except ValueError as exc:
+        raise ValueError(f"spec in {source}: {exc}") from None
+    if payload.get("n", spec.n) != spec.n:
+        raise ValueError(f"spec in {source}: n={payload['n']} does not match block sizes")
     return spec
+
+
+def load_spec(path: str | Path) -> SbmSpec:
+    return spec_from_payload(json.loads(Path(path).read_text()), path)
 
 
 def population_blocks(spec: SbmSpec) -> graph_core.BlockMatrix:

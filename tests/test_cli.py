@@ -32,7 +32,11 @@ def test_sample_is_deterministic(tmp_path, spec_file):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("sample", "--spec", spec_file, "--T", 2, "--seed", 7, "--out", a) == 0
     assert run("sample", "--spec", spec_file, "--T", 2, "--seed", 7, "--out", b) == 0
-    for name in ("sample_000.csv", "sample_001.csv", "permutation_001.csv", "population.csv"):
+    names = sorted(path.name for path in a.iterdir())
+    # the population mean is not written: the manifest's spec fixes it
+    assert names == ["manifest.json", "permutation_000.csv", "permutation_001.csv",
+                     "sample_000.csv", "sample_001.csv"]
+    for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
     manifest = json.loads((a / "manifest.json").read_text())
     assert manifest["T"] == 2 and manifest["n"] == 16
@@ -71,6 +75,71 @@ def test_barycentre_roundtrip_reports_mse(tmp_path, spec_file):
     assert manifest["M"] == 2 and manifest["T"] == 1
 
 
+def test_barycentre_mse_is_the_dense_score_against_the_spec(tmp_path, spec_file):
+    # scored in block form from the manifest's spec, with the bits of the
+    # dense population mean against mu_hat in the sample's labelling
+    src, out = tmp_path / "src", tmp_path / "out"
+    assert run("sample", "--spec", spec_file, "--T", 2, "--seed", 5, "--out", src) == 0
+    assert run("barycentre", "--in", src, "--M", 2, "--seed", 0, "--out", out) == 0
+    graphs = [graph_core.load_matrix(src / f"sample_{t:03d}.csv") for t in range(2)]
+    perm = graph_core.load_permutation(src / "permutation_000.csv")
+    result = barycentre.compute_barycentre(graphs, M=2, seed=0)
+    expected = barycentre.mse(sbm.population_mean(sbm.load_spec(spec_file)), result.mu_hat[np.ix_(perm, perm)])
+    assert json.loads((out / "diagnostics.json").read_text())["mse"] == expected
+
+
+def test_barycentre_ignores_the_population_file_of_older_sample_directories(tmp_path, spec_file):
+    # sample used to write the population mean to population.csv and name it
+    # in the manifest; such a directory is scored from its spec, so a file
+    # that disagrees with the spec changes no byte
+    src = tmp_path / "src"
+    assert run("sample", "--spec", spec_file, "--T", 2, "--seed", 5, "--out", src) == 0
+    assert run("barycentre", "--in", src, "--M", 2, "--out", tmp_path / "new") == 0
+    graph_core.save_matrix(np.ones((16, 16)), src / "population.csv")
+    manifest = json.loads((src / "manifest.json").read_text())
+    (src / "manifest.json").write_text(json.dumps({**manifest, "population": "population.csv"}))
+    assert run("barycentre", "--in", src, "--M", 2, "--out", tmp_path / "old") == 0
+    assert ((tmp_path / "old" / "diagnostics.json").read_bytes()
+            == (tmp_path / "new" / "diagnostics.json").read_bytes())
+
+
+_GOOD_SPEC = {"block_sizes": [6, 10], "p": [0.9, 0.8], "q": 0.1}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("sample", {**_GOOD_SPEC, "q": [0.1]}),
+    ("sample", {**_GOOD_SPEC, "block_sizes": 8}),
+    ("sample", {**_GOOD_SPEC, "block_sizes": [4, None]}),
+    ("sample", [_GOOD_SPEC]),
+    ("sample", {**_GOOD_SPEC, "n": 17}),
+    ("sample", {**_GOOD_SPEC, "block_sizes": "88"}),
+    ("sample", {**_GOOD_SPEC, "block_sizes": [6.7, 10]}),
+    ("sample", {**_GOOD_SPEC, "p": [True, 0.8]}),
+    ("sample", {"block_sizes": [6, 10], "p": [0.9, 0.8]}),
+    ("barycentre", []),
+    ("barycentre", {"graphs": 3}),
+    ("barycentre", {"graphs": "sample_000.csv"}),
+    ("barycentre", {"graphs": ["sample_000.csv"], "permutations": [0]}),
+    ("barycentre", {"graphs": ["sample_000.csv"], "spec": {**_GOOD_SPEC, "q": [0.1]}}),
+    ("barycentre", {"graphs": ["sample_000.csv"], "spec": {**_GOOD_SPEC, "block_sizes": [6, 9]}}),
+], ids=["q-list", "block-sizes-int", "block-size-null", "spec-list", "spec-n", "block-sizes-str",
+        "block-size-float", "p-bool", "no-q", "manifest-list", "graphs-int", "graphs-str", "permutation-int",
+        "manifest-spec-q-list", "manifest-spec-n"])
+def test_malformed_spec_or_manifest_is_data_error_naming_the_file(tmp_path, spec_file, caplog, command,
+                                                                   payload):
+    src = tmp_path / "src"
+    assert run("sample", "--spec", spec_file, "--out", src) == 0
+    bad = tmp_path / "bad.json" if command == "sample" else src / "manifest.json"
+    bad.write_text(json.dumps(payload))
+    with caplog.at_level(logging.ERROR, logger="specbary"):
+        if command == "sample":
+            assert run("sample", "--spec", bad, "--out", tmp_path / "o") == 3
+        else:
+            assert run("barycentre", "--in", src, "--M", 2, "--out", tmp_path / "o") == 3
+    (message,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert str(bad) in message
+
+
 def test_sample_round_trip_of_readme_reports_small_mse(tmp_path, spec_file):
     src, out = tmp_path / "src", tmp_path / "out"
     assert run("sample", "--spec", spec_file, "--T", 4, "--seed", 0, "--out", src) == 0
@@ -92,11 +161,9 @@ def test_barycentre_refuses_mixed_relabellings(tmp_path, spec_file, caplog):
         a = sbm.sample(spec, (1, t))
         graph_core.save_matrix(graph_core.permute(a, perm), src / f"sample_{t}.csv")
         graph_core.save_permutation(perm, src / f"permutation_{t}.csv")
-    graph_core.save_matrix(sbm.population_mean(spec), src / "population.csv")
     (src / "manifest.json").write_text(json.dumps({
         "graphs": [f"sample_{t}.csv" for t in range(3)],
         "permutations": [f"permutation_{t}.csv" for t in range(3)],
-        "population": "population.csv",
     }))
     out = tmp_path / "out"
     with caplog.at_level(logging.ERROR, logger="specbary"):
