@@ -270,10 +270,7 @@ def cluster_nodes(
     winner, volumes and INFO line bit for bit. The scratch is why the pool
     stops at two workers: each one adds n * max(M, d) floats to the peak,
     which two keep within 4 n * M floats at n = 2048, M = d = 32. With the
-    pin, each worker's whole n x M product runs on its own CPU: at n = 2048,
-    M = 32 a call took 207-233 ms (quartiles of 9 calls, two processes)
-    against 229-244 ms when unpinned workers cut their products into row
-    blocks small enough for OpenBLAS to keep on one thread.
+    pin, each worker's whole n x M product runs on its own CPU.
     The labels do not depend on how a product rounds (see _assign).
 
     Args:
@@ -335,17 +332,12 @@ def canonical_permutation(assignment: ClusterAssignment) -> np.ndarray:
     member index; nodes keep their original order inside each cluster. The
     result perm satisfies: node i moves to row perm[i].
     """
-    labels = assignment.labels
-    n = len(labels)
-    first_member = {c: int(np.argmax(labels == c)) for c in range(1, assignment.M + 1)}
-    order_of_clusters = sorted(
-        range(1, assignment.M + 1),
-        key=lambda c: (-assignment.volumes[c - 1], first_member[c]),
-    )
-    order = np.concatenate([np.flatnonzero(labels == c) for c in order_of_clusters])
-    perm = np.empty(n, dtype=int)
-    perm[order] = np.arange(n)
-    return perm
+    labels = assignment.labels - 1
+    first_member = np.full(assignment.M, len(labels))
+    np.minimum.at(first_member, labels, np.arange(len(labels)))
+    # lexsort's last key is the primary one; argsort inverts a permutation
+    rank = np.argsort(np.lexsort((first_member, -assignment.volumes)))
+    return np.argsort(np.argsort(rank[labels], kind="stable"))
 
 
 def estimate_M(values: np.ndarray) -> int:

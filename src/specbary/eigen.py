@@ -66,16 +66,14 @@ _MAX_WORKERS = 2
 class _Pin:
     """The process's BLAS pin, one per process as the OpenBLAS counts it
     sets are: its holders in all threads, the (setter, count before) of
-    each library it set to one thread, by path, whether those were every
-    loaded OpenBLAS when it last looked, and each OpenBLAS path seen with
-    its openblas_set_num_threads_local, or None."""
+    each library it set to one thread, by path, and whether those were every
+    loaded OpenBLAS when it last looked."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.depth = 0
         self.pinned: dict[bytes, tuple] = {}
         self.complete = False
-        self.setters: dict[bytes, object] = {}
 
 
 _pin = _Pin()
@@ -98,28 +96,21 @@ def _openblas_libraries() -> set[bytes]:
             maps = fh.read()
     except OSError:
         return set()
-    paths = (line.rpartition(b" ")[2] for line in maps.splitlines() if b"openblas" in line)
-    return {p for p in paths if b"openblas" in p.rpartition(b"/")[2]}
-
-
-def _setter(path: bytes):
-    if path not in _pin.setters:
-        try:
-            fn = ctypes.CDLL(os.fsdecode(path)).openblas_set_num_threads_local
-            fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
-        except (OSError, AttributeError):
-            fn = None
-        _pin.setters[path] = fn
-    return _pin.setters[path]
+    # the path is the sixth field, and the rest of the line, so it may hold spaces
+    fields = (line.split(maxsplit=5) for line in maps.splitlines() if b"openblas" in line)
+    return {f[5] for f in fields if len(f) == 6 and b"openblas" in f[5].rpartition(b"/")[2]}
 
 
 def _pin_loaded() -> None:
     # sets every loaded OpenBLAS not yet pinned to one thread; under _pin.lock
     paths = _openblas_libraries()
     for path in sorted(paths - _pin.pinned.keys()):
-        setter = _setter(path)
-        if setter is not None:
-            _pin.pinned[path] = (setter, setter(1))
+        try:
+            setter = ctypes.CDLL(os.fsdecode(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        _pin.pinned[path] = (setter, setter(1))
     _pin.complete = bool(paths) and paths <= _pin.pinned.keys()
 
 

@@ -6,6 +6,8 @@ p_m for block m, and a single cross-block probability q with q <= p_m.
 """
 
 import json
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +19,15 @@ from . import graph_core
 _SAMPLE_STRIP = 1 << 17
 
 
+def _numbers(values, kind, cast) -> tuple:
+    # 6.7 is not read as 6, nor "0.5" as 0.5; bool is an int subclass, but
+    # True is no block size or probability
+    values = tuple(values) if isinstance(values, Iterable) else None
+    if values is None or not all(isinstance(v, kind) and not isinstance(v, bool) for v in values):
+        raise ValueError("need block_sizes integers, and p and q real numbers")
+    return tuple(cast(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SbmSpec:
     """Block sizes, within-block probabilities, and the cross probability."""
@@ -26,9 +37,9 @@ class SbmSpec:
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "block_sizes", _numbers(self.block_sizes, numbers.Integral, int))
+        object.__setattr__(self, "p", _numbers(self.p, numbers.Real, float))
+        object.__setattr__(self, "q", _numbers((self.q,), numbers.Real, float)[0])
         if not self.block_sizes:
             raise ValueError("spec needs at least one block")
         if any(s < 1 for s in self.block_sizes):
@@ -71,21 +82,15 @@ def save_spec(spec: SbmSpec, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def _all_of(values, kind) -> bool:
-    # bool is an int subclass, but true is no block size or probability
-    return isinstance(values, list) and all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
-
-
 def spec_from_payload(payload, source) -> SbmSpec:
-    """The SbmSpec of a decoded JSON object: block_sizes a list of integers, p a
-    list of numbers, q a number, and n, if given, the sum of the block sizes.
-    Anything else raises a ValueError naming source; 4.7 is not read as 4."""
-    number = (int, float)
-    if not (isinstance(payload, dict) and _all_of(payload.get("block_sizes"), int)
-            and _all_of(payload.get("p"), number) and _all_of([payload.get("q")], number)
-            and _all_of([payload.get("n", 0)], int)):
-        raise ValueError(f"spec in {source}: need block_sizes a list of integers, p a list of numbers, "
-                         "q a number and n, if given, an integer")
+    """The SbmSpec of a decoded JSON object with keys block_sizes, p and q, and
+    n, if given, an integer equal to the sum of the block sizes. Anything
+    else, or a spec SbmSpec refuses, raises a ValueError naming source."""
+    n = payload.get("n", 0) if isinstance(payload, dict) else None
+    if not (isinstance(payload, dict) and {"block_sizes", "p", "q"} <= payload.keys()
+            and isinstance(n, int) and not isinstance(n, bool)):
+        raise ValueError(f"spec in {source}: need an object with block_sizes, p, q and "
+                         "n, if given, an integer")
     try:
         spec = SbmSpec(block_sizes=payload["block_sizes"], p=payload["p"], q=payload["q"])
     except ValueError as exc:

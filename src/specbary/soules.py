@@ -266,37 +266,25 @@ def best_soules_basis(s: np.ndarray | graph_core.Entries, depth: int,
     mass = max(1.0, float(np.abs(values).sum()))
     noise_floor = (64.0 * np.finfo(float).eps * mass) ** 2
 
-    # each leaf is scored once, at the first level that considers it; a level
-    # scores only the two leaves the previous split created. A leaf keeps its
-    # entries until it is split; entries across the cut lie in no later leaf
-    leaves = [(1, n)]
-    inside = {(1, n): (rows, cols, values)}
-    scored: dict[tuple[int, int], tuple[float, int]] = {}
+    # one table of candidate leaves, (i0, i1) -> (score, istar, rows, cols,
+    # values): a leaf of two or more nodes is scored at the level after its
+    # split and keeps its entries; entries across a cut lie in no later leaf
+    table: dict[tuple[int, int], tuple] = {}
+    new = [(1, n, rows, cols, values)]
     splits: list[SoulesSplit] = []
     for level in range(1, depth):
-        best_score = -1.0
-        best = None
-        for a, b in leaves:
-            if b == a:
-                continue
-            if (a, b) not in scored:
-                scored[(a, b)] = _leaf_best(*inside[(a, b)], a, b, noise_floor)
-            score, istar = scored[(a, b)]
-            # strict comparison keeps the earliest (i0, istar) on ties
-            if score > best_score:
-                best_score = score
-                best = (a, b, istar)
-        if best is None:
+        for a, b, *entries in new:
+            if b > a:
+                table[(a, b)] = (*_leaf_best(*entries, a, b, noise_floor), *entries)
+        if not table:
             raise ValueError(f"no splittable leaf left at depth {level + 1}")
-        a, b, istar = best
+        # the highest score wins, then the leftmost leaf
+        a, b = max(table, key=lambda leaf: (table[leaf][0], -leaf[0]))
+        _, istar, r, c, v = table.pop((a, b))
         splits.append(SoulesSplit(i0=a, i1=b, istar=istar, level=level))
-        ix = leaves.index((a, b))
-        leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
-        r, c, v = inside.pop((a, b))
         # 0-based, the left child holds rows and columns below istar
-        left_r, left_c = r < istar, c < istar
-        for child, keep in (((a, istar), left_r & left_c), ((istar + 1, b), ~(left_r | left_c))):
-            inside[child] = (r[keep], c[keep], v[keep])
+        left, right = (r < istar) & (c < istar), (r >= istar) & (c >= istar)
+        new = [(a, istar, r[left], c[left], v[left]), (istar + 1, b, r[right], c[right], v[right])]
 
     return materialize(SoulesTree(n=n, splits=tuple(splits)))
 
@@ -307,17 +295,12 @@ def complete_basis(basis: SoulesBasis) -> SoulesBasis:
     if basis.is_complete:
         return basis
     splits = list(basis.tree.splits)
-    leaves = basis.tree.leaves()
-    level = len(splits) + 1
-    while True:
-        target = next(((a, b) for a, b in leaves if b > a), None)
-        if target is None:
-            break
-        a, b = target
-        istar = (a + b - 1) // 2
-        splits.append(SoulesSplit(i0=a, i1=b, istar=istar, level=level))
-        level += 1
-        ix = leaves.index((a, b))
-        leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
+    # pre-order: the leftmost splittable leaf is always the next one split
+    stack = basis.tree.leaves()[::-1]
+    while stack:
+        a, b = stack.pop()
+        if b > a:
+            istar = (a + b - 1) // 2
+            splits.append(SoulesSplit(i0=a, i1=b, istar=istar, level=len(splits) + 1))
+            stack += [(istar + 1, b), (a, istar)]
     return materialize(SoulesTree(n=basis.n, splits=tuple(splits)))
-

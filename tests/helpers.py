@@ -2,9 +2,12 @@
 n x n truncated Laplacian and reconstruction that the block-form pipeline
 must reproduce, the summed-area-table split search and the fsum mean squared
 difference that soules.best_soules_basis and barycentre.mse must reproduce,
-the inputs on which the Lanczos and dense eigensolver paths are compared, the
-whole-matrix degree scan and the dense normalized adjacency a * outer(r, r)
-that Entries.degrees and graph_core.normalized_entries must reproduce, and
+the leftmost-first midpoint completion and the per-cluster-scan block order
+that soules.complete_basis and alignment.canonical_permutation must
+reproduce, the inputs on which the Lanczos and dense eigensolver paths are
+compared, the whole-matrix degree scan and the dense normalized adjacency
+a * outer(r, r) that Entries.degrees and graph_core.normalized_entries must
+reproduce, and
 the spectrum heads and embedding the pipeline must reproduce from them, the
 whole-matrix symmetry decision, the full-draw SBM sampler and the
 fresh-strip edge sampler that graph_core.symmetric_entries, sbm.sample and
@@ -152,6 +155,45 @@ def reference_best_soules_basis(s: np.ndarray, depth: int) -> soules.SoulesBasis
         leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
 
     return soules.materialize(SoulesTree(n=n, splits=tuple(splits)))
+
+
+def reference_complete_basis(basis: soules.SoulesBasis) -> soules.SoulesBasis:
+    """The midpoint completion that rescans the leaves left to right for the
+    first splittable one before each split: the reference whose splits
+    soules.complete_basis gives."""
+    if basis.is_complete:
+        return basis
+    splits = list(basis.tree.splits)
+    leaves = basis.tree.leaves()
+    level = len(splits) + 1
+    while True:
+        target = next(((a, b) for a, b in leaves if b > a), None)
+        if target is None:
+            break
+        a, b = target
+        istar = (a + b - 1) // 2
+        splits.append(SoulesSplit(i0=a, i1=b, istar=istar, level=level))
+        level += 1
+        ix = leaves.index((a, b))
+        leaves[ix : ix + 1] = [(a, istar), (istar + 1, b)]
+    return soules.materialize(SoulesTree(n=basis.n, splits=tuple(splits)))
+
+
+def reference_canonical_permutation(assignment: alignment.ClusterAssignment) -> np.ndarray:
+    """The block order by a sort key over the clusters and one label scan per
+    cluster: the reference whose permutation
+    alignment.canonical_permutation gives."""
+    labels = assignment.labels
+    n = len(labels)
+    first_member = {c: int(np.argmax(labels == c)) for c in range(1, assignment.M + 1)}
+    order_of_clusters = sorted(
+        range(1, assignment.M + 1),
+        key=lambda c: (-assignment.volumes[c - 1], first_member[c]),
+    )
+    order = np.concatenate([np.flatnonzero(labels == c) for c in order_of_clusters])
+    perm = np.empty(n, dtype=int)
+    perm[order] = np.arange(n)
+    return perm
 
 
 def reference_mse(a: np.ndarray, b: np.ndarray) -> float:

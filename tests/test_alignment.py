@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import PARTIAL_PATH_CASES, partial_path_case, reference_degrees, reference_kmeans_once
+from helpers import (PARTIAL_PATH_CASES, partial_path_case, reference_canonical_permutation, reference_degrees,
+                     reference_kmeans_once)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -393,6 +394,18 @@ def test_canonical_permutation_restores_block_structure():
     assert np.allclose(restored[:44, :44], 0.6)
     assert np.allclose(restored[44:, 44:], 0.9)
     assert np.allclose(restored[:44, 44:], 0.05)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_canonical_permutation_matches_cluster_scan_reference(data):
+    M = data.draw(st.integers(1, 8))
+    sizes = data.draw(st.lists(st.integers(0, 6), min_size=M, max_size=M).filter(any))
+    labels = data.draw(st.permutations(np.repeat(np.arange(1, M + 1), sizes).tolist()))
+    # few distinct volumes, so that ties are common and the first member decides them
+    volumes = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0]), min_size=M, max_size=M))
+    assignment = al.ClusterAssignment(labels=np.array(labels), volumes=np.array(volumes))
+    assert np.array_equal(al.canonical_permutation(assignment), reference_canonical_permutation(assignment))
 
 
 def test_estimate_m_gap_rule():

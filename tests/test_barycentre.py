@@ -431,6 +431,17 @@ def test_pipeline_auto_m_on_sparse_model():
     assert result.spectrum.M == 4
 
 
+@pytest.mark.parametrize("M", [
+    4,
+    pytest.param(8, marks=pytest.mark.xfail(strict=True, reason="estimate_M takes the gap after the "
+                                            "zero eigenvalue, which beats the gap at the bulk edge")),
+])
+def test_auto_M_on_paper_scaled_balanced_sbm(M):
+    spec = paper_scaled(1024, M)
+    graphs = [sbm.sample(spec, seed) for seed in (0, 1)]
+    assert bc.compute_barycentre(graphs, M=None, seed=0).spectrum.M == M
+
+
 def test_pipeline_single_permuted_sample_reconstructs_population():
     logn = np.log(512)
     spec = sbm.SbmSpec(

@@ -1,6 +1,7 @@
 """Symmetric eigendecomposition wrapper: ordering, signs, reconstruction,
 and the Lanczos path for the largest eigenvalues against the dense one."""
 
+import io
 import sys
 import threading
 
@@ -118,10 +119,20 @@ def test_top_eigenpairs_small_input_is_dense_reversed():
         eigen.top_eigenpairs(s, 8)
 
 
+def test_openblas_paths_may_hold_spaces(monkeypatch):
+    # the path is the rest of a maps line after its fifth field; a directory
+    # named after OpenBLAS does not make a library one
+    maps = (b"7f3a1c000000-7f3a1e000000 r-xp 00000000 08:01 1234     /opt/my env/lib/libscipy_openblas64_-abc.so\n"
+            b"7f3a1e000000-7f3a1e100000 r--p 00000000 08:01 5678     /opt/openblas/lib/libm.so.6\n"
+            b"7f3a1e100000-7f3a1e200000 rw-p 00000000 00:00 0 \n")
+    monkeypatch.setattr(eigen, "open", lambda *args: io.BytesIO(maps), raising=False)
+    assert eigen._openblas_libraries() == {b"/opt/my env/lib/libscipy_openblas64_-abc.so"}
+
+
 def _pin_setters() -> list:
     """The thread-count setter of each loaded OpenBLAS the pin can set."""
-    setters = [eigen._setter(path) for path in sorted(eigen._openblas_libraries())]
-    setters = [s for s in setters if s is not None]
+    with eigen.one_blas_thread():
+        setters = [setter for setter, _ in eigen._pin.pinned.values()]
     if not setters:
         pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
     return setters

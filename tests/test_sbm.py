@@ -26,6 +26,35 @@ def test_spec_validation():
         sbm.SbmSpec(block_sizes=(2, 2), p=(0.5, 0.5), q=-0.1)
 
 
+@pytest.mark.parametrize("block_sizes, p, q", [
+    ((6.7, 10), (0.9, 0.8), 0.1),
+    ((True, 3), (0.9, 0.8), 0.1),
+    ((6, 10), ("0.5", 0.8), 0.1),
+    ((6, 10), (0.9, 0.8), "0.1"),
+    ((6, 10), (True, 0.8), 0.1),
+    ((6, 10), (0.9, 0.8), [0.1]),
+    ((6, None), (0.9, 0.8), 0.1),
+    (8, (0.9, 0.8), 0.1),
+    ("88", (0.9, 0.8), 0.1),
+], ids=["size-float", "size-bool", "p-str", "q-str", "p-bool", "q-list", "size-none", "sizes-int", "sizes-str"])
+def test_spec_refuses_values_of_the_wrong_type(block_sizes, p, q):
+    # nothing is converted into a block size or probability it was not
+    with pytest.raises(ValueError, match="need block_sizes integers"):
+        sbm.SbmSpec(block_sizes=block_sizes, p=p, q=q)
+
+
+def test_spec_takes_numpy_numbers_as_python_ones():
+    spec = sbm.SbmSpec(block_sizes=np.array([6, 10]), p=np.array([0.9, 0.8]), q=np.float32(0.25))
+    assert spec == sbm.SbmSpec(block_sizes=(6, 10), p=(0.9, 0.8), q=0.25)
+    assert all(type(s) is int for s in spec.block_sizes)
+    assert type(spec.q) is float
+
+
+def test_spec_reads_an_iterator_once():
+    spec = sbm.SbmSpec(block_sizes=iter([6, 10]), p=(v for v in (0.9, 0.8)), q=0.25)
+    assert spec == sbm.SbmSpec(block_sizes=(6, 10), p=(0.9, 0.8), q=0.25)
+
+
 def test_spec_properties():
     spec = sbm.SbmSpec(block_sizes=(2, 3), p=(0.9, 0.8), q=0.1)
     assert spec.n == 5

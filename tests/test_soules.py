@@ -7,7 +7,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from helpers import paper_scaled, random_complete_tree, random_tree, reference_best_soules_basis
+from helpers import (paper_scaled, random_complete_tree, random_tree, reference_best_soules_basis,
+                     reference_complete_basis)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -407,3 +408,12 @@ def test_complete_basis_extends_and_preserves_prefix():
     assert full.tree.splits[: len(partial.tree.splits)] == partial.tree.splits
     assert np.abs(full.vectors.T @ full.vectors - np.eye(8)).max() < 1e-12
     assert so.complete_basis(full) is full
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_complete_basis_matches_leftmost_rescan_reference(n, seed):
+    partial = so.materialize(random_tree(np.random.default_rng(seed), n))
+    got, want = so.complete_basis(partial), reference_complete_basis(partial)
+    assert got.tree == want.tree
+    assert np.array_equal(got.vectors, want.vectors)
