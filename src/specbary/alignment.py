@@ -335,9 +335,9 @@ def canonical_permutation(assignment: ClusterAssignment) -> np.ndarray:
     labels = assignment.labels - 1
     first_member = np.full(assignment.M, len(labels))
     np.minimum.at(first_member, labels, np.arange(len(labels)))
-    # lexsort's last key is the primary one; argsort inverts a permutation
-    rank = np.argsort(np.lexsort((first_member, -assignment.volumes)))
-    return np.argsort(np.argsort(rank[labels], kind="stable"))
+    # lexsort is stable, its last key primary; argsort inverts the permutation
+    order = np.lexsort((first_member[labels], -assignment.volumes[labels]))
+    return np.argsort(order)
 
 
 def estimate_M(values: np.ndarray) -> int:

@@ -1,7 +1,9 @@
 """Symmetric eigendecomposition wrapper: ordering, signs, reconstruction,
 and the Lanczos path for the largest eigenvalues against the dense one."""
 
+import ctypes
 import io
+import os
 import sys
 import threading
 
@@ -130,9 +132,16 @@ def test_openblas_paths_may_hold_spaces(monkeypatch):
 
 
 def _pin_setters() -> list:
-    """The thread-count setter of each loaded OpenBLAS the pin can set."""
-    with eigen.one_blas_thread():
-        setters = [setter for setter, _ in eigen._pin.pinned.values()]
+    """The thread-count setter of each loaded OpenBLAS that exports one,
+    looked up here rather than taken from the pin under test."""
+    setters = []
+    for path in sorted(eigen._openblas_libraries()):
+        try:
+            setter = ctypes.CDLL(os.fsdecode(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
     if not setters:
         pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
     return setters
